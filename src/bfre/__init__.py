@@ -6,7 +6,7 @@ union of boxes, and coordinate-monotone objectives are minimized globally
 over it by comparing closed-form per-box corner candidates.
 """
 
-from .intervals import EPS, IntervalUnion, set_tolerance
+from .intervals import IntervalUnion, tolerance
 from .optimize import (
     Candidate,
     InfeasibleError,
@@ -28,16 +28,13 @@ from .resolution import (
     feasible_region,
     solution_box,
 )
-from .simplify import ReductionState, RuleEvent, simplify_to_fixpoint
+from .simplify import ReductionState, RuleEvent, is_feasible_point, simplify_to_fixpoint
 from .system import (
     BipolarSystem,
     CellAnalysis,
     FeasibilityVerdict,
-    cell_sets,
-    is_feasible_point,
     necessary_feasibility,
     residual,
-    satisfies_equation,
 )
 from .tnorms import (
     TNORM_KINDS,
@@ -55,7 +52,6 @@ __all__ = [
     "BipolarSystem",
     "Candidate",
     "CellAnalysis",
-    "EPS",
     "FeasibilityVerdict",
     "FeasibleBox",
     "InfeasibleError",
@@ -70,7 +66,6 @@ __all__ = [
     "TNormSpec",
     "breakpoint_grid",
     "brute_force_min",
-    "cell_sets",
     "check_monotone",
     "count_bound",
     "enumerate_admissible",
@@ -83,11 +78,10 @@ __all__ = [
     "necessary_feasibility",
     "objective_catalog",
     "residual",
-    "satisfies_equation",
-    "set_tolerance",
     "simplify_to_fixpoint",
     "solution_box",
     "solve_scalar_eq",
     "solve_scalar_eq_numeric",
     "tnorm_eval",
+    "tolerance",
 ]

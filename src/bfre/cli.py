@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any
+from typing import Any, Callable, NoReturn
 
 import click
 
@@ -37,9 +37,10 @@ from .resolution import (
     ResourceLimitError,
     count_bound,
     feasible_region,
+    reduce_system,
 )
 from .simplify import ReductionState
-from .system import BipolarSystem, CellAnalysis
+from .system import BipolarSystem
 from .tnorms import TNormSpec, solve_scalar_eq, solve_scalar_eq_numeric, tnorm_eval
 
 EXIT_OK = 0
@@ -165,13 +166,13 @@ def _boxes_dict(result: RegionResult) -> list[dict]:
     ]
 
 
-def _region_report(result: RegionResult, explain: bool = False) -> dict:
+def _region_report(result: RegionResult) -> dict:
     report: dict[str, Any] = {
         "status": "feasible" if result.is_feasible else "infeasible",
         "verdict": _verdict_dict(result),
     }
     if result.reduction is not None:
-        report["reduction"] = _reduction_dict(result.reduction, explain)
+        report["reduction"] = _reduction_dict(result.reduction, explain=False)
         report["count_bound"] = count_bound(result.analysis, result.reduction)
     report["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
     report["boxes"] = _boxes_dict(result)
@@ -182,23 +183,24 @@ def _echo(report: dict) -> None:
     click.echo(json.dumps(report, indent=2))
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_ERROR)
 
 
-def _load(path: str) -> tuple[BipolarSystem, MonotoneObjective | None]:
-    try:
-        return parse_problem(path)
-    except ProblemFormatError as exc:
-        _fail(str(exc))
-        raise AssertionError  # unreachable
+def _require(ok: bool, message: str) -> None:
+    """Reject a bad option value with exit 1 (exit 2 means infeasible)."""
+    if not ok:
+        _fail(message)
+
+
+_tol_option = click.option(
+    "--tol", type=float, default=None, help="Interval comparison tolerance override."
+)
 
 
 def _common_options(fn):
-    fn = click.option(
-        "--tol", type=float, default=None, help="Interval comparison tolerance override."
-    )(fn)
+    fn = _tol_option(fn)
     fn = click.option(
         "--max-e",
         type=int,
@@ -212,15 +214,37 @@ def _common_options(fn):
     return fn
 
 
-def _run_region(path: str, tol, max_e, no_simplify) -> RegionResult:
-    system, _ = _load(path)
-    if tol is not None:
-        intervals.set_tolerance(tol)
+def _region(max_e: int, no_simplify: bool) -> Callable[[BipolarSystem], RegionResult]:
+    """The whole pipeline, as a stage for ``_run``."""
+    return lambda system: feasible_region(system, simplify=not no_simplify, max_count=max_e)
+
+
+def _run(
+    problem: str,
+    tol: float | None,
+    stage: Callable[[BipolarSystem], Any],
+    report: Callable[[MonotoneObjective | None, Any], tuple[dict, int]],
+    needs_objective: bool = False,
+) -> NoReturn:
+    """Run one pipeline command and exit.
+
+    Parses PROBLEM, then runs ``stage(system)`` and ``report(objective,
+    result)`` with --tol in effect for this command only; prints the report
+    and exits with the code ``report`` returns.  A malformed problem file,
+    a missing objective that the command needs, a resource cap or a bad
+    --tol prints an ``error:`` line and exits 1.
+    """
+    _require(tol is None or tol > 0.0, "--tol must be positive")
     try:
-        return feasible_region(system, simplify=not no_simplify, max_count=max_e)
-    except ResourceLimitError as exc:
+        system, objective = parse_problem(problem)
+        if needs_objective and objective is None:
+            raise ProblemFormatError("problem file has no objective; 'solve' needs one")
+        with intervals.tolerance(intervals.EPS if tol is None else tol):
+            out, code = report(objective, stage(system))
+    except (ProblemFormatError, ResourceLimitError) as exc:
         _fail(str(exc))
-        raise AssertionError
+    _echo(out)
+    sys.exit(code)
 
 
 @click.group()
@@ -237,38 +261,33 @@ def main() -> None:
 @_common_options
 def feasible(problem, tol, max_e, no_simplify) -> None:
     """Resolve the feasible region of PROBLEM and report its boxes."""
-    result = _run_region(problem, tol, max_e, no_simplify)
-    _echo(_region_report(result))
-    sys.exit(EXIT_OK if result.is_feasible else EXIT_INFEASIBLE)
+
+    def report(objective, result: RegionResult):
+        return _region_report(result), EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
+
+    _run(problem, tol, _region(max_e, no_simplify), report)
 
 
 @main.command()
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--explain", is_flag=True, help="Include the rule audit log.")
-@click.option("--tol", type=float, default=None, help="Interval comparison tolerance override.")
+@_tol_option
 def simplify(problem, explain, tol) -> None:
     """Apply the reduction rules to PROBLEM and report the outcome."""
-    system, _ = _load(problem)
-    if tol is not None:
-        intervals.set_tolerance(tol)
-    from .simplify import simplify_to_fixpoint
-    from .system import necessary_feasibility
 
-    analysis = CellAnalysis(system)
-    verdict = necessary_feasibility(analysis)
-    if not verdict.ok:
-        _echo({"status": "infeasible", "verdict": {"status": verdict.status, "index": verdict.index}})
-        sys.exit(EXIT_INFEASIBLE)
-    before = count_bound(analysis, ReductionState.initial(analysis))
-    state = simplify_to_fixpoint(analysis)
-    report = {
-        "status": "ok",
-        "reduction": _reduction_dict(state, explain),
-        "count_bound_before": before,
-        "count_bound_after": count_bound(analysis, state),
-    }
-    _echo(report)
-    sys.exit(EXIT_OK)
+    def report(objective, reduced):
+        analysis, verdict, state = reduced
+        if not verdict.ok:
+            out = {"status": verdict.status, "index": verdict.index}
+            return {"status": "infeasible", "verdict": out}, EXIT_INFEASIBLE
+        return {
+            "status": "ok",
+            "reduction": _reduction_dict(state, explain),
+            "count_bound_before": count_bound(analysis, ReductionState.initial(analysis)),
+            "count_bound_after": count_bound(analysis, state),
+        }, EXIT_OK
+
+    _run(problem, tol, reduce_system, report)
 
 
 @main.command()
@@ -276,32 +295,24 @@ def simplify(problem, explain, tol) -> None:
 @_common_options
 def solve(problem, tol, max_e, no_simplify) -> None:
     """Resolve PROBLEM and minimize its objective over the region."""
-    system, objective = _load(problem)
-    if objective is None:
-        _fail("problem file has no objective; 'solve' needs one")
-    if tol is not None:
-        intervals.set_tolerance(tol)
-    try:
-        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
-    except ResourceLimitError as exc:
-        _fail(str(exc))
-        raise AssertionError
-    report = _region_report(result)
-    if not result.is_feasible:
-        _echo(report)
-        sys.exit(EXIT_INFEASIBLE)
-    best, candidates = global_optimum(result.boxes, objective)
-    report["candidates"] = [
-        {"columns": list(c.source.columns), "point": list(c.point), "value": c.value}
-        for c in candidates
-    ]
-    report["best"] = {
-        "columns": list(best.source.columns),
-        "point": list(best.point),
-        "value": best.value,
-    }
-    _echo(report)
-    sys.exit(EXIT_OK)
+
+    def report(objective, result: RegionResult):
+        out = _region_report(result)
+        if not result.is_feasible:
+            return out, EXIT_INFEASIBLE
+        best, candidates = global_optimum(result.boxes, objective)
+        out["candidates"] = [
+            {"columns": list(c.source.columns), "point": list(c.point), "value": c.value}
+            for c in candidates
+        ]
+        out["best"] = {
+            "columns": list(best.source.columns),
+            "point": list(best.point),
+            "value": best.value,
+        }
+        return out, EXIT_OK
+
+    _run(problem, tol, _region(max_e, no_simplify), report, needs_objective=True)
 
 
 @main.command()
@@ -312,51 +323,52 @@ def solve(problem, tol, max_e, no_simplify) -> None:
 @_common_options
 def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
     """Cross-check the resolved region (and optimum) by brute force."""
-    system, objective = _load(problem)
-    if tol is not None:
-        intervals.set_tolerance(tol)
-    try:
-        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
-    except ResourceLimitError as exc:
-        _fail(str(exc))
-        raise AssertionError
-    grid = breakpoint_grid(result.analysis, step)
-    membership = grid_membership_check(result.analysis, result.boxes, grid, cap=cap, seed=seed)
-    report: dict[str, Any] = {
-        "status": "verified" if membership.ok else "mismatch",
-        "grid": {
-            "total_points": membership.total_points,
-            "checked": membership.checked,
-            "sampled": membership.sampled,
-        },
-        "membership_mismatches": [
-            {"point": list(x), "feasible": f, "in_boxes": b}
-            for x, f, b in membership.mismatches[:50]
-        ],
-    }
-    if objective is not None:
-        probe = check_monotone(objective, seed=seed)
-        report["monotonicity_violations"] = len(probe)
-        point, value = brute_force_min(result.analysis, objective, grid, cap=cap, seed=seed)
-        report["brute_force"] = {
-            "point": None if point is None else list(point),
-            "value": value,
+    _require(step > 0.0, "--step must be positive")
+    _require(cap >= 1, "--cap must be at least 1")
+
+    def report(objective, result: RegionResult):
+        grid = breakpoint_grid(result.analysis, step)
+        membership = grid_membership_check(
+            result.analysis, result.boxes, grid, cap=cap, seed=seed
+        )
+        out: dict[str, Any] = {
+            "status": "verified" if membership.ok else "mismatch",
+            "grid": {
+                "total_points": membership.total_points,
+                "checked": membership.checked,
+                "sampled": membership.sampled,
+            },
+            "membership_mismatches": [
+                {"point": list(x), "feasible": f, "in_boxes": b}
+                for x, f, b in membership.mismatches[:50]
+            ],
         }
-        if result.is_feasible:
-            best, _ = global_optimum(result.boxes, objective)
-            report["pipeline_value"] = best.value
-            if membership.sampled:
-                # a sampled grid cannot certify equality, only the bound
-                report["objective_check"] = "lower_bound"
-                agree = value is None or value >= best.value - 1e-9
-            else:
-                report["objective_check"] = "exact"
-                agree = value is not None and abs(best.value - value) <= 1e-9
-            report["objective_agreement"] = agree
-            if not agree:
-                report["status"] = "mismatch"
-    _echo(report)
-    sys.exit(EXIT_OK if report["status"] == "verified" else EXIT_ERROR)
+        if objective is not None:
+            probe = check_monotone(objective, seed=seed)
+            out["monotonicity_violations"] = len(probe)
+            point, value = brute_force_min(
+                result.analysis, objective, grid, cap=cap, seed=seed
+            )
+            out["brute_force"] = {
+                "point": None if point is None else list(point),
+                "value": value,
+            }
+            if result.is_feasible:
+                best, _ = global_optimum(result.boxes, objective)
+                out["pipeline_value"] = best.value
+                if membership.sampled:
+                    # a sampled grid cannot certify equality, only the bound
+                    out["objective_check"] = "lower_bound"
+                    agree = value is None or value >= best.value - 1e-9
+                else:
+                    out["objective_check"] = "exact"
+                    agree = value is not None and abs(best.value - value) <= 1e-9
+                out["objective_agreement"] = agree
+                if not agree:
+                    out["status"] = "mismatch"
+        return out, EXIT_OK if out["status"] == "verified" else EXIT_ERROR
+
+    _run(problem, tol, _region(max_e, no_simplify), report)
 
 
 @main.command("tnorm-eval")

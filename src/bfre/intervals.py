@@ -11,23 +11,30 @@ comparisons, never by rounding the representation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-#: Absolute tolerance for membership, emptiness and equality comparisons.
+#: Absolute tolerance for membership, emptiness and equality comparisons,
+#: and the gap below which adjacent pieces merge during canonicalization.
 EPS = 1e-9
 
-#: Gap below which adjacent pieces merge during canonicalization.
-EPS_SEP = 1e-9
 
+@contextmanager
+def tolerance(eps: float) -> Iterator[None]:
+    """Use ``eps`` as the tolerance inside the block (the CLI ``--tol``).
 
-def set_tolerance(eps: float) -> None:
-    """Override the global comparison tolerance (used by the CLI ``--tol``)."""
-    global EPS, EPS_SEP
-    if eps <= 0.0:
+    The previous tolerance comes back however the block exits, exceptions
+    and ``SystemExit`` included.
+    """
+    global EPS
+    if not eps > 0.0:
         raise ValueError("tolerance must be positive")
-    EPS = eps
-    EPS_SEP = eps
+    previous, EPS = EPS, eps
+    try:
+        yield
+    finally:
+        EPS = previous
 
 
 def _canonical(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -35,7 +42,7 @@ def _canonical(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, floa
 
     Pieces with width below -EPS are dropped (empty after tolerance), widths
     in [-EPS, 0) collapse to their midpoint singleton, and pieces separated
-    by a gap of at most EPS_SEP merge.
+    by a gap of at most EPS merge.
     """
     cleaned: list[tuple[float, float]] = []
     for lo, hi in pieces:
@@ -49,7 +56,7 @@ def _canonical(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, floa
     cleaned.sort()
     merged: list[list[float]] = []
     for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1] + EPS_SEP:
+        if merged and lo <= merged[-1][1] + EPS:
             if hi > merged[-1][1]:
                 merged[-1][1] = hi
         else:

@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .optimize import MonotoneObjective
 from .resolution import FeasibleBox, ResourceLimitError
-from .system import CellAnalysis, is_feasible_point
+from .simplify import is_feasible_point
+from .system import CellAnalysis
 
 __all__ = [
     "GridReport",

@@ -31,6 +31,7 @@ __all__ = [
     "enumerate_admissible",
     "count_bound",
     "solution_box",
+    "reduce_system",
     "feasible_region",
     "COUNT_BOUND_CAP",
     "DEFAULT_MAX_ASSIGNMENTS",
@@ -77,7 +78,6 @@ class FeasibleBox:
 
     factors: tuple[IntervalUnion, ...]
     source: AdmissibleFunction
-    fixed: tuple[tuple[int, float], ...]
 
     def contains(self, x: Sequence[float], eps: float | None = None) -> bool:
         return all(f.contains(x[j], eps) for j, f in enumerate(self.factors))
@@ -162,22 +162,40 @@ def solution_box(
             factors.append(joint)
         else:
             factors.append(analysis.col_bounds[j])
-    return FeasibleBox(tuple(factors), e, tuple(sorted(state.fixed.items())))
+    return FeasibleBox(tuple(factors), e)
 
 
 @dataclass
 class RegionResult:
-    """Full pipeline output: verdict, reduction, assignments and boxes."""
+    """Full pipeline output: verdict, reduction and boxes (each box's
+    ``source`` is its admissible function)."""
 
     verdict: FeasibilityVerdict
     analysis: CellAnalysis
     reduction: ReductionState | None
-    admissible: tuple[AdmissibleFunction, ...]
     boxes: tuple[FeasibleBox, ...]
 
     @property
     def is_feasible(self) -> bool:
         return self.verdict.ok and bool(self.boxes)
+
+
+def reduce_system(
+    system: BipolarSystem, *, simplify: bool = True
+) -> tuple[CellAnalysis, FeasibilityVerdict, ReductionState | None]:
+    """First half of the pipeline: analysis, necessary feasibility checks and
+    reduction to fixpoint (the initial state when simplify is off).
+
+    The state is None when the necessary checks already fail.
+    """
+    analysis = CellAnalysis(system)
+    verdict = necessary_feasibility(analysis)
+    if not verdict.ok:
+        return analysis, verdict, None
+    state = (
+        simplify_to_fixpoint(analysis) if simplify else ReductionState.initial(analysis)
+    )
+    return analysis, verdict, state
 
 
 def feasible_region(
@@ -188,19 +206,14 @@ def feasible_region(
 ) -> RegionResult:
     """Resolve the feasible region of a system end to end.
 
-    Analysis, necessary feasibility checks, reduction to fixpoint (unless
-    disabled), assignment enumeration and box assembly.  Infeasibility found
-    by the necessary checks is reported in the verdict; an empty assignment
-    set (possible for systems passing the necessary checks) yields no boxes,
-    which also means infeasible.
+    The first half (``reduce_system``), then assignment enumeration and box
+    assembly.  Infeasibility found by the necessary checks is reported in
+    the verdict; an empty assignment set (possible for systems passing the
+    necessary checks) yields no boxes, which also means infeasible.
     """
-    analysis = CellAnalysis(system)
-    verdict = necessary_feasibility(analysis)
-    if not verdict.ok:
-        return RegionResult(verdict, analysis, None, (), ())
-    state = (
-        simplify_to_fixpoint(analysis) if simplify else ReductionState.initial(analysis)
-    )
+    analysis, verdict, state = reduce_system(system, simplify=simplify)
+    if state is None:
+        return RegionResult(verdict, analysis, None, ())
     admissible = enumerate_admissible(analysis, state, max_count)
     boxes = tuple(solution_box(e, analysis, state) for e in admissible)
-    return RegionResult(verdict, analysis, state, tuple(admissible), boxes)
+    return RegionResult(verdict, analysis, state, boxes)

@@ -11,11 +11,15 @@ sets from a physically reduced matrix would loosen the column bounds and
 admit points that violate the deleted equations, so it is never done.  For
 the same reason a deleted column is never cited by a later rule application:
 witness columns are always drawn from the currently active set.
+
+``is_feasible_point`` is the one point-membership test, for the original
+system and for any reduction state of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .intervals import IntervalUnion
 from .system import CellAnalysis
@@ -29,7 +33,7 @@ __all__ = [
     "apply_rule4",
     "apply_rule5",
     "simplify_to_fixpoint",
-    "reduced_is_feasible",
+    "is_feasible_point",
 ]
 
 
@@ -119,30 +123,27 @@ def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> bool:
     return changed
 
 
-def _find_dominated_row(
-    state: ReductionState, analysis: CellAnalysis
-) -> tuple[int, int] | None:
-    """First (target, witness) pair where the witness row's restricted sets
-    are contained in the target's on every active column.
+def _dominating_row(state: ReductionState, analysis: CellAnalysis, i0: int) -> int | None:
+    """First active row whose restricted sets are contained in row i0's on
+    every active column.
 
     Identical rows tie-break by keeping the smaller index.
     """
-    for i0 in state.active_rows:
-        for i in state.active_rows:
-            if i == i0:
-                continue
-            if not all(
-                analysis.restricted[i][j].issubset(analysis.restricted[i0][j])
-                for j in state.active_cols
-            ):
-                continue
-            identical = all(
-                analysis.restricted[i][j].approx_equals(analysis.restricted[i0][j])
-                for j in state.active_cols
-            )
-            if identical and i > i0:
-                continue
-            return i0, i
+    for i in state.active_rows:
+        if i == i0:
+            continue
+        if not all(
+            analysis.restricted[i][j].issubset(analysis.restricted[i0][j])
+            for j in state.active_cols
+        ):
+            continue
+        identical = all(
+            analysis.restricted[i][j].approx_equals(analysis.restricted[i0][j])
+            for j in state.active_cols
+        )
+        if identical and i > i0:
+            continue
+        return i
     return None
 
 
@@ -152,15 +153,18 @@ def apply_rule3(state: ReductionState, analysis: CellAnalysis) -> bool:
     If some row i has restricted sets contained in row i0's everywhere, any
     point satisfying i also satisfies i0, so i0 is redundant.  Rows are
     deleted one at a time so the witness row always survives its target.
+
+    One pass in row order suffices: the rule leaves the active columns
+    alone and a deletion only removes candidate witnesses, so a row not
+    dominated when visited cannot become dominated later.
     """
     changed = False
-    while True:
-        found = _find_dominated_row(state, analysis)
-        if found is None:
-            return changed
-        i0, i = found
-        state.drop_row(i0, 3, f"restricted sets of row {i} contained in row {i0}'s")
-        changed = True
+    for i0 in list(state.active_rows):
+        i = _dominating_row(state, analysis, i0)
+        if i is not None:
+            state.drop_row(i0, 3, f"restricted sets of row {i} contained in row {i0}'s")
+            changed = True
+    return changed
 
 
 def apply_rule4(state: ReductionState, analysis: CellAnalysis) -> bool:
@@ -232,25 +236,34 @@ def simplify_to_fixpoint(analysis: CellAnalysis) -> ReductionState:
             return state
 
 
-def reduced_is_feasible(
+def is_feasible_point(
     analysis: CellAnalysis,
-    state: ReductionState,
-    x,
+    x: Sequence[float],
+    state: ReductionState | None = None,
     eps: float | None = None,
 ) -> bool:
-    """Membership in the reduced problem: fixed coordinates must match, the
-    active columns must respect their bounds, and every active equation needs
-    an active witness column."""
-    for j, k in state.fixed.items():
-        if not IntervalUnion.point(k).contains(x[j], eps):
-            return False
-    if not all(analysis.col_bounds[j].contains(x[j], eps) for j in state.active_cols):
+    """Exact membership test: x solves every equation of the system iff
+
+    (I)  x_j lies in every column bound, and
+    (II) every equation has a witness column j with x_j in restricted[i][j].
+
+    Given a reduction state, the test runs on the reduced problem: the fixed
+    coordinates must match, and only the active rows and columns count.
+    Without one it runs on the initial state, that is the whole system.
+    """
+    if len(x) != analysis.n:
+        raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
+    cols, witnesses = enumerate(analysis.col_bounds), enumerate(analysis.row_support)
+    if state is not None:
+        for j, k in state.fixed.items():
+            if not IntervalUnion.point(k).contains(x[j], eps):
+                return False
+        cols = ((j, analysis.col_bounds[j]) for j in state.active_cols)
+        witnesses = ((i, state.row_candidates(analysis, i)) for i in state.active_rows)
+    if not all(col.contains(x[j], eps) for j, col in cols):
         return False
+    restricted = analysis.restricted
     return all(
-        any(
-            analysis.restricted[i][j].contains(x[j], eps)
-            for j in state.active_cols
-            if not analysis.restricted[i][j].is_empty
-        )
-        for i in state.active_rows
+        any(restricted[i][j].contains(x[j], eps) for j in support)
+        for i, support in witnesses
     )

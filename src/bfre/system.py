@@ -8,8 +8,8 @@ right-hand side b under a continuous t-norm phi; equation i reads
 ``CellAnalysis`` eagerly computes, for every cell (i, j), the set of x_j
 values keeping the cell at or below b_i (the relaxed set) and the set hitting
 b_i exactly (the exact set); every downstream stage -- reduction rules,
-assignment enumeration, box assembly, membership tests -- reads these cached
-sets.  Negative-side sets come from solving phi(a-, y) = b in y and
+assignment enumeration, box assembly, the membership test -- reads these
+cached sets.  Negative-side sets come from solving phi(a-, y) = b in y and
 reflecting through x = 1 - y, so one scalar solver serves both polarities.
 """
 
@@ -18,19 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intervals import EPS, IntervalUnion
+from .intervals import IntervalUnion
 from .tnorms import ScalarEqSolution, TNormSpec, solve_scalar_eq, tnorm_eval
 
 __all__ = [
     "BipolarSystem",
     "CellAnalysis",
     "FeasibilityVerdict",
-    "cell_sets",
     "column_bounds",
     "restricted_sets",
     "necessary_feasibility",
-    "is_feasible_point",
-    "satisfies_equation",
     "residual",
 ]
 
@@ -125,13 +122,6 @@ def _assemble_cell(
     return relaxed, exact
 
 
-def cell_sets(system: BipolarSystem, i: int, j: int) -> tuple[IntervalUnion, IntervalUnion]:
-    """Relaxed and exact solution sets of cell (i, j), computed standalone."""
-    pos = solve_scalar_eq(system.tnorm, system.a_plus[i][j], system.b[i])
-    neg = solve_scalar_eq(system.tnorm, system.a_minus[i][j], system.b[i])
-    return _assemble_cell(pos, neg)
-
-
 def column_bounds(
     system: BipolarSystem,
     pos: Sequence[Sequence[ScalarEqSolution]],
@@ -222,39 +212,6 @@ def necessary_feasibility(analysis: CellAnalysis) -> FeasibilityVerdict:
         if not support:
             return FeasibilityVerdict("empty_row", i)
     return FeasibilityVerdict("ok")
-
-
-def _check_point(analysis: CellAnalysis, x: Sequence[float]) -> None:
-    if len(x) != analysis.n:
-        raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
-
-
-def is_feasible_point(
-    analysis: CellAnalysis, x: Sequence[float], eps: float | None = None
-) -> bool:
-    """Exact membership test: x solves every equation of the system iff
-
-    (I)  x_j lies in every column bound, and
-    (II) every equation has a witness column j with x_j in restricted[i][j].
-    """
-    _check_point(analysis, x)
-    if not all(col.contains(x[j], eps) for j, col in enumerate(analysis.col_bounds)):
-        return False
-    return all(
-        any(analysis.restricted[i][j].contains(x[j], eps) for j in analysis.row_support[i])
-        for i in range(analysis.m)
-    )
-
-
-def satisfies_equation(
-    analysis: CellAnalysis, x: Sequence[float], i: int, eps: float | None = None
-) -> bool:
-    """Membership in equation i alone: all cells of row i at or below b_i and
-    at least one cell exactly at b_i."""
-    _check_point(analysis, x)
-    if not all(analysis.relaxed[i][j].contains(x[j], eps) for j in range(analysis.n)):
-        return False
-    return any(analysis.exact[i][j].contains(x[j], eps) for j in range(analysis.n))
 
 
 def residual(system: BipolarSystem, x: Sequence[float], i: int) -> float:

@@ -24,7 +24,7 @@ from bfre import (
     solve_scalar_eq_numeric,
 )
 from bfre.oracle import breakpoint_grid, brute_force_min
-from bfre.simplify import ReductionState, reduced_is_feasible
+from bfre.simplify import ReductionState
 from bfre.tnorms import TNORM_KINDS
 from conftest import (
     AXIOM_SPECS,
@@ -109,7 +109,7 @@ def test_criterion_3_enumeration_and_boxes(region):
     with criterion(3, "enumeration and boxes"):
         state = region.reduction
         reduced_index = {j: k + 1 for k, j in enumerate(state.active_cols)}
-        got = [[reduced_index[j] for j in e.columns] for e in region.admissible]
+        got = [[reduced_index[j] for j in box.source.columns] for box in region.boxes]
         assert got == [[6, 6], [6, 7], [7, 6], [7, 7]]
         assert len(region.boxes) == 4
         for box, expected in zip(region.boxes, tables.EXPECTED_BOX_FACTORS):
@@ -240,7 +240,7 @@ def test_criterion_6d_simplification_soundness(random_corpus):
                 continue  # rejected by the necessary checks before reduction
             for x in points:
                 direct = is_feasible_point(res.analysis, x)
-                reduced = reduced_is_feasible(res.analysis, res.reduction, x)
+                reduced = is_feasible_point(res.analysis, x, res.reduction)
                 if direct != reduced:
                     mismatches += 1
         assert mismatches == 0

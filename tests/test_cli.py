@@ -6,17 +6,9 @@ import os
 import pytest
 from click.testing import CliRunner
 
-import bfre.intervals
 from bfre.cli import emit_problem, main, parse_problem, problem_from_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example_problem.json")
-
-
-@pytest.fixture(autouse=True)
-def restore_tolerance():
-    eps, sep = bfre.intervals.EPS, bfre.intervals.EPS_SEP
-    yield
-    bfre.intervals.EPS, bfre.intervals.EPS_SEP = eps, sep
 
 
 @pytest.fixture
@@ -152,10 +144,24 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
     assert result.exit_code == 2
 
 
-def test_feasible_max_e_cap(runner):
-    result = invoke(runner, "feasible", DATA, "--no-simplify", "--max-e", "3")
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        pytest.param(["feasible", "--no-simplify", "--max-e", "3"], "admissible", id="max-e"),
+        # exit 2 means infeasible, so bad option values exit 1 like other errors
+        pytest.param(["verify", "--cap", "0"], "--cap", id="verify-cap-0"),
+        pytest.param(["verify", "--cap", "-5"], "--cap", id="verify-cap-negative"),
+        pytest.param(["verify", "--step", "0"], "--step", id="verify-step-0"),
+        pytest.param(["feasible", "--tol", "0"], "--tol", id="tol-0"),
+        pytest.param(["simplify", "--tol", "-1"], "--tol", id="tol-negative"),
+    ],
+)
+def test_bad_option_values(runner, args, fragment):
+    command, *options = args
+    result = invoke(runner, command, DATA, *options)
     assert result.exit_code == 1
-    assert "admissible" in result.output
+    assert result.stdout == ""
+    assert fragment in result.output
 
 
 def test_report_determinism(runner):
@@ -262,7 +268,20 @@ def test_tnorm_eval_rejects_bad_kind(runner):
     assert result.exit_code == 1
 
 
-def test_tol_flag(runner):
-    result = invoke(runner, "feasible", DATA, "--tol", "1e-7")
-    assert result.exit_code == 0
-    assert bfre.intervals.EPS == 1e-7  # restored by the fixture afterwards
+def test_tol_flag(tmp_path, runner):
+    # x = 0.5 solves equation 0 and x = 0.50000001 equation 1: one system is
+    # infeasible at the default tolerance 1e-9 and feasible at 1e-7
+    problem = {
+        "m": 2,
+        "n": 1,
+        "a_plus": [[0.5], [0.0]],
+        "a_minus": [[0.0], [0.5]],
+        "b": [0.25, 0.249999995],
+        "tnorm": {"name": "product"},
+    }
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(problem))
+    assert invoke(runner, "feasible", str(path)).exit_code == 2
+    assert invoke(runner, "feasible", str(path), "--tol", "1e-7").exit_code == 0
+    # the wider tolerance ended with its command
+    assert invoke(runner, "feasible", str(path)).exit_code == 2

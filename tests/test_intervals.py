@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfre.intervals import EPS, IntervalUnion, intersect_all
+from bfre.intervals import EPS, IntervalUnion, intersect_all, tolerance
 
 
 def iu(*pairs):
@@ -64,6 +64,22 @@ def test_contains_uses_tolerance():
     u = iu((0.2, 0.4))
     assert u.contains(0.4 + 0.5e-9)
     assert not u.contains(0.4 + 1e-6)
+
+
+def test_tolerance_is_scoped():
+    u = iu((0.2, 0.4))
+    with pytest.raises(SystemExit):
+        with tolerance(1e-5):
+            assert u.contains(0.4 + 1e-6)
+            # one tolerance also sets the gap below which pieces merge
+            assert len(iu((0.2, 0.4), (0.4 + 1e-6, 0.5)).pieces) == 1
+            raise SystemExit(2)
+    assert not u.contains(0.4 + 1e-6)
+    assert len(iu((0.2, 0.4), (0.4 + 1e-6, 0.5)).pieces) == 2
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            with tolerance(bad):
+                pass
 
 
 def test_min_max_elems():

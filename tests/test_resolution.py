@@ -170,7 +170,10 @@ def test_feasible_region_reference(example_system):
     res = feasible_region(example_system)
     assert res.is_feasible
     assert len(res.boxes) == 4
-    assert len(res.boxes) == len(res.admissible)  # no deduplication
+    # one box per admissible function, no deduplication
+    assert [box.source for box in res.boxes] == enumerate_admissible(
+        res.analysis, res.reduction
+    )
 
 
 def test_feasible_region_infeasible_row():

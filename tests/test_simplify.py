@@ -14,10 +14,10 @@ from bfre.simplify import (
     apply_rule3,
     apply_rule4,
     apply_rule5,
-    reduced_is_feasible,
+    is_feasible_point,
     simplify_to_fixpoint,
 )
-from bfre.system import is_feasible_point, necessary_feasibility
+from bfre.system import necessary_feasibility
 from conftest import random_system
 
 
@@ -224,9 +224,9 @@ def test_soundness_on_random_instances():
         grid = breakpoint_grid(an, step=0.34)
         points = [[rng.choice(col) for col in grid] for _ in range(120)]
         for x in points:
-            assert is_feasible_point(an, x) == reduced_is_feasible(an, state, x), (
-                sys_,
-                x,
-            )
+            direct = is_feasible_point(an, x)
+            assert direct == is_feasible_point(an, x, state), (sys_, x)
+            # no state means the initial one
+            assert direct == is_feasible_point(an, x, ReductionState.initial(an)), (sys_, x)
             checked += 1
     assert checked > 3000

@@ -10,12 +10,10 @@ from bfre import (
     CellAnalysis,
     IntervalUnion,
     TNormSpec,
-    cell_sets,
     feasible_region,
     is_feasible_point,
     necessary_feasibility,
     residual,
-    satisfies_equation,
     tnorm_eval,
 )
 from conftest import random_system
@@ -23,6 +21,13 @@ from conftest import random_system
 
 def iu(pairs):
     return IntervalUnion.from_pairs(pairs)
+
+
+def equation(system, i):
+    """Analysis of equation i alone, as a one-row system."""
+    return CellAnalysis(
+        BipolarSystem((system.a_plus[i],), (system.a_minus[i],), (system.b[i],), system.tnorm)
+    )
 
 
 # -- construction --------------------------------------------------------------
@@ -62,18 +67,16 @@ def test_from_fre():
 
 
 def test_cell_sets_examples(example_system):
-    relaxed, exact = cell_sets(example_system, 0, 2)
-    assert relaxed.approx_equals(iu([[0.0, 0.7]]))
-    assert exact.approx_equals(iu([[0.0, 0.3], [0.7, 0.7]]))
+    an = CellAnalysis(example_system)
+    assert an.relaxed[0][2].approx_equals(iu([[0.0, 0.7]]))
+    assert an.exact[0][2].approx_equals(iu([[0.0, 0.3], [0.7, 0.7]]))
 
-    relaxed, exact = cell_sets(example_system, 6, 5)
-    assert exact.approx_equals(iu([[0.4, 0.4], [0.6, 0.6]]))
+    assert an.exact[6][5].approx_equals(iu([[0.4, 0.4], [0.6, 0.6]]))
 
     # both coefficients below the target: unconstrained cell, no equality set
-    below = BipolarSystem([[0.2]], [[0.1]], [0.8], TNormSpec("minimum"))
-    relaxed, exact = cell_sets(below, 0, 0)
-    assert relaxed == IntervalUnion.full()
-    assert exact.is_empty
+    below = CellAnalysis(BipolarSystem([[0.2]], [[0.1]], [0.8], TNormSpec("minimum")))
+    assert below.relaxed[0][0] == IntervalUnion.full()
+    assert below.exact[0][0].is_empty
 
 
 def test_full_grids_match_reference(example_analysis):
@@ -154,11 +157,11 @@ def test_is_feasible_point_examples(example_analysis):
     assert all(is_feasible_point(an, [x / 10]) for x in range(11))
 
 
-def test_satisfies_equation(example_analysis):
+def test_satisfies_equation(example_system):
     best = [0.0, 0.75, 0.7, 1.0, 0.75, 0.4, 0.1, 0.0, 0.5]
     for i in range(7):
-        assert satisfies_equation(example_analysis, best, i)
-    assert not satisfies_equation(example_analysis, [0.0] * 9, 3)
+        assert is_feasible_point(equation(example_system, i), best)
+    assert not is_feasible_point(equation(example_system, 3), [0.0] * 9)
 
 
 def test_residual_examples(example_system, example_analysis):
@@ -230,12 +233,12 @@ def test_corollary_consistency_per_equation():
     rng = random.Random(80)
     for trial in range(60):
         sys_ = random_system(rng, max_m=3, max_n=3)
-        an = CellAnalysis(sys_)
+        rows = [equation(sys_, i) for i in range(sys_.m)]
         for _ in range(10):
             x = [rng.random() for _ in range(sys_.n)]
             i = rng.randrange(sys_.m)
             r = residual(sys_, x, i)
             if r <= 1e-12:
-                assert satisfies_equation(an, x, i)
-            elif satisfies_equation(an, x, i, eps=0.0):
+                assert is_feasible_point(rows[i], x)
+            elif is_feasible_point(rows[i], x, eps=0.0):
                 assert r <= 1e-9
