@@ -78,7 +78,7 @@ def problem_from_dict(
         raise ProblemFormatError(f"{origin}: tnorm must be an object with a 'name'")
     try:
         tnorm = TNormSpec(tn["name"], tn.get("param"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{origin}: {exc}") from exc
     try:
         system = BipolarSystem(
@@ -106,7 +106,7 @@ def problem_from_dict(
                 j_plus=spec.get("j_plus"),
                 j_minus=spec.get("j_minus"),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"{origin}: {exc}") from exc
     return system, objective
 

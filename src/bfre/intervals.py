@@ -202,14 +202,3 @@ class IntervalUnion:
         ]
         return " U ".join(parts)
 
-
-def intersect_all(sets: Iterable[IntervalUnion]) -> IntervalUnion:
-    """Intersection of a non-empty iterable of unions."""
-    result: IntervalUnion | None = None
-    for s in sets:
-        result = s if result is None else result & s
-        if result.is_empty:
-            return result
-    if result is None:
-        raise ValueError("intersect_all needs at least one set")
-    return result

@@ -1,7 +1,11 @@
-"""Independent brute-force verification of the resolution pipeline.
+"""Brute-force verification of the resolution pipeline.
 
-The only code shared with the pipeline is the point membership test; regions
-and optima are re-derived by exhaustive evaluation over a breakpoint grid.
+Regions and optima are re-derived by exhaustive evaluation over a breakpoint
+grid, but the point membership test reads the same ``CellAnalysis`` as the
+pipeline, so a fault in the closed-form cell sets reaches both sides and
+goes unseen: ``bfre verify`` prints ``verified`` on systems whose region
+lost their float witness (ROADMAP item 1 moves the oracle onto ``residual``).
+
 The grid contains every interval endpoint appearing in the analysis, so every
 corner candidate the optimizer can produce is itself a grid point.
 """

@@ -12,9 +12,9 @@ and are emitted without deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .intervals import IntervalUnion, intersect_all
+from .intervals import IntervalUnion
 from .simplify import ReductionState, simplify_to_fixpoint
 from .system import (
     BipolarSystem,
@@ -60,12 +60,6 @@ class AdmissibleFunction:
     rows: tuple[int, ...]
     columns: tuple[int, ...]
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return zip(self.rows, self.columns)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class FeasibleBox:
@@ -87,17 +81,23 @@ def enumerate_admissible(
     analysis: CellAnalysis,
     state: ReductionState,
     max_count: int = DEFAULT_MAX_ASSIGNMENTS,
-) -> list[AdmissibleFunction]:
-    """All admissible functions of the (reduced) problem, lexicographic.
+) -> list[FeasibleBox]:
+    """The boxes of all admissible functions of the (reduced) problem, in
+    lexicographic order of their ``source`` assignments.
 
     Depth-first search over active rows in ascending order, candidate
     columns in ascending order.  A branch extends only while the running
     per-column intersection of restricted sets stays non-empty, which is
-    exactly the admissibility condition, so the output is complete.
+    exactly the admissibility condition, so the output is complete.  Each
+    leaf's box takes those running intersections as its assigned factors.
     """
     rows = tuple(sorted(state.active_rows))
     candidates = [state.row_candidates(analysis, i) for i in rows]
-    out: list[AdmissibleFunction] = []
+    base = [
+        IntervalUnion.point(state.fixed[j]) if j in state.fixed else bound
+        for j, bound in enumerate(analysis.col_bounds)
+    ]
+    out: list[FeasibleBox] = []
     chosen: list[int] = []
     used: dict[int, list[IntervalUnion]] = {}
 
@@ -107,7 +107,8 @@ def enumerate_admissible(
                 raise ResourceLimitError(
                     f"more than {max_count} admissible assignments; raise the cap"
                 )
-            out.append(AdmissibleFunction(rows, tuple(chosen)))
+            e = AdmissibleFunction(rows, tuple(chosen))
+            out.append(solution_box(e, {j: st[-1] for j, st in used.items()}, base))
             return
         i = rows[k]
         for j in candidates[k]:
@@ -143,26 +144,14 @@ def count_bound(analysis: CellAnalysis, state: ReductionState) -> int:
 
 
 def solution_box(
-    e: AdmissibleFunction, analysis: CellAnalysis, state: ReductionState
+    e: AdmissibleFunction,
+    joint: dict[int, IntervalUnion],
+    base: Sequence[IntervalUnion],
 ) -> FeasibleBox:
-    """Assemble the box generated by an admissible function."""
-    assigned: dict[int, list[int]] = {}
-    for i, j in e.items():
-        assigned.setdefault(j, []).append(i)
-    factors = []
-    for j in range(analysis.n):
-        if j in state.fixed:
-            factors.append(IntervalUnion.point(state.fixed[j]))
-        elif j in assigned:
-            joint = intersect_all(analysis.restricted[i][j] for i in assigned[j])
-            if joint.is_empty:
-                raise RuntimeError(
-                    f"assignment {e.columns} produced an empty factor at column {j}"
-                )
-            factors.append(joint)
-        else:
-            factors.append(analysis.col_bounds[j])
-    return FeasibleBox(tuple(factors), e)
+    """The box generated by an admissible function: the joint restricted set
+    on each assigned column, ``base`` (fixed singleton or column bound)
+    elsewhere."""
+    return FeasibleBox(tuple(joint.get(j, f) for j, f in enumerate(base)), e)
 
 
 @dataclass
@@ -214,6 +203,5 @@ def feasible_region(
     analysis, verdict, state = reduce_system(system, simplify=simplify)
     if state is None:
         return RegionResult(verdict, analysis, None, ())
-    admissible = enumerate_admissible(analysis, state, max_count)
-    boxes = tuple(solution_box(e, analysis, state) for e in admissible)
+    boxes = tuple(enumerate_admissible(analysis, state, max_count))
     return RegionResult(verdict, analysis, state, boxes)

@@ -86,10 +86,16 @@ class ReductionState:
         self.active_rows.remove(i)
         self.log.append(RuleEvent(rule, "drop_row", row=i, why=why))
 
-    def fix_col(self, j: int, value: float, rule: int, why: str) -> None:
+    def fix_col(
+        self, analysis: CellAnalysis, j: int, value: float, rule: int, why: str
+    ) -> None:
+        """Fix x_j = value, then drop every active row it witnesses."""
         self.active_cols.remove(j)
         self.fixed[j] = value
         self.log.append(RuleEvent(rule, "fix", col=j, value=value, why=why))
+        for i in list(self.active_rows):
+            if analysis.restricted[i][j].contains(value):
+                self.drop_row(i, rule, f"x[{j}] = {value:.12g} witnesses equation {i}")
 
 
 def apply_rule1(state: ReductionState, analysis: CellAnalysis) -> bool:
@@ -115,10 +121,9 @@ def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> bool:
         if not col.is_singleton:
             continue
         k = col.singleton_value
-        state.fix_col(j, k, 2, f"column bound {j} is the single point {k:.12g}")
-        for i in list(state.active_rows):
-            if analysis.restricted[i][j].contains(k):
-                state.drop_row(i, 2, f"x[{j}] = {k:.12g} witnesses equation {i}")
+        state.fix_col(
+            analysis, j, k, 2, f"column bound {j} is the single point {k:.12g}"
+        )
         changed = True
     return changed
 
@@ -187,11 +192,8 @@ def apply_rule4(state: ReductionState, analysis: CellAnalysis) -> bool:
             continue
         k = cell.singleton_value
         state.fix_col(
-            j0, k, 4, f"equation {i0} forces x[{j0}] = {k:.12g} (only witness)"
+            analysis, j0, k, 4, f"equation {i0} forces x[{j0}] = {k:.12g} (only witness)"
         )
-        for i in list(state.active_rows):
-            if analysis.restricted[i][j0].contains(k):
-                state.drop_row(i, 4, f"x[{j0}] = {k:.12g} witnesses equation {i}")
         changed = True
     return changed
 

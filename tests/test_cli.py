@@ -56,6 +56,16 @@ def test_roundtrip_field_exact():
         (lambda d: d.update(m=3), "declared"),
         (lambda d: d.pop("a_minus"), "missing field"),
         (lambda d: d.update(objective={"name": "linear", "params": {}}), "requires parameter"),
+        # wrongly typed fields name the file instead of raising a traceback
+        (lambda d: d.update(tnorm={"name": "frank", "param": "2"}), "bad.json"),
+        (lambda d: d.update(objective={"name": "linear", "params": {"c": 5}}), "bad.json"),
+        (lambda d: d.update(objective={"name": "p_norm", "params": {"p": None}}), "bad.json"),
+        (
+            lambda d: d.update(
+                objective={**d["objective"], "j_plus": 3, "j_minus": [0]}
+            ),
+            "bad.json",
+        ),
     ],
 )
 def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):

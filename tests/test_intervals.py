@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfre.intervals import EPS, IntervalUnion, intersect_all, tolerance
+from bfre.intervals import EPS, IntervalUnion, tolerance
 
 
 def iu(*pairs):
@@ -128,13 +128,6 @@ def test_union_examples():
     assert (iu((0.0, 0.5)) | iu((0.5, 1.0))).pieces == ((0.0, 1.0),)
     x = iu((0.2, 0.4))
     assert (IntervalUnion.empty() | x) == x
-
-
-def test_intersect_all():
-    sets = [iu((0.0, 0.8)), iu((0.2, 1.0)), iu((0.3, 0.5), (0.9, 1.0))]
-    assert intersect_all(sets).pieces == ((0.3, 0.5),)
-    with pytest.raises(ValueError):
-        intersect_all([])
 
 
 # Lattice endpoints keep all gaps far above the comparison tolerance, so the

@@ -1,6 +1,8 @@
 """Assignment enumeration and box assembly for the feasible region."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -15,10 +17,8 @@ from bfre import (
     enumerate_admissible,
     feasible_region,
     is_feasible_point,
-    solution_box,
 )
-from bfre.intervals import intersect_all
-from bfre.resolution import AdmissibleFunction, ResourceLimitError
+from bfre.resolution import ResourceLimitError
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import necessary_feasibility
 from conftest import random_system
@@ -33,7 +33,7 @@ def iu(pairs):
 
 def test_enumeration_on_reduced_problem(example_analysis):
     state = simplify_to_fixpoint(example_analysis)
-    es = enumerate_admissible(example_analysis, state)
+    es = [box.source for box in enumerate_admissible(example_analysis, state)]
     assert [list(e.columns) for e in es] == [[7, 7], [7, 8], [8, 7], [8, 8]]
     assert all(e.rows == (2, 5) for e in es)
 
@@ -41,7 +41,7 @@ def test_enumeration_on_reduced_problem(example_analysis):
 def test_full_problem_rejects_conflicting_assignment(example_analysis):
     state = ReductionState.initial(example_analysis)
     es = enumerate_admissible(example_analysis, state)
-    columns = {e.columns for e in es}
+    columns = {box.source.columns for box in es}
     # rows 1 and 3 cannot share column 1: {0.75} and {0.9} are disjoint
     assert (2, 1, 8, 1, 4, 8, 5) not in columns
     assert (2, 1, 8, 3, 4, 7, 1) in columns
@@ -50,7 +50,7 @@ def test_full_problem_rejects_conflicting_assignment(example_analysis):
 
 def test_enumeration_lexicographic_and_unique(example_analysis):
     state = ReductionState.initial(example_analysis)
-    es = [e.columns for e in enumerate_admissible(example_analysis, state)]
+    es = [box.source.columns for box in enumerate_admissible(example_analysis, state)]
     assert es == sorted(es)
     assert len(es) == len(set(es))
 
@@ -59,7 +59,7 @@ def test_single_row_enumeration():
     sys_ = BipolarSystem([[1.0, 1.0, 0.2]], [[0.0, 0.0, 0.0]], [0.5], TNormSpec("minimum"))
     an = CellAnalysis(sys_)
     es = enumerate_admissible(an, ReductionState.initial(an))
-    assert [list(e.columns) for e in es] == [[0], [1]]
+    assert [list(box.source.columns) for box in es] == [[0], [1]]
 
 
 def test_enumeration_cap():
@@ -69,35 +69,57 @@ def test_enumeration_cap():
     an = CellAnalysis(sys_)
     with pytest.raises(ResourceLimitError):
         enumerate_admissible(an, ReductionState.initial(an), max_count=2)
+    assert len(enumerate_admissible(an, ReductionState.initial(an), max_count=4)) == 4
+
+
+def _reference_factor(an, state, rows_at, j):
+    """A box factor derived independently of the DFS: the fixed singleton,
+    the joint restricted set of the rows assigned to j, or the column bound."""
+    if j in state.fixed:
+        return IntervalUnion.point(state.fixed[j])
+    if rows_at:
+        return functools.reduce(operator.and_, (an.restricted[i][j] for i in rows_at))
+    return an.col_bounds[j]
 
 
 def test_enumeration_completeness_vs_brute_force():
     # DFS output must equal the brute-force filter of all candidate vectors
-    # by the joint-intersection condition.
+    # by the joint-intersection condition, on the initial state and on the
+    # reduced one (fixed columns occur only there), and every box factor must
+    # equal its reference.
     rng = random.Random(31)
     for trial in range(80):
         sys_ = random_system(rng, max_m=3, max_n=3)
         an = CellAnalysis(sys_)
         if not necessary_feasibility(an).ok:
             continue
-        state = ReductionState.initial(an)
-        dfs = {e.columns for e in enumerate_admissible(an, state)}
-        rows = list(range(sys_.m))
-        supports = [state.row_candidates(an, i) for i in rows]
-        if any(not s for s in supports):
-            assert dfs == set()
-            continue
-        brute = set()
-        for combo in itertools.product(*supports):
-            used: dict[int, list[int]] = {}
-            for i, j in zip(rows, combo):
-                used.setdefault(j, []).append(i)
-            if all(
-                not intersect_all(an.restricted[i][j] for i in rows_at).is_empty
-                for j, rows_at in used.items()
-            ):
-                brute.add(tuple(combo))
-        assert dfs == brute, sys_
+        for state in (ReductionState.initial(an), simplify_to_fixpoint(an)):
+            boxes = enumerate_admissible(an, state)
+            dfs = {box.source.columns for box in boxes}
+            rows = sorted(state.active_rows)
+            supports = [state.row_candidates(an, i) for i in rows]
+            if any(not s for s in supports):
+                assert dfs == set()
+                continue
+            brute = set()
+            for combo in itertools.product(*supports):
+                used: dict[int, list[int]] = {}
+                for i, j in zip(rows, combo):
+                    used.setdefault(j, []).append(i)
+                if all(
+                    not _reference_factor(an, state, rows_at, j).is_empty
+                    for j, rows_at in used.items()
+                ):
+                    brute.add(tuple(combo))
+            assert dfs == brute, sys_
+            for box in boxes:
+                assert box.source.rows == tuple(rows)
+                for j in range(an.n):
+                    rows_at = [
+                        i for i, c in zip(box.source.rows, box.source.columns) if c == j
+                    ]
+                    expected = _reference_factor(an, state, rows_at, j)
+                    assert box.factors[j].approx_equals(expected), (sys_, box.source, j)
 
 
 # -- count bound -------------------------------------------------------------------
@@ -131,8 +153,7 @@ def test_count_bound_saturates(monkeypatch):
 
 def test_boxes_on_reference_system(example_analysis):
     state = simplify_to_fixpoint(example_analysis)
-    es = enumerate_admissible(example_analysis, state)
-    boxes = [solution_box(e, example_analysis, state) for e in es]
+    boxes = enumerate_admissible(example_analysis, state)
     for box, expected in zip(boxes, tables.EXPECTED_BOX_FACTORS):
         for j, pairs in expected.items():
             assert box.factors[j].approx_equals(iu(pairs)), (box.source, j)
@@ -146,21 +167,18 @@ def test_boxes_on_reference_system(example_analysis):
 
 def test_box_on_full_problem(example_analysis):
     state = ReductionState.initial(example_analysis)
-    e = AdmissibleFunction((0, 1, 2, 3, 4, 5, 6), (2, 1, 8, 3, 4, 7, 1))
-    box = solution_box(e, example_analysis, state)
+    (box,) = [
+        b
+        for b in enumerate_admissible(example_analysis, state)
+        if b.source.columns == (2, 1, 8, 3, 4, 7, 1)
+    ]
+    assert box.source.rows == (0, 1, 2, 3, 4, 5, 6)
     assert box.factors[0].approx_equals(iu([[0.0, 0.25]]))
     assert box.factors[1].approx_equals(iu([[0.75, 0.75]]))
     assert box.factors[2].approx_equals(iu([[0.1, 0.3], [0.7, 0.7]]))
     assert box.factors[3].approx_equals(iu([[0.0, 0.1], [0.9, 1.0]]))
     assert box.factors[7].approx_equals(iu([[0.5, 1.0]]))
     assert box.factors[8].approx_equals(iu([[0.2, 0.2]]))
-
-
-def test_box_rejects_inadmissible_assignment(example_analysis):
-    state = ReductionState.initial(example_analysis)
-    bad = AdmissibleFunction((1, 3), (1, 1))  # {0.75} and {0.9} clash
-    with pytest.raises(RuntimeError):
-        solution_box(bad, example_analysis, state)
 
 
 # -- end-to-end region ---------------------------------------------------------------
@@ -171,9 +189,7 @@ def test_feasible_region_reference(example_system):
     assert res.is_feasible
     assert len(res.boxes) == 4
     # one box per admissible function, no deduplication
-    assert [box.source for box in res.boxes] == enumerate_admissible(
-        res.analysis, res.reduction
-    )
+    assert res.boxes == tuple(enumerate_admissible(res.analysis, res.reduction))
 
 
 def test_feasible_region_infeasible_row():
