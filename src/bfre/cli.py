@@ -30,7 +30,12 @@ from .optimize import (
     global_optimum,
     objective_catalog,
 )
-from .oracle import breakpoint_grid, brute_force_min, grid_membership_check
+from .oracle import (
+    DEFAULT_GRID_CAP,
+    breakpoint_grid,
+    brute_force_min,
+    grid_membership_check,
+)
 from .resolution import (
     DEFAULT_MAX_ASSIGNMENTS,
     RegionResult,
@@ -109,28 +114,6 @@ def problem_from_dict(
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"{origin}: {exc}") from exc
     return system, objective
-
-
-def emit_problem(system: BipolarSystem, objective: MonotoneObjective | None = None) -> dict:
-    """Serialize a system (and objective) back into the file schema."""
-    out: dict[str, Any] = {
-        "m": system.m,
-        "n": system.n,
-        "a_plus": [list(row) for row in system.a_plus],
-        "a_minus": [list(row) for row in system.a_minus],
-        "b": list(system.b),
-        "tnorm": {"name": system.tnorm.kind},
-    }
-    if system.tnorm.param is not None:
-        out["tnorm"]["param"] = system.tnorm.param
-    if objective is not None:
-        out["objective"] = {
-            "name": objective.name,
-            "params": dict(objective.params),
-            "j_plus": sorted(objective.j_plus),
-            "j_minus": sorted(objective.j_minus),
-        }
-    return out
 
 
 # -- report building ---------------------------------------------------------
@@ -319,7 +302,9 @@ def solve(problem, tol, max_e, no_simplify) -> None:
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--step", type=float, default=0.1, show_default=True, help="Grid step size.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Subsampling seed.")
-@click.option("--cap", type=int, default=2_000_000, show_default=True, help="Grid point cap.")
+@click.option(
+    "--cap", type=int, default=DEFAULT_GRID_CAP, show_default=True, help="Grid point cap."
+)
 @_common_options
 def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
     """Cross-check the resolved region (and optimum) by brute force."""

@@ -164,7 +164,7 @@ class IntervalUnion:
 
     # -- algebra ----------------------------------------------------------
 
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+    def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
         raw = []
         for lo, hi in self.pieces:
             for olo, ohi in other.pieces:
@@ -173,21 +173,12 @@ class IntervalUnion:
                 raw.append((max(lo, olo), min(hi, ohi)))
         return IntervalUnion(_canonical(raw))
 
-    def union_of(self, other: "IntervalUnion") -> "IntervalUnion":
+    def __or__(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(_canonical(list(self.pieces) + list(other.pieces)))
 
     def reflected(self) -> "IntervalUnion":
         """Image under x -> 1 - x."""
         return IntervalUnion(tuple((1.0 - hi, 1.0 - lo) for lo, hi in reversed(self.pieces)))
-
-    def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.intersect(other)
-
-    def __or__(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.union_of(other)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(self.pieces)
 
     # -- serialization ----------------------------------------------------
 

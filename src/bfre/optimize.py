@@ -99,13 +99,11 @@ def global_optimum(
 # -- small symmetric eigenproblem -------------------------------------------
 
 
-def jacobi_eigenvalues(
-    matrix: Sequence[Sequence[float]], tol: float = 1e-12, max_sweeps: int = 64
-) -> tuple[float, ...]:
+def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps plane rotations over all off-diagonal positions until their norm
-    drops below tol.  Ascending order.
+    is at most 1e-12, for at most 64 sweeps.  Ascending order.
     """
     n = len(matrix)
     a = [[float(matrix[i][j]) for j in range(n)] for i in range(n)]
@@ -113,11 +111,11 @@ def jacobi_eigenvalues(
         for j in range(i + 1, n):
             if abs(a[i][j] - a[j][i]) > 1e-12:
                 raise ValueError("matrix is not symmetric")
-    for _ in range(max_sweeps):
+    for _ in range(64):
         off = math.sqrt(
             sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j)
         )
-        if off <= tol:
+        if off <= 1e-12:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -323,20 +321,16 @@ class ProbeViolation:
     after: float
 
 
-def check_monotone(
-    objective: MonotoneObjective,
-    trials: int = 256,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> list[ProbeViolation]:
+def check_monotone(objective: MonotoneObjective, seed: int = 0) -> list[ProbeViolation]:
     """Randomized directional probing of the declared partition.
 
-    Samples points and single-coordinate increases and records every observed
-    violation.  Advisory only: an empty report is evidence, not a proof.
+    Samples 256 points and single-coordinate increases and records every
+    violation beyond 1e-9.  Advisory only: an empty report is evidence, not
+    a proof.
     """
     rng = random.Random(seed)
     violations = []
-    for _ in range(trials):
+    for _ in range(256):
         x = [rng.random() for _ in range(objective.n)]
         j = rng.randrange(objective.n)
         delta = rng.uniform(0.01, 0.5) * (1.0 - x[j])
@@ -345,8 +339,8 @@ def check_monotone(
         bumped = list(x)
         bumped[j] = x[j] + delta
         before, after = objective(x), objective(bumped)
-        bad_plus = j in objective.j_plus and after < before - tol
-        bad_minus = j in objective.j_minus and after > before + tol
+        bad_plus = j in objective.j_plus and after < before - 1e-9
+        bad_minus = j in objective.j_minus and after > before + 1e-9
         if bad_plus or bad_minus:
             violations.append(ProbeViolation(j, tuple(x), delta, before, after))
     return violations

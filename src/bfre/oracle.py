@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .optimize import MonotoneObjective
-from .resolution import FeasibleBox, ResourceLimitError
+from .resolution import FeasibleBox
 from .simplify import is_feasible_point
 from .system import CellAnalysis
 
@@ -93,17 +93,12 @@ def grid_membership_check(
     grid: Sequence[Sequence[float]],
     cap: int = DEFAULT_GRID_CAP,
     seed: int = 0,
-    hard_cap: bool = False,
 ) -> GridReport:
     """Compare direct point feasibility against box-union membership on every
-    grid point.  A correct resolution produces zero mismatches.
-
-    With hard_cap=True a grid larger than the cap raises instead of being
-    subsampled.
+    grid point (a seeded sample of ``cap`` points when the grid is larger).
+    A correct resolution produces zero mismatches.
     """
     total, sampled, points = _iter_grid(grid, cap, seed)
-    if sampled and hard_cap:
-        raise ResourceLimitError(f"grid has {total} points, cap is {cap}")
     mismatches = []
     checked = 0
     for x in points:

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .intervals import IntervalUnion
-from .tnorms import ScalarEqSolution, TNormSpec, solve_scalar_eq, tnorm_eval
+from .tnorms import TNormSpec, solve_scalar_eq, tnorm_eval
 
 __all__ = [
     "BipolarSystem",
     "CellAnalysis",
     "FeasibilityVerdict",
-    "column_bounds",
-    "restricted_sets",
     "necessary_feasibility",
     "residual",
 ]
@@ -109,48 +107,6 @@ class FeasibilityVerdict:
         return self.status == "ok"
 
 
-def _assemble_cell(
-    pos: ScalarEqSolution, neg: ScalarEqSolution
-) -> tuple[IntervalUnion, IntervalUnion]:
-    """Combine the two scalar solutions of one cell.
-
-    The relaxed set is the intersection of both literals' relaxations; the
-    exact set additionally requires at least one literal to hit b exactly.
-    """
-    relaxed = pos.relaxed_set & neg.relaxed_set.reflected()
-    exact = relaxed & (pos.solution_set | neg.solution_set.reflected())
-    return relaxed, exact
-
-
-def column_bounds(
-    system: BipolarSystem,
-    pos: Sequence[Sequence[ScalarEqSolution]],
-    neg: Sequence[Sequence[ScalarEqSolution]],
-) -> list[IntervalUnion]:
-    """Per-column interval [L_j, U_j] every solution must respect.
-
-    L_j is the largest lower cut 1 - u over rows whose negative entry reaches
-    b_i, U_j the smallest upper cut u over rows whose positive entry does;
-    the column is empty when they cross.  Equals the intersection of the
-    column's relaxed cell sets.
-    """
-    out = []
-    for j in range(system.n):
-        lows = [1.0 - neg[i][j].u for i in range(system.m) if neg[i][j].u is not None]
-        highs = [pos[i][j].u for i in range(system.m) if pos[i][j].u is not None]
-        lo = max(lows, default=0.0)
-        hi = min(highs, default=1.0)
-        out.append(IntervalUnion.interval(lo, hi))
-    return out
-
-
-def restricted_sets(
-    exact: Sequence[Sequence[IntervalUnion]], col_bounds: Sequence[IntervalUnion]
-) -> list[list[IntervalUnion]]:
-    """Exact cell sets clipped to their column bound."""
-    return [[cell & col_bounds[j] for j, cell in enumerate(row)] for row in exact]
-
-
 class CellAnalysis:
     """All per-cell and per-column sets of a system, computed eagerly.
 
@@ -161,37 +117,49 @@ class CellAnalysis:
     col_bounds[j]    : single interval every feasible x_j must lie in
     restricted[i][j] : exact[i][j] clipped to col_bounds[j]
     row_support[i]   : columns whose restricted set is non-empty (witnesses)
-    col_support[j]   : rows whose restricted set at j is non-empty
 
     Immutable after construction and freely shareable.
     """
 
     def __init__(self, system: BipolarSystem) -> None:
         self.system = system
-        t = system.tnorm
-        self.pos = [
-            [solve_scalar_eq(t, system.a_plus[i][j], system.b[i]) for j in range(system.n)]
-            for i in range(system.m)
+        t, m, n = system.tnorm, system.m, system.n
+        pos = [
+            [solve_scalar_eq(t, system.a_plus[i][j], system.b[i]) for j in range(n)]
+            for i in range(m)
         ]
-        self.neg = [
-            [solve_scalar_eq(t, system.a_minus[i][j], system.b[i]) for j in range(system.n)]
-            for i in range(system.m)
+        neg = [
+            [solve_scalar_eq(t, system.a_minus[i][j], system.b[i]) for j in range(n)]
+            for i in range(m)
         ]
-        cells = [
-            [_assemble_cell(self.pos[i][j], self.neg[i][j]) for j in range(system.n)]
-            for i in range(system.m)
+        # The relaxed set is the intersection of both literals' relaxations;
+        # the exact set additionally requires one literal to hit b exactly.
+        self.relaxed, self.exact = [], []
+        for prow, nrow in zip(pos, neg):
+            relaxed = [p.relaxed_set & q.relaxed_set.reflected() for p, q in zip(prow, nrow)]
+            self.relaxed.append(relaxed)
+            self.exact.append(
+                [
+                    r & (p.solution_set | q.solution_set.reflected())
+                    for r, p, q in zip(relaxed, prow, nrow)
+                ]
+            )
+        # [L_j, U_j]: L_j is the largest lower cut 1 - u over rows whose
+        # negative entry reaches b_i, U_j the smallest upper cut u over rows
+        # whose positive entry does; the column is empty when they cross.
+        # Equals the intersection of the column's relaxed cell sets.
+        self.col_bounds = []
+        for j in range(n):
+            lows = [1.0 - neg[i][j].u for i in range(m) if neg[i][j].u is not None]
+            highs = [pos[i][j].u for i in range(m) if pos[i][j].u is not None]
+            self.col_bounds.append(
+                IntervalUnion.interval(max(lows, default=0.0), min(highs, default=1.0))
+            )
+        self.restricted = [
+            [cell & self.col_bounds[j] for j, cell in enumerate(row)] for row in self.exact
         ]
-        self.relaxed = [[c[0] for c in row] for row in cells]
-        self.exact = [[c[1] for c in row] for row in cells]
-        self.col_bounds = column_bounds(system, self.pos, self.neg)
-        self.restricted = restricted_sets(self.exact, self.col_bounds)
         self.row_support = [
-            tuple(j for j in range(system.n) if not self.restricted[i][j].is_empty)
-            for i in range(system.m)
-        ]
-        self.col_support = [
-            tuple(i for i in range(system.m) if not self.restricted[i][j].is_empty)
-            for j in range(system.n)
+            tuple(j for j in range(n) if not self.restricted[i][j].is_empty) for i in range(m)
         ]
 
     @property

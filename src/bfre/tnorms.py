@@ -339,9 +339,13 @@ def solve_scalar_eq(t: TNormSpec, a: float, b: float) -> ScalarEqSolution:
     return _solution(l, u)
 
 
-def solve_scalar_eq_numeric(
-    t: TNormSpec, a: float, b: float, tol: float = 1e-12, max_iter: int = 200
-) -> ScalarEqSolution:
+#: Cap on bisection steps per endpoint.  The bracket normally stops at width
+#: 1e-16, but adjacent floats in [0.5, 1) are about 1.1e-16 apart, so near 1
+#: only this cap ends the loop.
+_BISECT_STEPS = 200
+
+
+def solve_scalar_eq_numeric(t: TNormSpec, a: float, b: float) -> ScalarEqSolution:
     """Bisection fallback for phi(a, x) = b, independent of the closed forms.
 
     x -> phi(a, x) is continuous and non-decreasing with phi(a, 0) = 0 and
@@ -350,8 +354,6 @@ def solve_scalar_eq_numeric(
     """
     _check_unit(a, "a")
     _check_unit(b, "b")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if a < b:
         if b - a > _EQ_DRIFT:
             return ScalarEqSolution(
@@ -366,7 +368,7 @@ def solve_scalar_eq_numeric(
         l = 0.0
     else:  # g(0) = 0 < b <= g(1)
         lo, hi = 0.0, 1.0
-        for _ in range(max_iter):
+        for _ in range(_BISECT_STEPS):
             if hi - lo <= 1e-16:
                 break
             mid = 0.5 * (lo + hi)
@@ -380,7 +382,7 @@ def solve_scalar_eq_numeric(
         u = 1.0
     else:  # g(0) = 0 <= b < a = g(1)
         lo, hi = 0.0, 1.0
-        for _ in range(max_iter):
+        for _ in range(_BISECT_STEPS):
             if hi - lo <= 1e-16:
                 break
             mid = 0.5 * (lo + hi)

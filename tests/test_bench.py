@@ -32,6 +32,12 @@ def test_traced_smoke_run(workload):
     assert result["failed"] == 0
     missing = {m["name"] for m in BENCHMARK["per_layer"]} - set(result["metrics"])
     assert not missing
+    # a hook that silently stops counting shows as a zero or a broken ratio
+    value = {name: metric["value"] for name, metric in result["metrics"].items()}
+    assert value["tnorms.calls"] == 2 * value["system.cells"] > 0
+    assert value["resolution.boxes"] == value["resolution.assignments"] > 0
+    assert value["optimize.candidates"] > 0
+    assert value["oracle.points"] > 0
 
 
 def test_checker_selftest():

@@ -13,7 +13,6 @@ from bfre import (
     grid_membership_check,
     objective_catalog,
 )
-from bfre.resolution import ResourceLimitError
 from conftest import LINEAR_C, random_system
 
 
@@ -58,14 +57,6 @@ def test_membership_check_sampled(example_region):
     assert report.sampled
     assert report.checked == 4000
     assert report.ok
-
-
-def test_membership_check_hard_cap(example_region):
-    grid = breakpoint_grid(example_region.analysis, step=0.25)
-    with pytest.raises(ResourceLimitError):
-        grid_membership_check(
-            example_region.analysis, example_region.boxes, grid, cap=10, hard_cap=True
-        )
 
 
 def test_membership_check_infeasible_system():

@@ -121,7 +121,8 @@ def test_supports(example_analysis):
         [7, 8],
         [1, 5],
     ]
-    assert list(example_analysis.col_support[7]) == [2, 5]
+    restricted = example_analysis.restricted
+    assert [i for i in range(7) if not restricted[i][7].is_empty] == [2, 5]
 
 
 # -- feasibility verdicts ----------------------------------------------------------
