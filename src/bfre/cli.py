@@ -11,8 +11,9 @@ Problem files are JSON with the fields
                             "j_plus": [...], "j_minus": [...]}
 
 All indices in files and reports are 0-based.  Reports are deterministic
-JSON; numbers round-trip exactly.  Exit codes: 0 success, 1 error,
-2 infeasible problem.
+JSON, one line of it with the separators of ``json.dumps``; numbers
+round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
+codes: 0 success, 1 error, 2 infeasible problem.
 """
 
 from __future__ import annotations
@@ -138,15 +139,31 @@ def _reduction_dict(state: ReductionState, explain: bool) -> dict:
     return out
 
 
-def _boxes_dict(result: RegionResult) -> list[dict]:
-    return [
-        {
-            "rows": list(box.source.rows),
-            "columns": list(box.source.columns),
-            "factors": [f.to_pairs() for f in box.factors],
-        }
-        for box in result.boxes
-    ]
+class _JSONText(str):
+    """A top-level report value that is already JSON text; ``_echo`` writes
+    it as is."""
+
+
+def _boxes_json(result: RegionResult) -> _JSONText:
+    """The ``boxes`` array as the text ``json.dumps`` would give it.
+
+    Boxes share most of their factor objects (column bounds and the
+    search's joint restricted sets), so each distinct factor is encoded
+    once.  ``result`` holds every box while this runs, so ``id`` tells the
+    factors apart.
+    """
+    factors = {id(f): f for box in result.boxes for f in box.factors}
+    text = {key: json.dumps(f.to_pairs()) for key, f in factors.items()}
+    return _JSONText(
+        "["
+        + ", ".join(
+            f'{{"rows": {json.dumps(box.source.rows)}, '
+            f'"columns": {json.dumps(box.source.columns)}, '
+            f'"factors": [{", ".join([text[id(f)] for f in box.factors])}]}}'
+            for box in result.boxes
+        )
+        + "]"
+    )
 
 
 def _region_report(result: RegionResult) -> dict:
@@ -158,12 +175,20 @@ def _region_report(result: RegionResult) -> dict:
         report["reduction"] = _reduction_dict(result.reduction, explain=False)
         report["count_bound"] = count_bound(result.analysis, result.reduction)
     report["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
-    report["boxes"] = _boxes_dict(result)
+    report["boxes"] = _boxes_json(result)
     return report
 
 
 def _echo(report: dict) -> None:
-    click.echo(json.dumps(report, indent=2))
+    """Print ``json.dumps(report)``: one line of compact JSON.
+
+    Every top-level value but a ``_JSONText`` goes through the C encoder.
+    """
+    items = (
+        f"{json.dumps(k)}: {v if isinstance(v, _JSONText) else json.dumps(v)}"
+        for k, v in report.items()
+    )
+    click.echo("{" + ", ".join(items) + "}")
 
 
 def _fail(message: str) -> NoReturn:

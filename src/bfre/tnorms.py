@@ -339,9 +339,10 @@ def solve_scalar_eq(t: TNormSpec, a: float, b: float) -> ScalarEqSolution:
     return _solution(l, u)
 
 
-#: Cap on bisection steps per endpoint.  The bracket normally stops at width
-#: 1e-16, but adjacent floats in [0.5, 1) are about 1.1e-16 apart, so near 1
-#: only this cap ends the loop.
+#: Safety cap on bisection steps per endpoint; it is never reached.  The loop
+#: stops after about 54 steps, once the bracket is 1e-16 wide or, where
+#: adjacent floats are farther apart (1.1e-16 in [0.5, 1)), once its midpoint
+#: rounds to an endpoint: from there on no endpoint can change.
 _BISECT_STEPS = 200
 
 
@@ -369,9 +370,9 @@ def solve_scalar_eq_numeric(t: TNormSpec, a: float, b: float) -> ScalarEqSolutio
     else:  # g(0) = 0 < b <= g(1)
         lo, hi = 0.0, 1.0
         for _ in range(_BISECT_STEPS):
-            if hi - lo <= 1e-16:
-                break
             mid = 0.5 * (lo + hi)
+            if hi - lo <= 1e-16 or mid == lo or mid == hi:
+                break
             if g(mid) >= b:
                 hi = mid
             else:
@@ -383,9 +384,9 @@ def solve_scalar_eq_numeric(t: TNormSpec, a: float, b: float) -> ScalarEqSolutio
     else:  # g(0) = 0 <= b < a = g(1)
         lo, hi = 0.0, 1.0
         for _ in range(_BISECT_STEPS):
-            if hi - lo <= 1e-16:
-                break
             mid = 0.5 * (lo + hi)
+            if hi - lo <= 1e-16 or mid == lo or mid == hi:
+                break
             if g(mid) <= b:
                 lo = mid
             else:

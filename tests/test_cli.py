@@ -2,11 +2,16 @@
 
 import json
 import os
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from bfre.cli import main, parse_problem, problem_from_dict
+from bfre.optimize import global_optimum
+from bfre.resolution import count_bound, feasible_region
+
+from conftest import random_system
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example_problem.json")
 
@@ -173,6 +178,85 @@ def test_report_determinism(runner):
     first = invoke(runner, "feasible", DATA)
     second = invoke(runner, "feasible", DATA)
     assert first.output == second.output
+
+
+def test_report_is_one_line_of_plain_json(tmp_path, runner):
+    # 4x6 product system whose 35 boxes share factor objects, several
+    # distinct ones per column, so a report must encode each box's own
+    rng = random.Random(68)
+    system = random_system(rng, 5, 6, kind="product", force_feasible=True)
+    c = [1.0, -2.0, 0.5, -1.0, 3.0, -0.5]
+    path = tmp_path / "shared.json"
+    path.write_text(
+        json.dumps(
+            {
+                "m": system.m,
+                "n": system.n,
+                "a_plus": system.a_plus,
+                "a_minus": system.a_minus,
+                "b": system.b,
+                "tnorm": {"name": system.tnorm.kind, "param": system.tnorm.param},
+                "objective": {"name": "linear", "params": {"c": c}},
+            }
+        )
+    )
+    system, objective = parse_problem(str(path))
+    result = feasible_region(system)
+    assert len(result.boxes) >= 20
+    state = result.reduction
+    expected = {
+        "status": "feasible",
+        "verdict": {"status": "ok", "index": None},
+        "reduction": {
+            "fixed": {str(j): v for j, v in sorted(state.fixed.items())},
+            "active_rows": list(state.active_rows),
+            "active_cols": list(state.active_cols),
+        },
+        "count_bound": count_bound(result.analysis, state),
+        "column_bounds": [f.to_pairs() for f in result.analysis.col_bounds],
+        "boxes": [
+            {
+                "rows": list(box.source.rows),
+                "columns": list(box.source.columns),
+                "factors": [f.to_pairs() for f in box.factors],
+            }
+            for box in result.boxes
+        ],
+    }
+    best, candidates = global_optimum(result.boxes, objective)
+    expected_solve = {
+        **expected,
+        "candidates": [
+            {"columns": list(k.source.columns), "point": list(k.point), "value": k.value}
+            for k in candidates
+        ],
+        "best": {
+            "columns": list(best.source.columns),
+            "point": list(best.point),
+            "value": best.value,
+        },
+    }
+    for command, report in (("feasible", expected), ("solve", expected_solve)):
+        out = invoke(runner, command, str(path)).stdout
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out) == report
+        assert out == json.dumps(report) + "\n"  # same key order as well
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["feasible", DATA],
+        ["solve", DATA],
+        ["verify", DATA, "--step", "0.5", "--cap", "3000"],
+        ["simplify", DATA, "--explain"],
+        ["tnorm-eval", "product", "0.8", "0.4", "--solve"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_command_prints_compact_json(runner, args):
+    out = invoke(runner, *args).stdout
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_simplify_command(runner):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bfre import tnorms
 from bfre.tnorms import (
     TNORM_KINDS,
     TNormSpec,
@@ -281,6 +282,24 @@ def test_numeric_examples():
     s = solve_scalar_eq_numeric(TNormSpec("product"), 0.8, 0.4)
     assert s.l == pytest.approx(0.5, abs=1e-9)
     assert solve_scalar_eq_numeric(TNormSpec("yager", 2.0), 1.0, 1.0).u == 1.0
+
+
+def test_numeric_stops_when_bracket_stops_shrinking(monkeypatch):
+    # near 1 adjacent floats are wider than the 1e-16 stop, so only the
+    # midpoint reaching an endpoint ends each bisection early
+    calls = []
+
+    def counting(t, x, y):
+        calls.append((x, y))
+        return tnorm_eval(t, x, y)
+
+    monkeypatch.setattr(tnorms, "tnorm_eval", counting)
+    product = TNormSpec("product")
+    num = solve_scalar_eq_numeric(product, 0.999, 0.998)
+    assert len(calls) <= 2 * 64
+    closed = solve_scalar_eq(product, 0.999, 0.998)
+    assert abs(closed.l - num.l) <= 1e-8
+    assert abs(closed.u - num.u) <= 1e-8
 
 
 def test_random_parameter_sweeps():
