@@ -8,6 +8,10 @@ lost their float witness (ROADMAP item 1 moves the oracle onto ``residual``).
 
 The grid contains every interval endpoint appearing in the analysis, so every
 corner candidate the optimizer can produce is itself a grid point.
+
+Box-union membership runs through a per-column index of the distinct box
+factors, so its cost grows with the distinct factors rather than with
+boxes x points.
 """
 
 from __future__ import annotations
@@ -97,14 +101,40 @@ def grid_membership_check(
     """Compare direct point feasibility against box-union membership on every
     grid point (a seeded sample of ``cap`` points when the grid is larger).
     A correct resolution produces zero mismatches.
+
+    The union test runs through a per-column factor index: ``index[j]``
+    maps each distinct factor value of column j to the bitmask of the boxes
+    that have it there.  A point's surviving boxes are the AND over columns of
+    the OR of the masks of the factors containing ``x[j]``, so the cost per
+    point grows with the distinct factors, not with the boxes.
     """
+    # Keyed by value through the pieces tuple, whose hash runs in C.
+    index: list[dict[tuple, list]] = [{} for _ in grid]
+    for k, box in enumerate(boxes):
+        bit = 1 << k
+        for column, f in zip(index, box.factors):
+            entry = column.get(f.pieces)
+            if entry is None:
+                column[f.pieces] = [f, bit]
+            else:
+                entry[1] |= bit
+    everyone = (1 << len(boxes)) - 1
     total, sampled, points = _iter_grid(grid, cap, seed)
     mismatches = []
     checked = 0
     for x in points:
         checked += 1
         feasible = is_feasible_point(analysis, x)
-        in_union = any(box.contains(x) for box in boxes)
+        alive = everyone
+        for v, column in zip(x, index):
+            if not alive:
+                break
+            hit = 0
+            for f, mask in column.values():
+                if f.contains(v):
+                    hit |= mask
+            alive &= hit
+        in_union = bool(alive)
         if feasible != in_union:
             mismatches.append((x, feasible, in_union))
     return GridReport(total, checked, sampled, mismatches)

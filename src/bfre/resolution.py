@@ -73,8 +73,8 @@ class FeasibleBox:
     factors: tuple[IntervalUnion, ...]
     source: AdmissibleFunction
 
-    def contains(self, x: Sequence[float], eps: float | None = None) -> bool:
-        return all(f.contains(x[j], eps) for j, f in enumerate(self.factors))
+    def contains(self, x: Sequence[float]) -> bool:
+        return all(f.contains(x[j]) for j, f in enumerate(self.factors))
 
 
 def enumerate_admissible(

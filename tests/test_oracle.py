@@ -1,16 +1,20 @@
 """Brute-force verification paths."""
 
+import itertools
 import random
 
 import pytest
 
 from bfre import (
     BipolarSystem,
+    FeasibleBox,
+    IntervalUnion,
     TNormSpec,
     breakpoint_grid,
     brute_force_min,
     feasible_region,
     grid_membership_check,
+    is_feasible_point,
     objective_catalog,
 )
 from conftest import LINEAR_C, random_system
@@ -65,6 +69,74 @@ def test_membership_check_infeasible_system():
     grid = breakpoint_grid(res.analysis, step=0.2)
     report = grid_membership_check(res.analysis, res.boxes, grid)
     assert report.ok  # both sides empty everywhere
+
+
+def _box_scan_mismatches(analysis, boxes, grid):
+    """The union test without an index: every point against every box."""
+    out = []
+    for x in itertools.product(*grid):
+        feasible = is_feasible_point(analysis, x)
+        in_union = any(box.contains(x) for box in boxes)
+        if feasible != in_union:
+            out.append((x, feasible, in_union))
+    return out
+
+
+def test_membership_index_matches_box_scan():
+    # Subsets and orders of the boxes, the empty tuple included, must give
+    # the same mismatches as scanning the boxes one by one.
+    rng = random.Random(23)
+    systems = 0
+    lossy = 0
+    while systems < 12:
+        res = feasible_region(
+            random_system(rng, max_m=4, max_n=4, force_feasible=True)
+        )
+        if len(res.boxes) < 2:
+            continue
+        systems += 1
+        grid = breakpoint_grid(res.analysis, step=0.5)
+        boxes = list(res.boxes)
+        variants = [(), tuple(boxes), tuple(reversed(boxes))]
+        for _ in range(3):
+            variants.append(tuple(rng.sample(boxes, rng.randint(1, len(boxes)))))
+        for variant in variants:
+            report = grid_membership_check(res.analysis, variant, grid)
+            assert not report.sampled
+            expected = _box_scan_mismatches(res.analysis, variant, grid)
+            assert report.mismatches == expected, (res.analysis.system, variant)
+            lossy += bool(expected) and len(variant) > 0
+    assert lossy > 0
+
+
+def test_membership_check_reports_dropped_and_extra_boxes(example_region):
+    analysis, boxes = example_region.analysis, example_region.boxes
+    grid = breakpoint_grid(analysis, step=1.0)
+    for k, box in enumerate(boxes):
+        others = boxes[:k] + boxes[k + 1:]
+        # The grid points inside box k, and those of them no other box holds.
+        sub = [[v for v in col if f.contains(v)] for col, f in zip(grid, box.factors)]
+        own = [
+            x
+            for x in itertools.product(*sub)
+            if not any(b.contains(x) for b in others)
+        ]
+        if own:
+            break
+    assert own
+    assert grid_membership_check(analysis, boxes, sub).ok
+    report = grid_membership_check(analysis, others, sub)
+    assert report.mismatches == [(x, True, False) for x in own]
+
+    full = FeasibleBox(
+        tuple(IntervalUnion.full() for _ in range(analysis.n)), boxes[0].source
+    )
+    report = grid_membership_check(
+        analysis, boxes + (full,), breakpoint_grid(analysis, step=0.25), cap=2000
+    )
+    assert report.sampled
+    assert report.mismatches
+    assert all(not f and b for _, f, b in report.mismatches)
 
 
 def test_brute_force_min_single_point():

@@ -248,6 +248,14 @@ def test_scalar_round_trip(kind):
     assert not misses, (len(misses), misses[:3])
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_schweizer_sklar_round_trip_cancellation():
+    # (b^p - a^p + 1)^(1/p) cancels for p near -4 and a tiny a: the set
+    # prints as {0.328} but its endpoint is 4e-9 away from x.
+    spec, a, x = TNormSpec("schweizer_sklar", -3.99), 0.00196, 0.328
+    assert solve_scalar_eq(spec, a, tnorm_eval(spec, a, x)).solution_set.contains(x)
+
+
 # -- bisection fallback ----------------------------------------------------------
 
 
