@@ -144,11 +144,10 @@ class IntervalUnion:
             out.append(hi)
         return out
 
-    def issubset(self, other: "IntervalUnion", eps: float | None = None) -> bool:
+    def issubset(self, other: "IntervalUnion") -> bool:
         """True when every piece of self sits inside one piece of other."""
-        tol = EPS if eps is None else eps
         return all(
-            any(olo - tol <= lo and hi <= ohi + tol for olo, ohi in other.pieces)
+            any(olo - EPS <= lo and hi <= ohi + EPS for olo, ohi in other.pieces)
             for lo, hi in self.pieces
         )
 

@@ -4,7 +4,7 @@ Regions and optima are re-derived by exhaustive evaluation over a breakpoint
 grid, but the point membership test reads the same ``CellAnalysis`` as the
 pipeline, so a fault in the closed-form cell sets reaches both sides and
 goes unseen: ``bfre verify`` prints ``verified`` on systems whose region
-lost their float witness (ROADMAP item 1 moves the oracle onto ``residual``).
+lost their float witness (ROADMAP item 2 moves the oracle onto ``residual``).
 
 The grid contains every interval endpoint appearing in the analysis, so every
 corner candidate the optimizer can produce is itself a grid point.

@@ -1,6 +1,8 @@
-"""T-norm catalog: axioms, closed-form scalar solves, bisection agreement."""
+"""T-norm catalog: axioms, closed-form scalar solves, bisection and reference agreement."""
 
+import importlib.util
 import math
+import os
 import random
 
 import pytest
@@ -209,7 +211,7 @@ _ROUND_TRIP_PARAMS = {
 }
 
 #: Families whose float round trip still misses x (ROADMAP item 1).
-_ROUND_TRIP_MISSES = ("yager", "dombi", "aczel_alsina", "dubois_prade")
+_ROUND_TRIP_MISSES = ("yager", "dombi", "aczel_alsina")
 
 
 def _round_trip_param(rng, kind):
@@ -254,6 +256,31 @@ def test_schweizer_sklar_round_trip_cancellation():
     # prints as {0.328} but its endpoint is 4e-9 away from x.
     spec, a, x = TNormSpec("schweizer_sklar", -3.99), 0.00196, 0.328
     assert solve_scalar_eq(spec, a, tnorm_eval(spec, a, x)).solution_set.contains(x)
+
+
+def _reference_tnorm():
+    """``tnorm`` of ``bench/check.py``, which imports nothing from ``bfre``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_check", os.path.join(root, "bench", "check.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tnorm
+
+
+@pytest.mark.parametrize("kind", TNORM_KINDS)
+def test_eval_matches_independent_reference(kind):
+    # The reference evaluates each family's published formula directly, so a
+    # wrong generator shows here even though the bisection fallback, which
+    # evaluates through the same generator, would agree with it.
+    reference = _reference_tnorm()
+    rng = random.Random(12)
+    for _ in range(2000):
+        spec = TNormSpec(kind, _round_trip_param(rng, kind))
+        x, y = rng.random(), rng.random()
+        want = reference(kind, spec.param, x, y)
+        assert abs(tnorm_eval(spec, x, y) - want) <= 1e-11, (spec, x, y)
 
 
 # -- bisection fallback ----------------------------------------------------------
