@@ -19,6 +19,7 @@ codes: 0 success, 1 error, 2 infeasible problem.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Any, Callable, NoReturn
 
@@ -242,7 +243,7 @@ def _run(
     a missing objective that the command needs, a resource cap or a bad
     --tol prints an ``error:`` line and exits 1.
     """
-    _require(tol is None or tol > 0.0, "--tol must be positive")
+    _require(tol is None or 0.0 < tol < math.inf, "--tol must be positive and finite")
     try:
         system, objective = parse_problem(problem)
         if needs_objective and objective is None:

@@ -11,6 +11,7 @@ comparisons, never by rounding the representation.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -28,8 +29,8 @@ def tolerance(eps: float) -> Iterator[None]:
     and ``SystemExit`` included.
     """
     global EPS
-    if not eps > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     previous, EPS = EPS, eps
     try:
         yield

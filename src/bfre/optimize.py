@@ -140,9 +140,14 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> tuple[float, ...]:
 
 
 def _require(params: dict, key: str, objective: str):
+    """Parameter ``key`` of ``objective``; each number in it must be finite."""
     if key not in params:
         raise ValueError(f"objective {objective!r} requires parameter {key!r}")
-    return params[key]
+    value = params[key]
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if not math.isfinite(float(v)):
+            raise ValueError(f"objective {objective!r} parameter {key!r} must be finite")
+    return value
 
 
 def _build_linear(n: int, params: dict):

@@ -86,10 +86,15 @@ def enumerate_admissible(
     lexicographic order of their ``source`` assignments.
 
     Depth-first search over active rows in ascending order, candidate
-    columns in ascending order.  A branch extends only while the running
-    per-column intersection of restricted sets stays non-empty, which is
-    exactly the admissibility condition, so the output is complete.  Each
-    leaf's box takes those running intersections as its assigned factors.
+    columns in ascending order.  The search state is the current partial
+    box, ``factors``: it starts as the fixed singletons and column bounds,
+    and assigning row i to column j narrows ``factors[j]`` to its
+    intersection with the restricted set of cell (i, j).  A branch extends
+    only while that intersection is non-empty, which is exactly the
+    admissibility condition, so the output is complete.  Each leaf's box is
+    the partial box as it stands.  The first row on a column takes the
+    restricted set itself, which lies inside the column bound, so boxes
+    share factor objects.
     """
     rows = tuple(sorted(state.active_rows))
     candidates = [state.row_candidates(analysis, i) for i in rows]
@@ -97,9 +102,9 @@ def enumerate_admissible(
         IntervalUnion.point(state.fixed[j]) if j in state.fixed else bound
         for j, bound in enumerate(analysis.col_bounds)
     ]
+    factors = list(base)
     out: list[FeasibleBox] = []
     chosen: list[int] = []
-    used: dict[int, list[IntervalUnion]] = {}
 
     def walk(k: int) -> None:
         if k == len(rows):
@@ -107,26 +112,19 @@ def enumerate_admissible(
                 raise ResourceLimitError(
                     f"more than {max_count} admissible assignments; raise the cap"
                 )
-            e = AdmissibleFunction(rows, tuple(chosen))
-            out.append(solution_box(e, {j: st[-1] for j, st in used.items()}, base))
+            out.append(solution_box(AdmissibleFunction(rows, tuple(chosen)), factors))
             return
-        i = rows[k]
+        restricted = analysis.restricted[rows[k]]
         for j in candidates[k]:
-            stack = used.get(j)
-            if stack is None:
-                used[j] = [analysis.restricted[i][j]]
-            else:
-                joint = stack[-1] & analysis.restricted[i][j]
-                if joint.is_empty:
-                    continue
-                stack.append(joint)
+            before = factors[j]
+            joint = restricted[j] if before is base[j] else before & restricted[j]
+            if joint.is_empty:
+                continue
+            factors[j] = joint
             chosen.append(j)
             walk(k + 1)
             chosen.pop()
-            if len(used[j]) == 1:
-                del used[j]
-            else:
-                used[j].pop()
+            factors[j] = before
 
     walk(0)
     return out
@@ -144,14 +142,12 @@ def count_bound(analysis: CellAnalysis, state: ReductionState) -> int:
 
 
 def solution_box(
-    e: AdmissibleFunction,
-    joint: dict[int, IntervalUnion],
-    base: Sequence[IntervalUnion],
+    e: AdmissibleFunction, factors: Sequence[IntervalUnion]
 ) -> FeasibleBox:
-    """The box generated by an admissible function: the joint restricted set
-    on each assigned column, ``base`` (fixed singleton or column bound)
-    elsewhere."""
-    return FeasibleBox(tuple(joint.get(j, f) for j, f in enumerate(base)), e)
+    """The box generated by an admissible function, from the partial box the
+    search holds at its leaf: the joint restricted set on each assigned
+    column, the fixed singleton or column bound elsewhere."""
+    return FeasibleBox(tuple(factors), e)
 
 
 @dataclass

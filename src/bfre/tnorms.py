@@ -188,7 +188,7 @@ class TNormSpec:
             check, legend = rule
             if self.param is None:
                 raise ValueError(f"t-norm {self.kind!r} requires a parameter ({legend})")
-            if not check(self.param):
+            if not (math.isfinite(self.param) and check(self.param)):
                 raise ValueError(
                     f"parameter {self.param!r} out of range for {self.kind!r} ({legend})"
                 )
@@ -293,35 +293,21 @@ def solve_scalar_eq_numeric(t: TNormSpec, a: float, b: float) -> ScalarEqSolutio
     if b is None:
         return _NO_SOLUTION
 
-    def g(x: float) -> float:
-        return tnorm_eval(t, a, x)
-
-    if b == 0.0:
-        l = 0.0
-    else:  # g(0) = 0 < b <= g(1)
+    def bracket(turns_true) -> tuple[float, float]:
+        """Bisect [0, 1] to a bracket (lo, hi) of the x where
+        turns_true(phi(a, x)) turns true."""
         lo, hi = 0.0, 1.0
         for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if hi - lo <= 1e-16 or mid == lo or mid == hi:
                 break
-            if g(mid) >= b:
+            if turns_true(tnorm_eval(t, a, mid)):
                 hi = mid
             else:
                 lo = mid
-        l = hi
+        return lo, hi
 
-    if a == b:
-        u = 1.0
-    else:  # g(0) = 0 <= b < a = g(1)
-        lo, hi = 0.0, 1.0
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-16 or mid == lo or mid == hi:
-                break
-            if g(mid) <= b:
-                lo = mid
-            else:
-                hi = mid
-        u = lo
-
+    # phi(a, 0) = 0 < b <= phi(a, 1) for l, and 0 <= b < a = phi(a, 1) for u
+    l = 0.0 if b == 0.0 else bracket(lambda y: y >= b)[1]
+    u = 1.0 if a == b else bracket(lambda y: y > b)[0]
     return _solution(l, u)

@@ -1,6 +1,7 @@
 """CLI commands, file format, exit codes, report determinism."""
 
 import json
+import math
 import os
 import random
 
@@ -60,6 +61,21 @@ def test_parse_field_exact():
         (lambda d: d.update(tnorm={"name": "frank", "param": "2"}), "bad.json"),
         (lambda d: d.update(objective={"name": "linear", "params": {"c": 5}}), "bad.json"),
         (lambda d: d.update(objective={"name": "p_norm", "params": {"p": None}}), "bad.json"),
+        # JSON files may carry NaN and Infinity, which no objective accepts
+        (
+            lambda d: d["objective"]["params"].update(c=[math.nan] * d["n"]),
+            "must be finite",
+        ),
+        (
+            lambda d: d.update(
+                objective={"name": "sum_log", "params": {"alpha": [math.inf] * d["n"]}}
+            ),
+            "must be finite",
+        ),
+        (
+            lambda d: d.update(objective={"name": "sum_largest", "params": {"r": math.inf}}),
+            "must be finite",
+        ),
         (
             lambda d: d.update(
                 objective={**d["objective"], "j_plus": 3, "j_minus": [0]}
@@ -164,6 +180,8 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
         pytest.param(["verify", "--step", "0"], "--step", id="verify-step-0"),
         pytest.param(["feasible", "--tol", "0"], "--tol", id="tol-0"),
         pytest.param(["simplify", "--tol", "-1"], "--tol", id="tol-negative"),
+        pytest.param(["feasible", "--tol", "inf"], "--tol", id="tol-inf"),
+        pytest.param(["verify", "--tol", "nan"], "--tol", id="tol-nan"),
     ],
 )
 def test_bad_option_values(runner, args, fragment):

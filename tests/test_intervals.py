@@ -76,7 +76,7 @@ def test_tolerance_is_scoped():
             raise SystemExit(2)
     assert not u.contains(0.4 + 1e-6)
     assert len(iu((0.2, 0.4), (0.4 + 1e-6, 0.5)).pieces) == 2
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             with tolerance(bad):
                 pass

@@ -21,7 +21,7 @@ from bfre import (
 from bfre.resolution import ResourceLimitError
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import necessary_feasibility
-from conftest import random_system
+from conftest import make_example_system, random_system
 
 
 def iu(pairs):
@@ -179,6 +179,35 @@ def test_box_on_full_problem(example_analysis):
     assert box.factors[3].approx_equals(iu([[0.0, 0.1], [0.9, 1.0]]))
     assert box.factors[7].approx_equals(iu([[0.5, 1.0]]))
     assert box.factors[8].approx_equals(iu([[0.2, 0.2]]))
+
+
+@pytest.mark.parametrize(
+    "make_system,reduce",
+    [
+        (make_example_system, ReductionState.initial),
+        (make_example_system, simplify_to_fixpoint),
+        (lambda: random_system(random.Random(68), 5, 6, "product", True), ReductionState.initial),
+    ],
+    ids=["reference", "reference-reduced", "random"],
+)
+def test_boxes_share_factor_objects(make_system, reduce):
+    # the CLI report encodes each distinct factor object once, so a column no
+    # row is assigned holds one object in every box, and a column one row i
+    # is assigned holds the cell's own restricted set
+    analysis = CellAnalysis(make_system())
+    boxes = enumerate_admissible(analysis, reduce(analysis))
+    assert len(boxes) > 1
+    unassigned: dict[int, IntervalUnion] = {}
+    single = 0
+    for box in boxes:
+        for j, factor in enumerate(box.factors):
+            rows = [i for i, c in zip(box.source.rows, box.source.columns) if c == j]
+            if not rows:
+                assert unassigned.setdefault(j, factor) is factor, (box.source, j)
+            elif len(rows) == 1:
+                single += 1
+                assert factor is analysis.restricted[rows[0]][j], (box.source, j)
+    assert unassigned and single
 
 
 # -- end-to-end region ---------------------------------------------------------------

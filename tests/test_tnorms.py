@@ -41,6 +41,12 @@ def test_all_catalog_kinds_constructible():
         ("aczel_alsina", 0.0),
         ("dubois_prade", 1.1),
         ("mayor_torrence", -0.2),
+        # every rule is one-sided, so infinities and NaN need their own check
+        ("frank", math.inf),
+        ("hamacher", math.inf),
+        ("schweizer_sklar", math.inf),
+        ("schweizer_sklar", math.nan),
+        ("aczel_alsina", math.inf),
     ],
 )
 def test_out_of_range_parameters_rejected(kind, param):
