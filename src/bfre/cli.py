@@ -78,7 +78,7 @@ def problem_from_dict(
         if key not in data:
             raise ProblemFormatError(f"{origin}: missing field {key!r}")
     m, n = data["m"], data["n"]
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
         raise ProblemFormatError(f"{origin}: m and n must be positive integers")
     tn = data["tnorm"]
     if not isinstance(tn, dict) or "name" not in tn:
@@ -223,33 +223,23 @@ def _common_options(fn):
     return fn
 
 
-def _region(max_e: int, no_simplify: bool) -> Callable[[BipolarSystem], RegionResult]:
-    """The whole pipeline, as a stage for ``_run``."""
-    return lambda system: feasible_region(system, simplify=not no_simplify, max_count=max_e)
-
-
 def _run(
     problem: str,
     tol: float | None,
-    stage: Callable[[BipolarSystem], Any],
-    report: Callable[[MonotoneObjective | None, Any], tuple[dict, int]],
-    needs_objective: bool = False,
+    command: Callable[[BipolarSystem, MonotoneObjective | None], tuple[dict, int]],
 ) -> NoReturn:
     """Run one pipeline command and exit.
 
-    Parses PROBLEM, then runs ``stage(system)`` and ``report(objective,
-    result)`` with --tol in effect for this command only; prints the report
-    and exits with the code ``report`` returns.  A malformed problem file,
-    a missing objective that the command needs, a resource cap or a bad
-    --tol prints an ``error:`` line and exits 1.
+    Parses PROBLEM and runs ``command(system, objective)`` with --tol in effect
+    for this command only, then prints the report and exits with the code it
+    returns.  A ``ProblemFormatError``, from the file or the command, a
+    resource cap or a bad --tol prints an ``error:`` line and exits 1.
     """
     _require(tol is None or 0.0 < tol < math.inf, "--tol must be positive and finite")
     try:
         system, objective = parse_problem(problem)
-        if needs_objective and objective is None:
-            raise ProblemFormatError("problem file has no objective; 'solve' needs one")
         with intervals.tolerance(intervals.EPS if tol is None else tol):
-            out, code = report(objective, stage(system))
+            out, code = command(system, objective)
     except (ProblemFormatError, ResourceLimitError) as exc:
         _fail(str(exc))
     _echo(out)
@@ -271,10 +261,11 @@ def main() -> None:
 def feasible(problem, tol, max_e, no_simplify) -> None:
     """Resolve the feasible region of PROBLEM and report its boxes."""
 
-    def report(objective, result: RegionResult):
+    def command(system, objective):
+        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
         return _region_report(result), EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
 
-    _run(problem, tol, _region(max_e, no_simplify), report)
+    _run(problem, tol, command)
 
 
 @main.command()
@@ -284,8 +275,8 @@ def feasible(problem, tol, max_e, no_simplify) -> None:
 def simplify(problem, explain, tol) -> None:
     """Apply the reduction rules to PROBLEM and report the outcome."""
 
-    def report(objective, reduced):
-        analysis, verdict, state = reduced
+    def command(system, objective):
+        analysis, verdict, state = reduce_system(system)
         if not verdict.ok:
             out = {"status": verdict.status, "index": verdict.index}
             return {"status": "infeasible", "verdict": out}, EXIT_INFEASIBLE
@@ -296,7 +287,7 @@ def simplify(problem, explain, tol) -> None:
             "count_bound_after": count_bound(analysis, state),
         }, EXIT_OK
 
-    _run(problem, tol, reduce_system, report)
+    _run(problem, tol, command)
 
 
 @main.command()
@@ -305,7 +296,10 @@ def simplify(problem, explain, tol) -> None:
 def solve(problem, tol, max_e, no_simplify) -> None:
     """Resolve PROBLEM and minimize its objective over the region."""
 
-    def report(objective, result: RegionResult):
+    def command(system, objective):
+        if objective is None:
+            raise ProblemFormatError("problem file has no objective; 'solve' needs one")
+        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
         out = _region_report(result)
         if not result.is_feasible:
             return out, EXIT_INFEASIBLE
@@ -321,7 +315,7 @@ def solve(problem, tol, max_e, no_simplify) -> None:
         }
         return out, EXIT_OK
 
-    _run(problem, tol, _region(max_e, no_simplify), report, needs_objective=True)
+    _run(problem, tol, command)
 
 
 @main.command()
@@ -337,7 +331,8 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
     _require(step > 0.0, "--step must be positive")
     _require(cap >= 1, "--cap must be at least 1")
 
-    def report(objective, result: RegionResult):
+    def command(system, objective):
+        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
         grid = breakpoint_grid(result.analysis, step)
         membership = grid_membership_check(
             result.analysis, result.boxes, grid, cap=cap, seed=seed
@@ -379,7 +374,7 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
                     out["status"] = "mismatch"
         return out, EXIT_OK if out["status"] == "verified" else EXIT_ERROR
 
-    _run(problem, tol, _region(max_e, no_simplify), report)
+    _run(problem, tol, command)
 
 
 @main.command("tnorm-eval")

@@ -173,13 +173,6 @@ class IntervalUnion:
                 raw.append((max(lo, olo), min(hi, ohi)))
         return IntervalUnion(_canonical(raw))
 
-    def __or__(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(_canonical(list(self.pieces) + list(other.pieces)))
-
-    def reflected(self) -> "IntervalUnion":
-        """Image under x -> 1 - x."""
-        return IntervalUnion(tuple((1.0 - hi, 1.0 - lo) for lo, hi in reversed(self.pieces)))
-
     # -- serialization ----------------------------------------------------
 
     def to_pairs(self) -> list[list[float]]:

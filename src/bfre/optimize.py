@@ -56,6 +56,8 @@ class MonotoneObjective:
             raise ValueError("j_plus and j_minus must be disjoint")
         if self.j_plus | self.j_minus != everything:
             raise ValueError("j_plus and j_minus must cover all coordinates")
+        if not all(type(j) is int for j in self.j_plus | self.j_minus):
+            raise ValueError("j_plus and j_minus must hold integers")
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.fn(x)
@@ -139,19 +141,22 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> tuple[float, ...]:
 # -- objective catalog -------------------------------------------------------
 
 
-def _require(params: dict, key: str, objective: str):
-    """Parameter ``key`` of ``objective``; each number in it must be finite."""
+def _require(params: dict, key: str, objective: str, many: bool = False):
+    """Parameter ``key`` of ``objective``: a finite number, or a list of them."""
     if key not in params:
         raise ValueError(f"objective {objective!r} requires parameter {key!r}")
     value = params[key]
-    for v in value if isinstance(value, (list, tuple)) else [value]:
-        if not math.isfinite(float(v)):
-            raise ValueError(f"objective {objective!r} parameter {key!r} must be finite")
+    values = value if many else [value]
+    if many != isinstance(value, (list, tuple)) or {type(v) for v in values} - {int, float}:
+        shape = "a list of numbers" if many else "a number"
+        raise ValueError(f"objective {objective!r} parameter {key!r} must be {shape}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"objective {objective!r} parameter {key!r} must be finite")
     return value
 
 
 def _build_linear(n: int, params: dict):
-    c = [float(v) for v in _require(params, "c", "linear")]
+    c = [float(v) for v in _require(params, "c", "linear", many=True)]
     if len(c) != n:
         raise ValueError(f"coefficient vector must have {n} entries, got {len(c)}")
 
@@ -234,8 +239,8 @@ def _build_frobenius(n: int, params: dict):
 
 def _build_sum_largest(n: int, params: dict):
     r = int(_require(params, "r", "sum_largest"))
-    if not 1 <= r <= n:
-        raise ValueError(f"sum_largest requires 1 <= r <= {n}")
+    if r != params["r"] or not 1 <= r <= n:
+        raise ValueError(f"sum_largest requires an integer r with 1 <= r <= {n}")
 
     def fn(x):
         return sum(sorted(x, reverse=True)[:r])
@@ -259,7 +264,7 @@ def _build_max_eigenvalue(n: int, params: dict):
 
 
 def _build_sum_log(n: int, params: dict):
-    alpha = [float(v) for v in _require(params, "alpha", "sum_log")]
+    alpha = [float(v) for v in _require(params, "alpha", "sum_log", many=True)]
     if len(alpha) != n:
         raise ValueError(f"alpha must have {n} entries, got {len(alpha)}")
     if any(a <= 0.0 for a in alpha):

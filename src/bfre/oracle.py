@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .optimize import MonotoneObjective
-from .resolution import FeasibleBox
+from .resolution import FeasibleBox, ResourceLimitError
 from .simplify import is_feasible_point
 from .system import CellAnalysis
 
@@ -48,9 +48,12 @@ def _dedup_sorted(values: list[float], tol: float = 1e-12) -> list[float]:
 
 def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[list[float]]:
     """Per-column sorted value lists: every endpoint of every set touching
-    the column, plus multiples of step in [0, 1]."""
+    the column, plus multiples of step in [0, 1].  A step below
+    1 / DEFAULT_GRID_CAP raises ``ResourceLimitError``."""
     if step <= 0.0:
         raise ValueError("step must be positive")
+    if 1.0 / step > DEFAULT_GRID_CAP:
+        raise ResourceLimitError(f"grid step {step!r} is finer than 1/{DEFAULT_GRID_CAP}")
     ticks = [k * step for k in range(int(1.0 / step) + 1)] + [1.0]
     grid = []
     for j in range(analysis.n):

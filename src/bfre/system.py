@@ -9,8 +9,9 @@ right-hand side b under a continuous t-norm phi; equation i reads
 values keeping the cell at or below b_i (the relaxed set) and the set hitting
 b_i exactly (the exact set); every downstream stage -- reduction rules,
 assignment enumeration, box assembly, the membership test -- reads these
-cached sets.  Negative-side sets come from solving phi(a-, y) = b in y and
-reflecting through x = 1 - y, so one scalar solver serves both polarities.
+cached sets.  They are cut out by the endpoints of the cell's two literals:
+phi(a+, x) = b_i holds on [l+, u+], and phi(a-, 1 - x) = b_i on
+[1 - u-, 1 - l-], so one scalar solver serves both polarities.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ def _as_matrix(rows: Sequence[Sequence[float]], name: str, m: int, n: int):
         if len(row) != n:
             raise ValueError(f"{name} row {i} must have {n} entries, got {len(row)}")
         for j, v in enumerate(row):
-            if not 0.0 <= float(v) <= 1.0:
-                raise ValueError(f"{name}[{i}][{j}] = {v!r} outside [0, 1]")
-        out.append(tuple(float(v) for v in row))
+            # exact types: a bool is an int in Python, and float() reads strings
+            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name}[{i}][{j}] = {v!r} is no number or outside [0, 1]")
+        out.append(tuple(map(float, row)))
     return tuple(out)
 
 
@@ -65,9 +67,9 @@ class BipolarSystem:
         if len(self.b) != m:
             raise ValueError(f"b must have {m} entries, got {len(self.b)}")
         for i, v in enumerate(self.b):
-            if not 0.0 <= float(v) <= 1.0:
-                raise ValueError(f"b[{i}] = {v!r} outside [0, 1]")
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"b[{i}] = {v!r} is no number or outside [0, 1]")
+        object.__setattr__(self, "b", tuple(map(float, self.b)))
 
     @property
     def m(self) -> int:
@@ -124,37 +126,30 @@ class CellAnalysis:
     def __init__(self, system: BipolarSystem) -> None:
         self.system = system
         t, m, n = system.tnorm, system.m, system.n
-        pos = [
-            [solve_scalar_eq(t, system.a_plus[i][j], system.b[i]) for j in range(n)]
-            for i in range(m)
-        ]
-        neg = [
-            [solve_scalar_eq(t, system.a_minus[i][j], system.b[i]) for j in range(n)]
-            for i in range(m)
-        ]
-        # The relaxed set is the intersection of both literals' relaxations;
-        # the exact set additionally requires one literal to hit b exactly.
+        # Cell (i, j) stays at or below b_i on [lo, hi] = [1 - u-, u+] (0 or 1
+        # where a literal never reaches b_i); its exact set is the hit intervals
+        # [l+, u+] and [1 - u-, 1 - l-] clipped to it.  Column bound: [max lo, min hi].
         self.relaxed, self.exact = [], []
-        for prow, nrow in zip(pos, neg):
-            relaxed = [p.relaxed_set & q.relaxed_set.reflected() for p, q in zip(prow, nrow)]
+        lows, highs = [0.0] * n, [1.0] * n
+        for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b):
+            relaxed, exact = [], []
+            for j in range(n):
+                p = solve_scalar_eq(t, a_plus[j], b)
+                q = solve_scalar_eq(t, a_minus[j], b)
+                lo = 0.0 if q.u is None else 1.0 - q.u
+                hi = 1.0 if p.u is None else p.u
+                hits = []
+                if p.u is not None:
+                    hits.append((max(lo, p.l), hi))
+                if q.u is not None:
+                    hits.append((lo, min(hi, 1.0 - q.l)))
+                relaxed.append(IntervalUnion.interval(lo, hi))
+                exact.append(IntervalUnion.from_pairs(hits))
+                lows[j] = max(lows[j], lo)
+                highs[j] = min(highs[j], hi)
             self.relaxed.append(relaxed)
-            self.exact.append(
-                [
-                    r & (p.solution_set | q.solution_set.reflected())
-                    for r, p, q in zip(relaxed, prow, nrow)
-                ]
-            )
-        # [L_j, U_j]: L_j is the largest lower cut 1 - u over rows whose
-        # negative entry reaches b_i, U_j the smallest upper cut u over rows
-        # whose positive entry does; the column is empty when they cross.
-        # Equals the intersection of the column's relaxed cell sets.
-        self.col_bounds = []
-        for j in range(n):
-            lows = [1.0 - neg[i][j].u for i in range(m) if neg[i][j].u is not None]
-            highs = [pos[i][j].u for i in range(m) if pos[i][j].u is not None]
-            self.col_bounds.append(
-                IntervalUnion.interval(max(lows, default=0.0), min(highs, default=1.0))
-            )
+            self.exact.append(exact)
+        self.col_bounds = [IntervalUnion.interval(lo, hi) for lo, hi in zip(lows, highs)]
         self.restricted = [
             [cell & self.col_bounds[j] for j, cell in enumerate(row)] for row in self.exact
         ]

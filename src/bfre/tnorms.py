@@ -188,10 +188,9 @@ class TNormSpec:
             check, legend = rule
             if self.param is None:
                 raise ValueError(f"t-norm {self.kind!r} requires a parameter ({legend})")
-            if not (math.isfinite(self.param) and check(self.param)):
-                raise ValueError(
-                    f"parameter {self.param!r} out of range for {self.kind!r} ({legend})"
-                )
+            p = self.param
+            if not (type(p) in (int, float) and math.isfinite(p) and check(p)):
+                raise ValueError(f"parameter {p!r} out of range for {self.kind!r} ({legend})")
         object.__setattr__(
             self, "_summand", None if summand is None else summand(self.param)
         )
@@ -199,12 +198,19 @@ class TNormSpec:
 
 @dataclass(frozen=True)
 class ScalarEqSolution:
-    """Solution of phi(a, x) = b: the equality set and its relaxation phi <= b."""
+    """phi(a, x) = b holds on [l, u] and phi(a, x) <= b on [0, u]; l and u
+    are None when a < b, where no x solves it and every x relaxes it."""
 
-    solution_set: IntervalUnion
-    relaxed_set: IntervalUnion
     l: float | None
     u: float | None
+
+    @property
+    def solution_set(self) -> IntervalUnion:
+        return IntervalUnion.empty() if self.u is None else IntervalUnion(((self.l, self.u),))
+
+    @property
+    def relaxed_set(self) -> IntervalUnion:
+        return IntervalUnion.full() if self.u is None else IntervalUnion(((0.0, self.u),))
 
 
 def _check_unit(v: float, name: str) -> None:
@@ -229,18 +235,14 @@ def tnorm_eval(t: TNormSpec, x: float, y: float) -> float:
 def _solution(l: float, u: float) -> ScalarEqSolution:
     l = min(1.0, max(0.0, l))
     u = min(1.0, max(0.0, u))
-    if l > u:
-        l = u
-    return ScalarEqSolution(
-        IntervalUnion(((l, u),)), IntervalUnion(((0.0, u),)), l, u
-    )
+    return ScalarEqSolution(min(l, u), u)
 
 
 #: Right-hand sides computed as phi(a, x) in floats can drift a few ulps
 #: above a; differences at or below this are treated as a = b.
 _EQ_DRIFT = 1e-12
 
-_NO_SOLUTION = ScalarEqSolution(IntervalUnion.empty(), IntervalUnion.full(), None, None)
+_NO_SOLUTION = ScalarEqSolution(None, None)
 
 
 def _drift_clamped(a: float, b: float) -> float | None:

@@ -82,6 +82,33 @@ def test_parse_field_exact():
             ),
             "bad.json",
         ),
+        # numbers must be JSON numbers: no strings, no booleans, no rounding
+        (lambda d: d["objective"]["params"].update(c="12"), "must be a list of numbers"),
+        (
+            lambda d: d["objective"]["params"].update(c=[True, False] * 4 + [True]),
+            "must be a list of numbers",
+        ),
+        (lambda d: d["objective"]["params"].update(c=[1.0] * 8 + ["1"]), "list of numbers"),
+        (
+            lambda d: d.update(objective={"name": "sum_largest", "params": {"r": 1.9}}),
+            "integer r",
+        ),
+        (
+            lambda d: d.update(objective={"name": "p_norm", "params": {"p": [2.0]}}),
+            "must be a number",
+        ),
+        (lambda d: d.update(m=True), "positive integers"),
+        (lambda d: d["a_plus"][0].__setitem__(0, "0.3"), "a_plus[0][0]"),
+        (lambda d: d["a_minus"][1].__setitem__(2, False), "a_minus[1][2]"),
+        (lambda d: d.update(b=["0.5"] + d["b"][1:]), "b[0]"),
+        (lambda d: d.update(tnorm={"name": "hamacher", "param": True}), "parameter True"),
+        (
+            # true == 1 in Python, so this partition would cover all nine columns
+            lambda d: d.update(
+                objective={**d["objective"], "j_plus": [True, *range(2, 9)], "j_minus": [0]}
+            ),
+            "must hold integers",
+        ),
     ],
 )
 def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):
@@ -178,6 +205,8 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
         pytest.param(["verify", "--cap", "0"], "--cap", id="verify-cap-0"),
         pytest.param(["verify", "--cap", "-5"], "--cap", id="verify-cap-negative"),
         pytest.param(["verify", "--step", "0"], "--step", id="verify-step-0"),
+        # 1e12 ticks per column would exhaust memory before any point is checked
+        pytest.param(["verify", "--step", "1e-300"], "grid step", id="step-tiny"),
         pytest.param(["feasible", "--tol", "0"], "--tol", id="tol-0"),
         pytest.param(["simplify", "--tol", "-1"], "--tol", id="tol-negative"),
         pytest.param(["feasible", "--tol", "inf"], "--tol", id="tol-inf"),

@@ -98,12 +98,6 @@ def test_width():
     assert IntervalUnion.full().width == 1.0
 
 
-def test_reflected():
-    got = iu((0.1, 0.3), (0.7, 0.7)).reflected()
-    assert got.approx_equals(iu((0.3, 0.3), (0.7, 0.9)), eps=1e-12)
-    assert IntervalUnion.full().reflected() == IntervalUnion.full()
-
-
 def test_issubset_and_approx_equals():
     assert iu((0.1, 0.2)).issubset(iu((0.0, 0.3), (0.5, 1.0)))
     assert not iu((0.1, 0.4)).issubset(iu((0.0, 0.3), (0.5, 1.0)))
@@ -122,14 +116,6 @@ def test_intersect_examples():
     assert got.pieces == ((0.1, 0.3), (0.7, 0.7))
 
 
-def test_union_examples():
-    two = iu((0.0, 0.3)) | iu((0.7, 0.7))
-    assert two.pieces == ((0.0, 0.3), (0.7, 0.7))
-    assert (iu((0.0, 0.5)) | iu((0.5, 1.0))).pieces == ((0.0, 1.0),)
-    x = iu((0.2, 0.4))
-    assert (IntervalUnion.empty() | x) == x
-
-
 # Lattice endpoints keep all gaps far above the comparison tolerance, so the
 # pointwise semantics of the algebra is exact for arbitrary probe points.
 lattice = st.integers(min_value=0, max_value=100).map(lambda k: k / 100)
@@ -145,23 +131,19 @@ def lattice_unions(draw):
 @settings(max_examples=300, deadline=None)
 def test_pointwise_semantics(a, b, x):
     assert (a & b).contains(x) == (a.contains(x) and b.contains(x))
-    assert (a | b).contains(x) == (a.contains(x) or b.contains(x))
 
 
 @given(lattice_unions(), lattice_unions(), lattice_unions())
 @settings(max_examples=200, deadline=None)
 def test_algebra_commutes_and_associates(a, b, c):
     assert (a & b).pieces == (b & a).pieces
-    assert (a | b).pieces == (b | a).pieces
     assert ((a & b) & c).pieces == (a & (b & c)).pieces
-    assert ((a | b) | c).pieces == (a | (b | c)).pieces
 
 
 @given(lattice_unions())
 @settings(max_examples=100, deadline=None)
 def test_universe_identities(a):
     assert (a & IntervalUnion.full()) == a
-    assert (a | IntervalUnion.empty()) == a
     assert (a & IntervalUnion.empty()).is_empty
 
 

@@ -14,6 +14,7 @@ from bfre import (
     is_feasible_point,
     necessary_feasibility,
     residual,
+    solve_scalar_eq,
     tnorm_eval,
 )
 from conftest import random_system
@@ -109,6 +110,32 @@ def test_column_bounds_equal_relaxed_intersection(example_analysis):
         for i in range(an.m):
             direct = direct & an.relaxed[i][j]
         assert an.col_bounds[j].approx_equals(direct), j
+
+
+@pytest.mark.parametrize("kind", ["product", "minimum"])
+def test_cell_sets_match_definition_near_tolerance(kind):
+    # With b = a c / (a + c) the product's cuts meet: 1 - u- = u+.  So do
+    # the minimum's at a = c = 1.  The offsets move the cuts a few EPS apart
+    # either way, where [1 - u-, u+] collapses to its midpoint or empties.
+    rng = random.Random(83)
+    t = TNormSpec(kind)
+    for _ in range(150):
+        a, c = 1.0, 1.0
+        if rng.random() < 0.7:
+            a, c = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+        for delta in (0.0, 1e-10, -1e-10, 5e-10, -5e-10, 2e-9, -2e-9):
+            b = a * c / (a + c) + delta
+            cell = CellAnalysis(BipolarSystem([[a]], [[c]], [b], t))
+            p, q = solve_scalar_eq(t, a, b), solve_scalar_eq(t, c, b)
+            # the definition: both literals at most b, and one of them equal
+            relaxed = iu([(0.0, 1.0 if p.u is None else p.u)]) & iu(
+                [(0.0 if q.u is None else 1.0 - q.u, 1.0)]
+            )
+            hits = [] if p.u is None else [(p.l, p.u)]
+            hits += [] if q.u is None else [(1.0 - q.u, 1.0 - q.l)]
+            case = (kind, a, c, delta)
+            assert cell.relaxed[0][0].pieces == relaxed.pieces, case
+            assert cell.exact[0][0].pieces == (relaxed & iu(hits)).pieces, case
 
 
 def test_supports(example_analysis):
