@@ -32,12 +32,8 @@ from .optimize import (
     global_optimum,
     objective_catalog,
 )
-from .oracle import (
-    DEFAULT_GRID_CAP,
-    breakpoint_grid,
-    brute_force_min,
-    grid_membership_check,
-)
+from .oracle import DEFAULT_GRID_CAP, breakpoint_grid, grid_membership_check
+from .oracle import brute_force_min  # noqa: F401  bench/layers.py patches this name
 from .resolution import (
     DEFAULT_MAX_ASSIGNMENTS,
     RegionResult,
@@ -208,6 +204,11 @@ _tol_option = click.option(
 )
 
 
+def _check_max_e(ctx: click.Context, param: click.Parameter, value: int) -> int:
+    _require(value >= 1, "--max-e must be at least 1")
+    return value
+
+
 def _common_options(fn):
     fn = _tol_option(fn)
     fn = click.option(
@@ -216,6 +217,7 @@ def _common_options(fn):
         default=DEFAULT_MAX_ASSIGNMENTS,
         show_default=True,
         help="Cap on the number of enumerated assignments.",
+        callback=_check_max_e,
     )(fn)
     fn = click.option(
         "--no-simplify", is_flag=True, help="Skip the reduction rules before enumeration."
@@ -335,7 +337,7 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
         result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
         grid = breakpoint_grid(result.analysis, step)
         membership = grid_membership_check(
-            result.analysis, result.boxes, grid, cap=cap, seed=seed
+            result.analysis, result.boxes, grid, cap=cap, seed=seed, objective=objective
         )
         out: dict[str, Any] = {
             "status": "verified" if membership.ok else "mismatch",
@@ -352,9 +354,7 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
         if objective is not None:
             probe = check_monotone(objective, seed=seed)
             out["monotonicity_violations"] = len(probe)
-            point, value = brute_force_min(
-                result.analysis, objective, grid, cap=cap, seed=seed
-            )
+            point, value = membership.best_point, membership.best_value
             out["brute_force"] = {
                 "point": None if point is None else list(point),
                 "value": value,

@@ -10,6 +10,7 @@ whole region is the best such corner over all boxes.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -161,7 +162,7 @@ def _build_linear(n: int, params: dict):
         raise ValueError(f"coefficient vector must have {n} entries, got {len(c)}")
 
     def fn(x):
-        return sum(cj * xj for cj, xj in zip(c, x))
+        return sum(map(operator.mul, c, x))
 
     j_plus = frozenset(j for j, cj in enumerate(c) if cj >= 0.0)
     return fn, j_plus, frozenset(range(n)) - j_plus, {"c": c}

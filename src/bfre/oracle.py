@@ -12,6 +12,11 @@ corner candidate the optimizer can produce is itself a grid point.
 Box-union membership runs through a per-column index of the distinct box
 factors, so its cost grows with the distinct factors rather than with
 boxes x points.
+
+``bfre verify`` walks its grid once: ``grid_membership_check`` draws each
+point once, tests it once with ``is_feasible_point`` and, given an
+objective, takes the brute-force minimum in the same loop.
+``brute_force_min`` is the same minimum as a walk of its own.
 """
 
 from __future__ import annotations
@@ -75,19 +80,26 @@ def _iter_grid(grid: Sequence[Sequence[float]], cap: int, seed: int):
         total *= len(col)
     if total <= cap:
         return total, False, itertools.product(*grid)
-    rng = random.Random(seed)
-    points = (tuple(rng.choice(col) for col in grid) for _ in range(cap))
+    choice = random.Random(seed).choice
+    points = (tuple(map(choice, grid)) for _ in range(cap))
     return total, True, points
 
 
 @dataclass
 class GridReport:
-    """Outcome of a grid sweep comparing two membership definitions."""
+    """Outcome of a grid sweep comparing two membership definitions.
+
+    ``best_point`` and ``best_value`` are the objective's minimum over the
+    feasible points of the sweep, as ``brute_force_min`` finds it; both are
+    None without an objective or without a feasible point.
+    """
 
     total_points: int
     checked: int
     sampled: bool
     mismatches: list[tuple[tuple[float, ...], bool, bool]]
+    best_point: tuple[float, ...] | None = None
+    best_value: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -100,10 +112,15 @@ def grid_membership_check(
     grid: Sequence[Sequence[float]],
     cap: int = DEFAULT_GRID_CAP,
     seed: int = 0,
+    objective: MonotoneObjective | None = None,
 ) -> GridReport:
     """Compare direct point feasibility against box-union membership on every
     grid point (a seeded sample of ``cap`` points when the grid is larger).
     A correct resolution produces zero mismatches.
+
+    Given an objective, the same walk also takes its minimum over the
+    feasible points, by ``brute_force_min``'s rule: the first strictly
+    smaller value wins.  No feasible point is kept besides the best one.
 
     The union test runs through a per-column factor index: ``index[j]``
     maps each distinct factor value of column j to the bitmask of the boxes
@@ -125,9 +142,15 @@ def grid_membership_check(
     total, sampled, points = _iter_grid(grid, cap, seed)
     mismatches = []
     checked = 0
+    best_point: tuple[float, ...] | None = None
+    best_value: float | None = None
     for x in points:
         checked += 1
         feasible = is_feasible_point(analysis, x)
+        if feasible and objective is not None:
+            value = objective(x)
+            if best_value is None or value < best_value:
+                best_point, best_value = x, value
         alive = everyone
         for v, column in zip(x, index):
             if not alive:
@@ -140,7 +163,7 @@ def grid_membership_check(
         in_union = bool(alive)
         if feasible != in_union:
             mismatches.append((x, feasible, in_union))
-    return GridReport(total, checked, sampled, mismatches)
+    return GridReport(total, checked, sampled, mismatches, best_point, best_value)
 
 
 def brute_force_min(

@@ -202,6 +202,8 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
     [
         pytest.param(["feasible", "--no-simplify", "--max-e", "3"], "admissible", id="max-e"),
         # exit 2 means infeasible, so bad option values exit 1 like other errors
+        pytest.param(["feasible", "--max-e", "0"], "--max-e", id="max-e-0"),
+        pytest.param(["verify", "--max-e", "-5"], "--max-e", id="max-e-negative"),
         pytest.param(["verify", "--cap", "0"], "--cap", id="verify-cap-0"),
         pytest.param(["verify", "--cap", "-5"], "--cap", id="verify-cap-negative"),
         pytest.param(["verify", "--step", "0"], "--step", id="verify-step-0"),
@@ -369,6 +371,20 @@ def test_verify_small_exhaustive(tmp_path, runner):
     assert report["membership_mismatches"] == []
     assert report["objective_agreement"] is True
     assert report["monotonicity_violations"] == 0
+
+
+def test_verify_without_objective(tmp_path, runner):
+    with open(DATA) as fh:
+        problem = json.load(fh)
+    del problem["objective"]
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(problem))
+    result = invoke(runner, "verify", str(path), "--step", "0.5", "--cap", "3000")
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["status"] == "verified"
+    assert "brute_force" not in report
+    assert "objective_check" not in report
 
 
 def test_verify_sampled_example(runner):

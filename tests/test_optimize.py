@@ -64,6 +64,18 @@ def test_linear_partition_follows_signs():
     assert obj.j_minus == frozenset({2, 3, 6, 8})
 
 
+def test_linear_value_is_the_plain_sum():
+    # The same products added in the same order: equal to the last bit.
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        c = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+        obj = objective_catalog("linear", n, {"c": c})
+        for _ in range(5):
+            x = tuple(rng.random() for _ in range(n))
+            assert obj(x) == sum(cj * xj for cj, xj in zip(c, x))
+
+
 def test_partition_override():
     obj = objective_catalog("max", 2, j_plus=[0], j_minus=[1])
     assert obj.j_plus == frozenset({0})

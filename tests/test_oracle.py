@@ -17,6 +17,7 @@ from bfre import (
     is_feasible_point,
     objective_catalog,
 )
+from bfre.oracle import DEFAULT_GRID_CAP
 from conftest import LINEAR_C, random_system
 
 
@@ -61,6 +62,18 @@ def test_membership_check_sampled(example_region):
     assert report.sampled
     assert report.checked == 4000
     assert report.ok
+
+
+def test_membership_check_on_an_all_feasible_grid():
+    # 0 = max(T(0, x), T(0, 1 - x)) everywhere, so every grid point is feasible
+    sys_ = BipolarSystem([[0.0, 0.0]], [[0.0, 0.0]], [0.0], TNormSpec("product"))
+    res = feasible_region(sys_)
+    obj = objective_catalog("linear", 2, {"c": [1.0, -1.0]})
+    grid = breakpoint_grid(res.analysis, step=0.25)
+    report = grid_membership_check(res.analysis, res.boxes, grid, objective=obj)
+    assert report.checked == report.total_points == 25
+    assert report.mismatches == []
+    assert (report.best_point, report.best_value) == ((0.0, 1.0), -1.0)
 
 
 def test_membership_check_infeasible_system():
@@ -169,6 +182,11 @@ def test_brute_force_reproduces_reference_optima(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
     point, value = brute_force_min(example_region.analysis, obj, grid, cap=total)
     assert value == pytest.approx(-3.6, abs=1e-9)
+    report = grid_membership_check(
+        example_region.analysis, example_region.boxes, grid, cap=total, objective=obj
+    )
+    assert not report.sampled
+    assert (report.best_point, report.best_value) == (point, value)
 
     persp = objective_catalog("perspective", 9, {"p": 3})
     _, pvalue = brute_force_min(example_region.analysis, persp, grid, cap=total)
@@ -195,3 +213,42 @@ def test_brute_force_matches_pipeline_on_random_instances():
         assert abs(best.value - value) <= 1e-9, sys_
         hits += 1
     assert hits >= 20
+
+
+def test_folded_minimum_on_sampled_example(example_region):
+    analysis, boxes = example_region.analysis, example_region.boxes
+    obj = objective_catalog("linear", 9, {"c": LINEAR_C})
+    grid = breakpoint_grid(analysis, step=0.25)
+    # seed 3 draws no feasible point, seed 0 draws one
+    for seed, found in ((3, False), (0, True)):
+        report = grid_membership_check(
+            analysis, boxes, grid, cap=4000, seed=seed, objective=obj
+        )
+        assert report.sampled and report.ok
+        expected = brute_force_min(analysis, obj, grid, cap=4000, seed=seed)
+        assert (report.best_point, report.best_value) == expected
+        assert (report.best_value is not None) == found
+
+
+def test_folded_minimum_matches_brute_force_min():
+    # Exhaustive and sampled grids, feasible and infeasible systems; "max"
+    # ties often, so the first-strictly-smaller rule is exercised.
+    rng = random.Random(57)
+    found = 0
+    for trial in range(40):
+        sys_ = random_system(rng, max_m=3, max_n=3, force_feasible=trial % 4 != 3)
+        res = feasible_region(sys_)
+        if trial % 2:
+            obj = objective_catalog("max", sys_.n)
+        else:
+            c = [rng.uniform(-2, 2) for _ in range(sys_.n)]
+            obj = objective_catalog("linear", sys_.n, {"c": c})
+        grid = breakpoint_grid(res.analysis, step=0.5)
+        for cap in (DEFAULT_GRID_CAP, 6):
+            report = grid_membership_check(
+                res.analysis, res.boxes, grid, cap=cap, seed=trial, objective=obj
+            )
+            expected = brute_force_min(res.analysis, obj, grid, cap=cap, seed=trial)
+            assert (report.best_point, report.best_value) == expected, sys_
+            found += report.best_value is not None
+    assert found >= 40
