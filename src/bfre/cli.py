@@ -14,6 +14,12 @@ All indices in files and reports are 0-based.  Reports are deterministic
 JSON, one line of it with the separators of ``json.dumps``; numbers
 round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
+
+The ``boxes`` and ``candidates`` arrays are written by one encoder from
+shared text: the ``rows`` tuple once per report, each distinct factor and
+each box's ``columns`` once, and each corner coordinate once per endpoint
+object, so a report costs about one encoding per shared part rather than
+one per number printed.
 """
 
 from __future__ import annotations
@@ -21,12 +27,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, NoReturn, Sequence
 
 import click
 
 from . import intervals
 from .optimize import (
+    Candidate,
     MonotoneObjective,
     check_monotone,
     global_optimum,
@@ -141,29 +148,59 @@ class _JSONText(str):
     it as is."""
 
 
-def _boxes_json(result: RegionResult) -> _JSONText:
-    """The ``boxes`` array as the text ``json.dumps`` would give it.
+def _report_json(
+    result: RegionResult, candidates: Sequence[Candidate] = ()
+) -> tuple[_JSONText, _JSONText | None]:
+    """The ``boxes`` and ``candidates`` arrays as the text ``json.dumps``
+    would give them; no ``candidates`` text without candidates.
 
-    Boxes share most of their factor objects (column bounds and the
-    search's joint restricted sets), so each distinct factor is encoded
-    once.  ``result`` holds every box while this runs, so ``id`` tells the
-    factors apart.
+    ``candidates`` are ``global_optimum``'s, one per box in box order.
+    Boxes share most of their parts, so each part is encoded once: the
+    ``rows`` tuple, which every box carries; each distinct factor (column
+    bounds and the search's joint restricted sets); each box's
+    ``columns``, whose text its candidate reuses; and each endpoint of a
+    distinct factor, which is where every corner coordinate comes from.
+    ``result`` holds every box while this runs, so ``id`` tells the
+    objects apart.  Keys are objects, never float values: ``0.0`` and
+    ``-0.0`` compare equal but print apart.  The candidates' values go
+    through one ``json.dumps``, so ``inf`` prints as ``Infinity``.
     """
-    factors = {id(f): f for box in result.boxes for f in box.factors}
+    boxes = result.boxes
+    factors = {}
+    for box in boxes:
+        factors.update(zip(map(id, box.factors), box.factors))
     text = {key: json.dumps(f.to_pairs()) for key, f in factors.items()}
-    return _JSONText(
-        "["
-        + ", ".join(
-            f'{{"rows": {json.dumps(box.source.rows)}, '
-            f'"columns": {json.dumps(box.source.columns)}, '
-            f'"factors": [{", ".join([text[id(f)] for f in box.factors])}]}}'
-            for box in result.boxes
-        )
-        + "]"
+    sources = {id(box.source.rows): box.source.rows for box in boxes}
+    rows = {key: json.dumps(r) for key, r in sources.items()}
+    # tuples of plain ints, whose text as a list is their JSON text
+    columns = [str(list(box.source.columns)) for box in boxes]
+    boxes_text = ", ".join(
+        [
+            f'{{"rows": {rows[id(box.source.rows)]}, "columns": {cols}, '
+            f'"factors": [{", ".join(map(text.__getitem__, map(id, box.factors)))}]}}'
+            for box, cols in zip(boxes, columns)
+        ]
     )
+    if not candidates:
+        return _JSONText(f"[{boxes_text}]"), None
+    endpoints = {id(x): x for f in factors.values() for piece in f.pieces for x in piece}
+    coords = {key: json.dumps(x) for key, x in endpoints.items()}
+    # one encoder call for all values; no JSON number holds ", "
+    values = json.dumps([c.value for c in candidates])[1:-1].split(", ")
+    candidates_text = ", ".join(
+        [
+            f'{{"columns": {cols}, '
+            f'"point": [{", ".join(map(coords.__getitem__, map(id, c.point)))}], '
+            f'"value": {value}}}'
+            for cols, c, value in zip(columns, candidates, values, strict=True)
+        ]
+    )
+    return _JSONText(f"[{boxes_text}]"), _JSONText(f"[{candidates_text}]")
 
 
-def _region_report(result: RegionResult) -> dict:
+def _region_report(result: RegionResult, candidates: Sequence[Candidate] = ()) -> dict:
+    """The region report, with ``candidates`` after ``boxes`` when some are
+    given."""
     report: dict[str, Any] = {
         "status": "feasible" if result.is_feasible else "infeasible",
         "verdict": _verdict_dict(result),
@@ -172,7 +209,9 @@ def _region_report(result: RegionResult) -> dict:
         report["reduction"] = _reduction_dict(result.reduction, explain=False)
         report["count_bound"] = count_bound(result.analysis, result.reduction)
     report["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
-    report["boxes"] = _boxes_json(result)
+    report["boxes"], candidates_text = _report_json(result, candidates)
+    if candidates_text is not None:
+        report["candidates"] = candidates_text
     return report
 
 
@@ -302,14 +341,10 @@ def solve(problem, tol, max_e, no_simplify) -> None:
         if objective is None:
             raise ProblemFormatError("problem file has no objective; 'solve' needs one")
         result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
-        out = _region_report(result)
         if not result.is_feasible:
-            return out, EXIT_INFEASIBLE
+            return _region_report(result), EXIT_INFEASIBLE
         best, candidates = global_optimum(result.boxes, objective)
-        out["candidates"] = [
-            {"columns": list(c.source.columns), "point": list(c.point), "value": c.value}
-            for c in candidates
-        ]
+        out = _region_report(result, candidates)
         out["best"] = {
             "columns": list(best.source.columns),
             "point": list(best.point),

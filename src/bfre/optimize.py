@@ -73,14 +73,25 @@ class Candidate:
     value: float
 
 
+def _corner_ends(objective: MonotoneObjective) -> tuple[int, ...]:
+    """The end of its factor each coordinate of an optimal corner takes.
+
+    Entry j is an index e with ``f.pieces[e][e]`` the coordinate: 0, the
+    factor minimum, on non-decreasing coordinates and -1, the factor
+    maximum, on non-increasing ones.
+    """
+    return tuple(0 if j in objective.j_plus else -1 for j in range(objective.n))
+
+
+def _candidate(box: FeasibleBox, ends: Sequence[int], fn: Callable) -> Candidate:
+    point = tuple([f.pieces[e][e] for f, e in zip(box.factors, ends)])
+    return Candidate(box.source, point, fn(point))
+
+
 def local_candidate(box: FeasibleBox, objective: MonotoneObjective) -> Candidate:
     """Optimal corner of one box: factor minimum on non-decreasing
     coordinates, factor maximum on non-increasing ones."""
-    point = tuple(
-        f.min_elem() if j in objective.j_plus else f.max_elem()
-        for j, f in enumerate(box.factors)
-    )
-    return Candidate(box.source, point, objective(point))
+    return _candidate(box, _corner_ends(objective), objective.fn)
 
 
 def global_optimum(
@@ -90,11 +101,13 @@ def global_optimum(
 
     Each candidate is optimal on its own box, so the smallest value is the
     global optimum of the whole region.  Ties break toward the
-    lexicographically smallest generating assignment.
+    lexicographically smallest generating assignment.  The corner ends are
+    chosen once per objective, not once per box.
     """
     if not boxes:
         raise InfeasibleError("no boxes: the region is empty")
-    candidates = [local_candidate(box, objective) for box in boxes]
+    ends, fn = _corner_ends(objective), objective.fn
+    candidates = [_candidate(box, ends, fn) for box in boxes]
     best = min(candidates, key=lambda c: (c.value, c.source.columns))
     return best, candidates
 
@@ -337,19 +350,23 @@ def check_monotone(objective: MonotoneObjective, seed: int = 0) -> list[ProbeVio
 
     Samples 256 points and single-coordinate increases and records every
     violation beyond 1e-9.  Advisory only: an empty report is evidence, not
-    a proof.
+    a proof.  Each probe bumps one coordinate of its point in place and puts
+    it back, so the evaluator must not keep the list it is given.
     """
     rng = random.Random(seed)
+    draw, fn, n = rng.random, objective.fn, objective.n
     violations = []
     for _ in range(256):
-        x = [rng.random() for _ in range(objective.n)]
-        j = rng.randrange(objective.n)
-        delta = rng.uniform(0.01, 0.5) * (1.0 - x[j])
+        x = [draw() for _ in range(n)]
+        j = rng.randrange(n)
+        xj = x[j]
+        delta = rng.uniform(0.01, 0.5) * (1.0 - xj)
         if delta <= 0.0:
             continue
-        bumped = list(x)
-        bumped[j] = x[j] + delta
-        before, after = objective(x), objective(bumped)
+        before = fn(x)
+        x[j] = xj + delta
+        after = fn(x)
+        x[j] = xj
         bad_plus = j in objective.j_plus and after < before - 1e-9
         bad_minus = j in objective.j_minus and after > before + 1e-9
         if bad_plus or bad_minus:

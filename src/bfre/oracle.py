@@ -9,6 +9,14 @@ lost their float witness (ROADMAP item 2 moves the oracle onto ``residual``).
 The grid contains every interval endpoint appearing in the analysis, so every
 corner candidate the optimizer can produce is itself a grid point.
 
+Long grid columns are lazy: such a column keeps runs of tick indices and
+its few explicit values, and answers ``len`` and indexing by bisection.  A
+seeded sample reads one value per column and point, so however fine the
+step, the cost of a check follows the number of points checked, which
+``cap`` bounds.  Columns with few ticks are plain lists, which are cheaper
+to build and to index, and a sample copies lazy columns into lists when
+the copies stay within ``cap`` or about a million values.
+
 Box-union membership runs through a per-column index of the distinct box
 factors, so its cost grows with the distinct factors rather than with
 boxes x points.
@@ -21,10 +29,11 @@ objective, takes the brute-force minimum in the same loop.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .optimize import MonotoneObjective
 from .resolution import FeasibleBox, ResourceLimitError
@@ -43,7 +52,20 @@ __all__ = [
 DEFAULT_GRID_CAP = 2_000_000
 
 
-def _dedup_sorted(values: list[float], tol: float = 1e-12) -> list[float]:
+#: A grid value at most this far above the previous kept one is dropped.
+_MERGE_TOL = 1e-12
+
+#: Columns with at most this many ticks are built as sorted lists, which
+#: are cheaper to build and to index (a seeded sample indexes every column
+#: once per point); finer columns are lazy.
+_LIST_MAX = 4096
+
+#: A sample may copy lazy columns into lists up to this many values in all
+#: (about 32 MB), or up to its cap when that is larger.
+_COPY_MAX = 1 << 20
+
+
+def _dedup_sorted(values: list[float], tol: float = _MERGE_TOL) -> list[float]:
     out: list[float] = []
     for v in sorted(values):
         if not out or v - out[-1] > tol:
@@ -51,37 +73,124 @@ def _dedup_sorted(values: list[float], tol: float = 1e-12) -> list[float]:
     return out
 
 
-def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[list[float]]:
-    """Per-column sorted value lists: every endpoint of every set touching
-    the column, plus multiples of step in [0, 1].  A step below
-    1 / DEFAULT_GRID_CAP raises ``ResourceLimitError``."""
+class _GridColumn(Sequence[float]):
+    """The sorted values of one grid column, without a list of its ticks.
+
+    ``parts`` are runs of tick indices (a ``range``; the value of index k is
+    ``k * step``) and tuples of values, in ascending order.  Length and
+    indexing cost a bisection over the parts, never a tick list, so a fine
+    step costs no memory until the grid is walked.
+    """
+
+    __slots__ = ("_step", "_parts", "_starts", "_len")
+
+    def __init__(self, step: float, parts: Sequence[range | tuple[float, ...]]) -> None:
+        self._step = step
+        self._parts = tuple(parts)
+        self._starts = list(itertools.accumulate(map(len, self._parts), initial=0))
+        self._len = self._starts.pop()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> float:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("grid column index out of range")
+        p = bisect.bisect_right(self._starts, i) - 1
+        part = self._parts[p]
+        value = part[i - self._starts[p]]
+        return value * self._step if isinstance(part, range) else value
+
+    def __iter__(self):
+        step = self._step
+        for part in self._parts:
+            if isinstance(part, range):
+                yield from (k * step for k in part)
+            else:
+                yield from part
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
+    """The sorted ticks ``k * step`` (k = 0 .. last) and 1.0 merged with the
+    endpoints, all clipped to [0, 1]; a value within _MERGE_TOL above the
+    previous kept one is dropped.
+
+    With more than _LIST_MAX ticks the column is a lazy ``_GridColumn``.
+    Ticks below ``last`` lie in [0, 1) and more than _MERGE_TOL apart, so
+    between two explicit values they form one run, of which only the first
+    can fall within the tolerance.  Tick ``last`` and 1.0 are clipped and
+    may coincide, so they join the explicit values.
+    """
+    explicit = [min(1.0, max(0.0, v)) for v in endpoints]
+    explicit += [min(1.0, max(0.0, last * step)), 1.0]
+    if last <= _LIST_MAX:
+        return _dedup_sorted(explicit + [k * step for k in range(last)])
+    ticks = range(last)
+    parts: list[range | tuple[float, ...]] = []
+    kept: float | None = None
+    k = 0
+    for v in sorted(explicit):
+        # the ticks below v come first in the merged order
+        j = bisect.bisect_left(ticks, v, lo=k, key=step.__rmul__)
+        if k < j and kept is not None and k * step - kept <= _MERGE_TOL:
+            k += 1
+        if k < j:
+            parts.append(range(k, j))
+            kept = (j - 1) * step
+        k = j
+        if kept is None or v - kept > _MERGE_TOL:
+            parts.append((v,))
+            kept = v
+    return _GridColumn(step, parts)
+
+
+def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]]:
+    """Per-column sorted values: every endpoint of every set touching the
+    column, plus multiples of step in [0, 1], merged within 1e-12.  A
+    column with more than _LIST_MAX ticks is a lazy ``_GridColumn``, any
+    other a list.  A step below 1 / DEFAULT_GRID_CAP raises
+    ``ResourceLimitError``."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     if 1.0 / step > DEFAULT_GRID_CAP:
         raise ResourceLimitError(f"grid step {step!r} is finer than 1/{DEFAULT_GRID_CAP}")
-    ticks = [k * step for k in range(int(1.0 / step) + 1)] + [1.0]
+    last = int(1.0 / step)
     grid = []
     for j in range(analysis.n):
-        values = list(ticks)
-        values.extend(analysis.col_bounds[j].endpoints())
+        values = analysis.col_bounds[j].endpoints()
         for i in range(analysis.m):
             values.extend(analysis.relaxed[i][j].endpoints())
             values.extend(analysis.exact[i][j].endpoints())
             values.extend(analysis.restricted[i][j].endpoints())
-        grid.append(_dedup_sorted([min(1.0, max(0.0, v)) for v in values]))
+        grid.append(_column(values, step, last))
     return grid
 
 
 def _iter_grid(grid: Sequence[Sequence[float]], cap: int, seed: int):
     """Deterministic iterator over the grid: exhaustive when the Cartesian
-    size fits the cap, seeded uniform subsampling otherwise."""
+    size fits the cap, seeded uniform subsampling otherwise.
+
+    The sample draws ``cap`` values from every column, and a list indexes
+    faster than a lazy column.  So a column is copied into a list first when
+    all columns that short together hold at most ``cap`` or _COPY_MAX
+    values: the copies cost no more than the points drawn, or little memory.
+    """
     total = 1
     for col in grid:
         total *= len(col)
     if total <= cap:
         return total, False, itertools.product(*grid)
+    short = max(cap, _COPY_MAX) // len(grid)
+    columns = [list(col) if len(col) <= short else col for col in grid]
     choice = random.Random(seed).choice
-    points = (tuple(map(choice, grid)) for _ in range(cap))
+    points = (tuple(map(choice, columns)) for _ in range(cap))
     return total, True, points
 
 

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from bfre.cli import main, parse_problem, problem_from_dict
-from bfre.optimize import global_optimum
+from bfre.optimize import global_optimum, local_candidate
 from bfre.resolution import count_bound, feasible_region
 
 from conftest import random_system
@@ -229,29 +229,14 @@ def test_report_determinism(runner):
     assert first.output == second.output
 
 
-def test_report_is_one_line_of_plain_json(tmp_path, runner):
-    # 4x6 product system whose 35 boxes share factor objects, several
-    # distinct ones per column, so a report must encode each box's own
-    rng = random.Random(68)
-    system = random_system(rng, 5, 6, kind="product", force_feasible=True)
-    c = [1.0, -2.0, 0.5, -1.0, 3.0, -0.5]
-    path = tmp_path / "shared.json"
-    path.write_text(
-        json.dumps(
-            {
-                "m": system.m,
-                "n": system.n,
-                "a_plus": system.a_plus,
-                "a_minus": system.a_minus,
-                "b": system.b,
-                "tnorm": {"name": system.tnorm.kind, "param": system.tnorm.param},
-                "objective": {"name": "linear", "params": {"c": c}},
-            }
-        )
-    )
+def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):
+    """``feasible`` and ``solve`` print exactly ``json.dumps`` of the report
+    built from the library's results, and every candidate is its box's
+    ``local_candidate``."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
     system, objective = parse_problem(str(path))
     result = feasible_region(system)
-    assert len(result.boxes) >= 20
     state = result.reduction
     expected = {
         "status": "feasible",
@@ -273,6 +258,7 @@ def test_report_is_one_line_of_plain_json(tmp_path, runner):
         ],
     }
     best, candidates = global_optimum(result.boxes, objective)
+    assert candidates == [local_candidate(box, objective) for box in result.boxes]
     expected_solve = {
         **expected,
         "candidates": [
@@ -285,11 +271,57 @@ def test_report_is_one_line_of_plain_json(tmp_path, runner):
             "value": best.value,
         },
     }
+    outputs = []
     for command, report in (("feasible", expected), ("solve", expected_solve)):
         out = invoke(runner, command, str(path)).stdout
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == report
         assert out == json.dumps(report) + "\n"  # same key order as well
+        outputs.append(out)
+    return result, candidates, outputs
+
+
+def test_report_is_one_line_of_plain_json(tmp_path, runner):
+    # 4x6 product system whose 35 boxes share factor objects, several
+    # distinct ones per column, so a report must encode each box's own
+    # factors and corner coordinates
+    rng = random.Random(68)
+    system = random_system(rng, 5, 6, kind="product", force_feasible=True)
+    c = [1.0, -2.0, 0.5, -1.0, 3.0, -0.5]
+    problem = {
+        "m": system.m,
+        "n": system.n,
+        "a_plus": system.a_plus,
+        "a_minus": system.a_minus,
+        "b": system.b,
+        "tnorm": {"name": system.tnorm.kind, "param": system.tnorm.param},
+        "objective": {"name": "linear", "params": {"c": c}},
+    }
+    result, _, _ = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
+    assert len(result.boxes) >= 20
+
+
+def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
+    # Rows 0 and 1 fix x0 = x1 = 0.5, so every box has singleton factors
+    # there.  Row 2 has two witnesses, x2 = 4/9 or x3 = 0.  Perspective
+    # takes the high end of x3: 1.0 in the first box, 0.0 in the second,
+    # whose value is then inf.
+    problem = {
+        "m": 3,
+        "n": 4,
+        "a_plus": [[0.5, 0, 0, 0], [0, 1.0, 0.8, 0], [0, 0, 0.9, 0]],
+        "a_minus": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.4]],
+        "b": [0.25, 0.5, 0.4],
+        "tnorm": {"name": "product"},
+        "objective": {"name": "perspective", "params": {"p": 2}},
+    }
+    result, candidates, (_, solved) = _assert_reports_encode_like_json_dumps(
+        tmp_path, runner, problem
+    )
+    assert result.reduction.fixed == {0: 0.5, 1: 0.5}
+    assert [k.point[3] for k in candidates] == [1.0, 0.0]
+    assert [k.value for k in candidates] == [pytest.approx(0.6975308641975309), math.inf]
+    assert '"value": Infinity}' in solved
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,7 @@ from bfre import (
     is_feasible_point,
     objective_catalog,
 )
+from bfre import oracle
 from bfre.oracle import DEFAULT_GRID_CAP
 from conftest import LINEAR_C, random_system
 
@@ -42,6 +45,132 @@ def test_breakpoint_grid_on_unconstrained_column():
     assert grid[0] == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError):
         breakpoint_grid(res.analysis, step=0.0)
+
+
+def _eager_grid(analysis, step):
+    """The grid built the eager way: every tick and endpoint in one sorted
+    list per column, then a value kept when it lies more than 1e-12 above
+    the last kept one."""
+    ticks = [k * step for k in range(int(1.0 / step) + 1)] + [1.0]
+    grid = []
+    for j in range(analysis.n):
+        values = list(ticks)
+        values.extend(analysis.col_bounds[j].endpoints())
+        for i in range(analysis.m):
+            for sets in (analysis.relaxed, analysis.exact, analysis.restricted):
+                values.extend(sets[i][j].endpoints())
+        out = []
+        for v in sorted(min(1.0, max(0.0, v)) for v in values):
+            if not out or v - out[-1] > 1e-12:
+                out.append(v)
+        grid.append(out)
+    return grid
+
+
+def _assert_same_columns(grid, reference):
+    assert len(grid) == len(reference)
+    for col, ref in zip(grid, reference):
+        # repr tells 0.0 from -0.0, which == does not
+        assert list(map(repr, col)) == list(map(repr, ref))
+        assert len(col) == len(ref)
+        assert [col[i] for i in range(len(col))] == ref
+        assert col[-1] == ref[-1] and col[-len(ref)] == ref[0]
+        assert col == ref
+        with pytest.raises(IndexError):
+            col[len(ref)]
+
+
+@pytest.fixture(params=["lazy", "lists"])
+def column_kind(request, monkeypatch):
+    """Build every grid column lazily, or keep short columns as lists."""
+    if request.param == "lazy":
+        monkeypatch.setattr(oracle, "_LIST_MAX", -1)
+    return request.param
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.1])
+def test_lazy_grid_matches_eager_grid(step, column_kind):
+    rng = random.Random(41)
+    for _ in range(40):
+        res = feasible_region(random_system(rng, max_m=3, max_n=4))
+        grid = breakpoint_grid(res.analysis, step)
+        assert all(isinstance(col, list) == (column_kind == "lists") for col in grid)
+        _assert_same_columns(grid, _eager_grid(res.analysis, step))
+
+
+def test_lazy_grid_merges_near_ticks_like_eager_grid(column_kind):
+    # Endpoints on, just above and just below ticks, chains closer than the
+    # 1e-12 merge distance, and values outside [0, 1]; steps whose last
+    # tick falls below, on or above 1.
+    rng = random.Random(5)
+    steps = [1.0, 2.0, 0.5, 0.3, 1 / 3, 0.1, 0.07, 0.01, 0.7]
+    steps += [rng.uniform(0.001, 0.2) for _ in range(30)]
+    for step in steps:
+        last = int(1.0 / step)
+        for _ in range(6):
+            values = [-0.1, 1.2, 0.0, 1.0, 1.0 - 5e-13, 5e-13, last * step]
+            for _ in range(12):
+                v = rng.randint(0, last) * step + rng.choice(
+                    [0.0, 0.0, 4e-13, -4e-13, 1.5e-12, -1.5e-12, rng.random() * step]
+                )
+                values += [v, v, v + 6e-13, v + 1.2e-12]
+            rng.shuffle(values)
+            pieces = tuple(zip(values[::2], values[1::2]))
+            column = IntervalUnion(pieces)  # endpoints exactly as given
+            empty = IntervalUnion(())
+            analysis = SimpleNamespace(
+                m=1,
+                n=2,
+                col_bounds=[column, empty],
+                relaxed=[[empty, column]],
+                exact=[[column, empty]],
+                restricted=[[empty, empty]],
+            )
+            grid = breakpoint_grid(analysis, step)
+            _assert_same_columns(grid, _eager_grid(analysis, step))
+
+
+def test_fine_grid_allocates_no_tick_lists(example_region):
+    # At step 5.1e-7 a column has about two million ticks; as a list of
+    # floats each column would take over 60 MB.
+    tracemalloc.start()
+    try:
+        grid = breakpoint_grid(example_region.analysis, step=5.1e-7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert all(len(col) > 1_960_000 for col in grid)
+    rng = random.Random(2)
+    for col in grid:
+        assert col[0] == 0.0 and col[-1] == 1.0
+        for i in rng.sample(range(len(col) - 1), 200):
+            assert col[i] + 1e-12 < col[i + 1]
+
+
+def test_sampled_walk_draws_the_same_points_from_lazy_columns(monkeypatch):
+    # At step 1e-4 both columns are lazy, with over 10,000 values each.  With
+    # no copy budget of its own, cap 50 draws from them as they are and cap
+    # 30,000 copies them into lists first.  Either way the walk must see
+    # exactly the points that a grid of plain lists gives.
+    monkeypatch.setattr(oracle, "_COPY_MAX", 0)
+    sys_ = BipolarSystem([[0.5, 0.8]], [[0.2, 0.4]], [0.4], TNormSpec("product"))
+    res = feasible_region(sys_)
+    obj = objective_catalog("linear", 2, {"c": [1.0, -1.0]})
+    grid = breakpoint_grid(res.analysis, step=1e-4)
+    assert all(isinstance(col, oracle._GridColumn) for col in grid)
+    lists = [list(col) for col in grid]
+    for cap in (50, 30_000):
+        lazy = grid_membership_check(res.analysis, res.boxes, grid, cap, 4, obj)
+        eager = grid_membership_check(res.analysis, res.boxes, lists, cap, 4, obj)
+        assert lazy.sampled and lazy.checked == cap
+        assert lazy == eager
+        # the region is three segments: the small sample misses them
+        assert (lazy.best_value is not None) == (cap > 50)
+        assert brute_force_min(res.analysis, obj, grid, cap, 4) == (
+            lazy.best_point,
+            lazy.best_value,
+        )
 
 
 def test_membership_check_exhaustive_small():
