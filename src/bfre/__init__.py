@@ -28,11 +28,12 @@ from .resolution import (
     feasible_region,
     solution_box,
 )
-from .simplify import ReductionState, RuleEvent, is_feasible_point, simplify_to_fixpoint
+from .simplify import ReductionState, RuleEvent, simplify_to_fixpoint
 from .system import (
     BipolarSystem,
     CellAnalysis,
     FeasibilityVerdict,
+    is_feasible_point,
     necessary_feasibility,
     residual,
 )

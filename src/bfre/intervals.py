@@ -133,11 +133,6 @@ class IntervalUnion:
             raise ValueError("empty interval union has no maximum")
         return self.pieces[-1][1]
 
-    @property
-    def width(self) -> float:
-        """Total measure: sum of piece lengths (singletons contribute 0)."""
-        return sum(hi - lo for lo, hi in self.pieces)
-
     def endpoints(self) -> list[float]:
         out: list[float] = []
         for lo, hi in self.pieces:

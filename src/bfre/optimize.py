@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .resolution import AdmissibleFunction, FeasibleBox
@@ -49,7 +49,6 @@ class MonotoneObjective:
     j_plus: frozenset[int]
     j_minus: frozenset[int]
     fn: Callable[[Sequence[float]], float]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         everything = frozenset(range(self.n))
@@ -178,7 +177,7 @@ def _build_linear(n: int, params: dict):
         return sum(map(operator.mul, c, x))
 
     j_plus = frozenset(j for j, cj in enumerate(c) if cj >= 0.0)
-    return fn, j_plus, frozenset(range(n)) - j_plus, {"c": c}
+    return fn, j_plus, frozenset(range(n)) - j_plus
 
 
 def _build_simplex_support(n: int, params: dict):
@@ -186,7 +185,7 @@ def _build_simplex_support(n: int, params: dict):
     def fn(x):
         return max(0.0, max(x))
 
-    return fn, frozenset(range(n)), frozenset(), {}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_perspective(n: int, params: dict):
@@ -203,14 +202,14 @@ def _build_perspective(n: int, params: dict):
             return 0.0 if num == 0.0 else math.inf
         return num / den
 
-    return fn, frozenset(range(n - 1)), frozenset({n - 1}), {"p": p}
+    return fn, frozenset(range(n - 1)), frozenset({n - 1})
 
 
 def _build_max(n: int, params: dict):
     def fn(x):
         return max(x)
 
-    return fn, frozenset(range(n)), frozenset(), {}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_geometric_mean(n: int, params: dict):
@@ -220,14 +219,14 @@ def _build_geometric_mean(n: int, params: dict):
             prod *= xj
         return prod ** (1.0 / n)
 
-    return fn, frozenset(range(n)), frozenset(), {}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_log_sum_exp(n: int, params: dict):
     def fn(x):
         return math.log(sum(math.exp(xj) for xj in x))
 
-    return fn, frozenset(range(n)), frozenset(), {}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_p_norm(n: int, params: dict):
@@ -238,7 +237,7 @@ def _build_p_norm(n: int, params: dict):
     def fn(x):
         return sum(abs(xj) ** p for xj in x) ** (1.0 / p)
 
-    return fn, frozenset(range(n)), frozenset(), {"p": p}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_frobenius(n: int, params: dict):
@@ -248,7 +247,7 @@ def _build_frobenius(n: int, params: dict):
     def fn(x):
         return math.sqrt(sum(xj * xj for xj in x))
 
-    return fn, frozenset(range(n)), frozenset(), {}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_sum_largest(n: int, params: dict):
@@ -259,7 +258,7 @@ def _build_sum_largest(n: int, params: dict):
     def fn(x):
         return sum(sorted(x, reverse=True)[:r])
 
-    return fn, frozenset(range(n)), frozenset(), {"r": r}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_max_eigenvalue(n: int, params: dict):
@@ -274,7 +273,7 @@ def _build_max_eigenvalue(n: int, params: dict):
         ]
         return jacobi_eigenvalues(m)[-1]
 
-    return fn, frozenset(range(n)), frozenset(), {}
+    return fn, frozenset(range(n)), frozenset()
 
 
 def _build_sum_log(n: int, params: dict):
@@ -287,7 +286,7 @@ def _build_sum_log(n: int, params: dict):
     def fn(x):
         return sum(math.log(aj + xj) for aj, xj in zip(alpha, x))
 
-    return fn, frozenset(range(n)), frozenset(), {"alpha": alpha}
+    return fn, frozenset(range(n)), frozenset()
 
 
 _BUILDERS = {
@@ -323,12 +322,12 @@ def objective_catalog(
         raise ValueError(
             f"unknown objective {name!r}; expected one of {', '.join(OBJECTIVE_NAMES)}"
         )
-    fn, plus, minus, kept = _BUILDERS[name](n, params or {})
+    fn, plus, minus = _BUILDERS[name](n, params or {})
     if (j_plus is None) != (j_minus is None):
         raise ValueError("override j_plus and j_minus together or not at all")
     if j_plus is not None and j_minus is not None:
         plus, minus = frozenset(j_plus), frozenset(j_minus)
-    return MonotoneObjective(name, n, plus, minus, fn, kept)
+    return MonotoneObjective(name, n, plus, minus, fn)
 
 
 # -- monotonicity probing ----------------------------------------------------

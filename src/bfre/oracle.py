@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 from .optimize import MonotoneObjective
 from .resolution import FeasibleBox, ResourceLimitError
-from .simplify import is_feasible_point
-from .system import CellAnalysis
+from .system import CellAnalysis, is_feasible_point
 
 __all__ = [
     "GridReport",

@@ -12,16 +12,14 @@ admit points that violate the deleted equations, so it is never done.  For
 the same reason a deleted column is never cited by a later rule application:
 witness columns are always drawn from the currently active set.
 
-``is_feasible_point`` is the one point-membership test, for the original
-system and for any reduction state of it.
+The audit log is the only record of change: a rule changes the state
+exactly when it deletes a row or fixes a column, and both append an event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
 
-from .intervals import IntervalUnion
 from .system import CellAnalysis
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "apply_rule4",
     "apply_rule5",
     "simplify_to_fixpoint",
-    "is_feasible_point",
 ]
 
 
@@ -49,16 +46,10 @@ class RuleEvent:
     why: str = ""
 
     def to_dict(self) -> dict:
-        out: dict = {"rule": self.rule, "action": self.action}
-        if self.row is not None:
-            out["row"] = self.row
-        if self.col is not None:
-            out["col"] = self.col
-        if self.value is not None:
-            out["value"] = self.value
-        if self.why:
-            out["why"] = self.why
-        return out
+        """The fields in declaration order, without the unset ones."""
+        return {
+            f.name: v for f in fields(self) if (v := getattr(self, f.name)) not in (None, "")
+        }
 
 
 @dataclass
@@ -98,24 +89,20 @@ class ReductionState:
                 self.drop_row(i, rule, f"x[{j}] = {value:.12g} witnesses equation {i}")
 
 
-def apply_rule1(state: ReductionState, analysis: CellAnalysis) -> bool:
+def apply_rule1(state: ReductionState, analysis: CellAnalysis) -> None:
     """Equations with zero right-hand side are redundant: delete them."""
-    changed = False
     for i in list(state.active_rows):
         if analysis.system.b[i] == 0.0:
             state.drop_row(i, 1, f"b[{i}] = 0")
-            changed = True
-    return changed
 
 
-def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> bool:
+def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> None:
     """Singleton column bounds pin their variable.
 
     When a column bound collapses to a point k, every feasible solution has
     x_j = k; the column is resolved, and every equation whose restricted set
     at j contains k is already satisfied and can be deleted.
     """
-    changed = False
     for j in list(state.active_cols):
         col = analysis.col_bounds[j]
         if not col.is_singleton:
@@ -124,8 +111,6 @@ def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> bool:
         state.fix_col(
             analysis, j, k, 2, f"column bound {j} is the single point {k:.12g}"
         )
-        changed = True
-    return changed
 
 
 def _dominating_row(state: ReductionState, analysis: CellAnalysis, i0: int) -> int | None:
@@ -152,7 +137,7 @@ def _dominating_row(state: ReductionState, analysis: CellAnalysis, i0: int) -> i
     return None
 
 
-def apply_rule3(state: ReductionState, analysis: CellAnalysis) -> bool:
+def apply_rule3(state: ReductionState, analysis: CellAnalysis) -> None:
     """Delete equations dominated by another equation.
 
     If some row i has restricted sets contained in row i0's everywhere, any
@@ -163,23 +148,19 @@ def apply_rule3(state: ReductionState, analysis: CellAnalysis) -> bool:
     alone and a deletion only removes candidate witnesses, so a row not
     dominated when visited cannot become dominated later.
     """
-    changed = False
     for i0 in list(state.active_rows):
         i = _dominating_row(state, analysis, i0)
         if i is not None:
             state.drop_row(i0, 3, f"restricted sets of row {i} contained in row {i0}'s")
-            changed = True
-    return changed
 
 
-def apply_rule4(state: ReductionState, analysis: CellAnalysis) -> bool:
+def apply_rule4(state: ReductionState, analysis: CellAnalysis) -> None:
     """Equations with a single witness column holding a single point pin it.
 
     If equation i0 can only be witnessed at column j0 and the restricted set
     there is the point k, feasibility forces x_j0 = k; fix it, resolve the
     column, and delete every equation witnessed by k at j0.
     """
-    changed = False
     for i0 in list(state.active_rows):
         if i0 not in state.active_rows:
             continue
@@ -194,17 +175,14 @@ def apply_rule4(state: ReductionState, analysis: CellAnalysis) -> bool:
         state.fix_col(
             analysis, j0, k, 4, f"equation {i0} forces x[{j0}] = {k:.12g} (only witness)"
         )
-        changed = True
-    return changed
 
 
-def apply_rule5(state: ReductionState, analysis: CellAnalysis) -> bool:
+def apply_rule5(state: ReductionState, analysis: CellAnalysis) -> None:
     """Delete equations whose restricted set fills an entire column bound.
 
     Such an equation is witnessed by every admissible value of that variable
     and constrains nothing.
     """
-    changed = False
     for i0 in list(state.active_rows):
         for j0 in state.active_cols:
             col = analysis.col_bounds[j0]
@@ -214,58 +192,23 @@ def apply_rule5(state: ReductionState, analysis: CellAnalysis) -> bool:
                 state.drop_row(
                     i0, 5, f"restricted set at ({i0}, {j0}) equals column bound {j0}"
                 )
-                changed = True
                 break
-    return changed
 
 
 _RULES = (apply_rule1, apply_rule2, apply_rule3, apply_rule4, apply_rule5)
 
 
 def simplify_to_fixpoint(analysis: CellAnalysis) -> ReductionState:
-    """Apply the rules in the cycle 1..5 until a full cycle changes nothing.
+    """Apply the rules in the cycle 1..5 until a full cycle appends nothing
+    to the log.
 
     Every change strictly shrinks the active index sets, so the loop runs at
     most m + n cycles.  The log is deterministic for a given input.
     """
     state = ReductionState.initial(analysis)
     while True:
-        changed = False
+        logged = len(state.log)
         for rule in _RULES:
-            if rule(state, analysis):
-                changed = True
-        if not changed:
+            rule(state, analysis)
+        if len(state.log) == logged:
             return state
-
-
-def is_feasible_point(
-    analysis: CellAnalysis,
-    x: Sequence[float],
-    state: ReductionState | None = None,
-    eps: float | None = None,
-) -> bool:
-    """Exact membership test: x solves every equation of the system iff
-
-    (I)  x_j lies in every column bound, and
-    (II) every equation has a witness column j with x_j in restricted[i][j].
-
-    Given a reduction state, the test runs on the reduced problem: the fixed
-    coordinates must match, and only the active rows and columns count.
-    Without one it runs on the initial state, that is the whole system.
-    """
-    if len(x) != analysis.n:
-        raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
-    cols, witnesses = enumerate(analysis.col_bounds), enumerate(analysis.row_support)
-    if state is not None:
-        for j, k in state.fixed.items():
-            if not IntervalUnion.point(k).contains(x[j], eps):
-                return False
-        cols = ((j, analysis.col_bounds[j]) for j in state.active_cols)
-        witnesses = ((i, state.row_candidates(analysis, i)) for i in state.active_rows)
-    if not all(col.contains(x[j], eps) for j, col in cols):
-        return False
-    restricted = analysis.restricted
-    return all(
-        any(restricted[i][j].contains(x[j], eps) for j in support)
-        for i, support in witnesses
-    )

@@ -12,6 +12,10 @@ assignment enumeration, box assembly, the membership test -- reads these
 cached sets.  They are cut out by the endpoints of the cell's two literals:
 phi(a+, x) = b_i holds on [l+, u+], and phi(a-, 1 - x) = b_i on
 [1 - u-, 1 - l-], so one scalar solver serves both polarities.
+
+``is_feasible_point`` is the one point-membership test.  It always tests
+the whole system: the reduction rules preserve the feasible region, so a
+reduction shows only in the boxes it leads to.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "BipolarSystem",
     "CellAnalysis",
     "FeasibilityVerdict",
+    "is_feasible_point",
     "necessary_feasibility",
     "residual",
 ]
@@ -175,6 +180,25 @@ def necessary_feasibility(analysis: CellAnalysis) -> FeasibilityVerdict:
         if not support:
             return FeasibilityVerdict("empty_row", i)
     return FeasibilityVerdict("ok")
+
+
+def is_feasible_point(
+    analysis: CellAnalysis, x: Sequence[float], *, eps: float | None = None
+) -> bool:
+    """Exact membership test: x solves every equation of the system iff
+
+    (I)  x_j lies in every column bound, and
+    (II) every equation has a witness column j with x_j in restricted[i][j].
+    """
+    if len(x) != analysis.n:
+        raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
+    if not all(col.contains(xj, eps) for col, xj in zip(analysis.col_bounds, x)):
+        return False
+    restricted = analysis.restricted
+    return all(
+        any(restricted[i][j].contains(x[j], eps) for j in support)
+        for i, support in enumerate(analysis.row_support)
+    )
 
 
 def residual(system: BipolarSystem, x: Sequence[float], i: int) -> float:

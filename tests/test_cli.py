@@ -15,6 +15,7 @@ from bfre.resolution import count_bound, feasible_region
 from conftest import random_system
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example_problem.json")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
 @pytest.fixture
@@ -46,7 +47,9 @@ def test_parse_field_exact():
     assert [list(row) for row in system.a_minus] == original["a_minus"]
     assert list(system.b) == original["b"]
     assert {"name": system.tnorm.kind, "param": system.tnorm.param} == original["tnorm"]
-    assert objective.params["c"] == original["objective"]["params"]["c"]
+    # a linear objective at the unit vectors reads back its coefficients
+    units = [[float(k == j) for k in range(system.n)] for j in range(system.n)]
+    assert [objective(e) for e in units] == original["objective"]["params"]["c"]
 
 
 @pytest.mark.parametrize(
@@ -227,6 +230,31 @@ def test_report_determinism(runner):
     first = invoke(runner, "feasible", DATA)
     second = invoke(runner, "feasible", DATA)
     assert first.output == second.output
+
+
+@pytest.mark.parametrize(
+    "args,expected,code",
+    [
+        pytest.param(["feasible"], "feasible.out", 0, id="feasible"),
+        pytest.param(["solve"], "solve.out", 0, id="solve"),
+        pytest.param(["simplify", "--explain"], "simplify_explain.out", 0, id="simplify"),
+        pytest.param(
+            ["feasible", "--no-simplify"], "feasible_no_simplify.out", 0, id="no-simplify"
+        ),
+        pytest.param(
+            ["verify", "--step", "0.25", "--cap", "2000"], "verify.out", 0, id="verify"
+        ),
+    ],
+)
+def test_golden_output(runner, args, expected, code):
+    # A 3x3 minimum-t-norm system: arithmetic only, so no libm rounding can
+    # move a digit.  Rules 3 and 4 fire, the reduced run keeps 2 of the
+    # unreduced run's 4 boxes, and the linear objective has a negative
+    # coefficient, so its corner takes a factor's high end.
+    result = invoke(runner, args[0], os.path.join(GOLDEN, "problem.json"), *args[1:])
+    with open(os.path.join(GOLDEN, expected), encoding="utf-8") as fh:
+        assert result.stdout == fh.read()
+    assert result.exit_code == code
 
 
 def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):

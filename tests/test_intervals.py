@@ -86,16 +86,11 @@ def test_min_max_elems():
     assert iu((0.8, 1.0)).min_elem() == 0.8
     assert iu((0.0, 0.2), (0.8, 1.0)).max_elem() == 1.0
     assert iu((0.75, 0.75)).min_elem() == 0.75
+    assert IntervalUnion.empty().is_empty
     with pytest.raises(ValueError):
         IntervalUnion.empty().min_elem()
     with pytest.raises(ValueError):
         IntervalUnion.empty().max_elem()
-
-
-def test_width():
-    assert IntervalUnion.empty().is_empty
-    assert iu((0.0, 0.3), (0.7, 0.7)).width == pytest.approx(0.3)
-    assert IntervalUnion.full().width == 1.0
 
 
 def test_issubset_and_approx_equals():

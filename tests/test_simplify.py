@@ -5,16 +5,23 @@ import random
 import pytest
 
 import tables
-from bfre import BipolarSystem, CellAnalysis, IntervalUnion, TNormSpec
+from bfre import (
+    BipolarSystem,
+    CellAnalysis,
+    IntervalUnion,
+    TNormSpec,
+    feasible_region,
+    is_feasible_point,
+)
 from bfre.oracle import breakpoint_grid
 from bfre.simplify import (
     ReductionState,
+    RuleEvent,
     apply_rule1,
     apply_rule2,
     apply_rule3,
     apply_rule4,
     apply_rule5,
-    is_feasible_point,
     simplify_to_fixpoint,
 )
 from bfre.system import necessary_feasibility
@@ -25,20 +32,27 @@ def analysis_of(a_plus, a_minus, b, tnorm=None):
     return CellAnalysis(BipolarSystem(a_plus, a_minus, b, tnorm or TNormSpec("minimum")))
 
 
+def fires(rule, state, an):
+    """Apply one rule; report whether it appended to the audit log."""
+    logged = len(state.log)
+    rule(state, an)
+    return len(state.log) > logged
+
+
 # -- rule 1 ---------------------------------------------------------------------
 
 
 def test_rule1_deletes_zero_rows():
     an = analysis_of([[0.5], [0.9]], [[0.0], [0.0]], [0.0, 0.5])
     state = ReductionState.initial(an)
-    assert apply_rule1(state, an)
+    assert fires(apply_rule1, state, an)
     assert state.active_rows == [1]
-    assert not apply_rule1(state, an)
+    assert not fires(apply_rule1, state, an)
 
 
 def test_rule1_example_has_no_zero_rows(example_analysis):
     state = ReductionState.initial(example_analysis)
-    assert not apply_rule1(state, example_analysis)
+    assert not fires(apply_rule1, state, example_analysis)
 
 
 def test_all_zero_rhs_leaves_product_of_column_bounds():
@@ -58,7 +72,7 @@ def test_all_zero_rhs_leaves_product_of_column_bounds():
 
 def test_rule2_on_example(example_analysis):
     state = ReductionState.initial(example_analysis)
-    assert apply_rule2(state, example_analysis)
+    assert fires(apply_rule2, state, example_analysis)
     assert state.fixed.keys() == {6}
     assert state.fixed[6] == pytest.approx(0.1)
     assert state.active_cols == [0, 1, 2, 3, 4, 5, 7, 8]
@@ -75,7 +89,7 @@ def test_rule2_keeps_rows_not_witnessed():
     )
     assert an.col_bounds[0].is_singleton
     state = ReductionState.initial(an)
-    assert apply_rule2(state, an)
+    assert fires(apply_rule2, state, an)
     assert state.fixed.keys() == {0}
     assert state.active_rows == [2]
     assert state.active_cols == [1]
@@ -87,7 +101,7 @@ def test_rule2_keeps_rows_not_witnessed():
 def test_rule3_deletes_dominated_row(example_analysis):
     state = ReductionState.initial(example_analysis)
     apply_rule2(state, example_analysis)
-    assert apply_rule3(state, example_analysis)
+    assert fires(apply_rule3, state, example_analysis)
     assert 0 not in state.active_rows  # row 4's sets sit inside row 0's
     assert 4 in state.active_rows
 
@@ -95,14 +109,14 @@ def test_rule3_deletes_dominated_row(example_analysis):
 def test_rule3_identical_rows_keep_smaller_index():
     an = analysis_of([[1.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
     state = ReductionState.initial(an)
-    assert apply_rule3(state, an)
+    assert fires(apply_rule3, state, an)
     assert state.active_rows == [0]
 
 
 def test_rule3_no_containment_no_change():
     an = analysis_of([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
     state = ReductionState.initial(an)
-    assert not apply_rule3(state, an)
+    assert not fires(apply_rule3, state, an)
 
 
 # -- rule 4 ---------------------------------------------------------------------
@@ -111,7 +125,7 @@ def test_rule3_no_containment_no_change():
 def test_rule4_single_witness_singleton():
     an = analysis_of([[1.0]], [[0.0]], [0.3])
     state = ReductionState.initial(an)
-    assert apply_rule4(state, an)
+    assert fires(apply_rule4, state, an)
     assert state.fixed[0] == pytest.approx(0.3)
     assert state.active_rows == []
     assert state.active_cols == []
@@ -120,14 +134,14 @@ def test_rule4_single_witness_singleton():
 def test_rule4_requires_singleton_set():
     an = analysis_of([[0.5]], [[0.0]], [0.5])  # restricted set [0.5, 1]
     state = ReductionState.initial(an)
-    assert not apply_rule4(state, an)
+    assert not fires(apply_rule4, state, an)
 
 
 def test_rule4_on_example_after_earlier_rules(example_analysis):
     state = ReductionState.initial(example_analysis)
     apply_rule2(state, example_analysis)
     apply_rule3(state, example_analysis)
-    assert apply_rule4(state, example_analysis)
+    assert fires(apply_rule4, state, example_analysis)
     assert state.fixed[4] == pytest.approx(0.75)
     assert 4 not in state.active_rows
 
@@ -137,7 +151,7 @@ def test_rule4_on_example_after_earlier_rules(example_analysis):
 
 def test_rule5_on_example(example_analysis):
     state = ReductionState.initial(example_analysis)
-    assert apply_rule5(state, example_analysis)
+    assert fires(apply_rule5, state, example_analysis)
     # two rows have a restricted set equal to a full column bound
     assert 0 not in state.active_rows  # equals bound of column 4
     assert 6 not in state.active_rows  # equals bound of column 1
@@ -149,7 +163,7 @@ def test_rule5_no_pair_no_change():
     assert an.col_bounds[0].approx_equals(IntervalUnion.interval(0.0, 0.5))
     assert an.restricted[0][0].approx_equals(IntervalUnion.point(0.5))
     state = ReductionState.initial(an)
-    assert not apply_rule5(state, an)
+    assert not fires(apply_rule5, state, an)
 
 
 # -- fixpoint ---------------------------------------------------------------------
@@ -210,9 +224,22 @@ def test_log_replay_determinism(example_analysis):
     assert first.active_rows == second.active_rows
 
 
+def test_event_dict_drops_only_unset_fields():
+    # zero is a set value: column 0, row 0 and x = 0.0 all appear in a report
+    fix = RuleEvent(4, "fix", col=0, value=0.0, why="equation 0 forces x[0] = 0")
+    assert list(fix.to_dict().items()) == [
+        ("rule", 4),
+        ("action", "fix"),
+        ("col", 0),
+        ("value", 0.0),
+        ("why", "equation 0 forces x[0] = 0"),
+    ]
+    assert RuleEvent(1, "drop_row", row=0).to_dict() == {"rule": 1, "action": "drop_row", "row": 0}
+
+
 def test_soundness_on_random_instances():
-    # Original membership must equal fixed-match plus reduced membership for
-    # a dense sample of points.
+    # The one membership test must agree with the boxes of the reduced run
+    # and with those of the unreduced run on a dense sample of points.
     rng = random.Random(12)
     checked = 0
     for trial in range(60):
@@ -220,13 +247,13 @@ def test_soundness_on_random_instances():
         an = CellAnalysis(sys_)
         if not necessary_feasibility(an).ok:
             continue
-        state = simplify_to_fixpoint(an)
+        reduced = feasible_region(sys_).boxes
+        unreduced = feasible_region(sys_, simplify=False).boxes
         grid = breakpoint_grid(an, step=0.34)
         points = [[rng.choice(col) for col in grid] for _ in range(120)]
         for x in points:
             direct = is_feasible_point(an, x)
-            assert direct == is_feasible_point(an, x, state), (sys_, x)
-            # no state means the initial one
-            assert direct == is_feasible_point(an, x, ReductionState.initial(an)), (sys_, x)
+            assert direct == any(box.contains(x) for box in reduced), (sys_, x)
+            assert direct == any(box.contains(x) for box in unreduced), (sys_, x)
             checked += 1
     assert checked > 3000

@@ -178,6 +178,10 @@ def test_is_feasible_point_examples(example_analysis):
     assert not is_feasible_point(example_analysis, [0.0] * 9)
     with pytest.raises(ValueError):
         is_feasible_point(example_analysis, [0.0] * 3)
+    # the tolerance is keyword-only, so no third positional argument is
+    # silently read as one
+    with pytest.raises(TypeError):
+        is_feasible_point(example_analysis, best, 1e-9)
 
     # restricted set is the whole admissible interval: everything passes
     trivial = BipolarSystem([[0.0]], [[0.0]], [0.0], TNormSpec("minimum"))
