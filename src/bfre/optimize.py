@@ -168,16 +168,22 @@ def _require(params: dict, key: str, objective: str, many: bool = False):
     return value
 
 
+@dataclass(frozen=True)
+class _Linear:
+    """The evaluator x -> sum_j c_j x_j; ``check_monotone`` reads its c."""
+
+    c: tuple[float, ...]
+
+    def __call__(self, x: Sequence[float]) -> float:
+        return sum(map(operator.mul, self.c, x))
+
+
 def _build_linear(n: int, params: dict):
-    c = [float(v) for v in _require(params, "c", "linear", many=True)]
+    c = tuple(float(v) for v in _require(params, "c", "linear", many=True))
     if len(c) != n:
         raise ValueError(f"coefficient vector must have {n} entries, got {len(c)}")
-
-    def fn(x):
-        return sum(map(operator.mul, c, x))
-
     j_plus = frozenset(j for j, cj in enumerate(c) if cj >= 0.0)
-    return fn, j_plus, frozenset(range(n)) - j_plus
+    return _Linear(c), j_plus, frozenset(range(n)) - j_plus
 
 
 def _build_simplex_support(n: int, params: dict):
@@ -351,9 +357,27 @@ def check_monotone(objective: MonotoneObjective, seed: int = 0) -> list[ProbeVio
     violation beyond 1e-9.  Advisory only: an empty report is evidence, not
     a proof.  Each probe bumps one coordinate of its point in place and puts
     it back, so the evaluator must not keep the list it is given.
+
+    A ``linear`` objective whose declared coordinates all agree with the
+    signs of their coefficients (a zero agrees with both sides) returns []
+    without probing, because no probe could find anything.  Rounding to
+    nearest is monotone, so raising x_j never lowers fl(c_j x_j) when
+    c_j >= 0 and never raises it when c_j <= 0; and ``sum`` on CPython 3.10
+    and 3.11 adds its float terms left to right, each addition again
+    monotone in both arguments.  So the evaluated sum never moves against a
+    sign-consistent declaration, not even by rounding.  (From CPython 3.12
+    ``sum`` compensates rounding; its result then stays within a few ulps
+    of the exact sum, which is monotone, so a probe could move the wrong
+    way only by that much, below 1e-9 unless sum |c_j| exceeds about 1e6.)
+    An inconsistent declaration is probed with the usual draws.
     """
+    fn, n = objective.fn, objective.n
+    if isinstance(fn, _Linear) and all(
+        cj >= 0.0 if j in objective.j_plus else cj <= 0.0 for j, cj in enumerate(fn.c)
+    ):
+        return []
     rng = random.Random(seed)
-    draw, fn, n = rng.random, objective.fn, objective.n
+    draw = rng.random
     violations = []
     for _ in range(256):
         x = [draw() for _ in range(n)]

@@ -12,6 +12,10 @@ admit points that violate the deleted equations, so it is never done.  For
 the same reason a deleted column is never cited by a later rule application:
 witness columns are always drawn from the currently active set.
 
+Rules 3 and 5 look only at each row's support, its active columns with a
+non-empty restricted set.  Off the support a row's sets are empty, which
+decides domination and column-bound equality without comparing sets.
+
 The audit log is the only record of change: a rule changes the state
 exactly when it deletes a row or fixes a column, and both append an event.
 """
@@ -70,8 +74,10 @@ class ReductionState:
         return cls(list(range(analysis.m)), list(range(analysis.n)))
 
     def row_candidates(self, analysis: CellAnalysis, i: int) -> list[int]:
-        """Active columns that can witness equation i."""
-        return [j for j in self.active_cols if not analysis.restricted[i][j].is_empty]
+        """Active columns that can witness equation i: its support columns
+        that are not fixed, since the fixed columns are the deleted ones."""
+        fixed = self.fixed
+        return [j for j in analysis.row_support[i] if j not in fixed]
 
     def drop_row(self, i: int, rule: int, why: str) -> None:
         self.active_rows.remove(i)
@@ -85,7 +91,8 @@ class ReductionState:
         self.fixed[j] = value
         self.log.append(RuleEvent(rule, "fix", col=j, value=value, why=why))
         for i in list(self.active_rows):
-            if analysis.restricted[i][j].contains(value):
+            cell = analysis.restricted[i][j]
+            if cell.pieces and cell.contains(value):
                 self.drop_row(i, rule, f"x[{j}] = {value:.12g} witnesses equation {i}")
 
 
@@ -113,23 +120,30 @@ def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> None:
         )
 
 
-def _dominating_row(state: ReductionState, analysis: CellAnalysis, i0: int) -> int | None:
+def _dominating_row(
+    state: ReductionState, analysis: CellAnalysis, supports: dict[int, frozenset[int]], i0: int
+) -> int | None:
     """First active row whose restricted sets are contained in row i0's on
     every active column.
 
-    Identical rows tie-break by keeping the smaller index.
+    Off its support a row's sets are empty, hence contained in anything;
+    on it they are non-empty, hence contained in no empty set.  So row i
+    can dominate row i0 only if its support lies inside i0's, and then only
+    the cells on its support need comparing.  Identical rows, those with
+    equal supports and equal sets on them, tie-break by keeping the smaller
+    index.
     """
+    restricted = analysis.restricted
+    row0, support0 = restricted[i0], supports[i0]
     for i in state.active_rows:
-        if i == i0:
+        support = supports[i]
+        if i == i0 or not support <= support0:
             continue
-        if not all(
-            analysis.restricted[i][j].issubset(analysis.restricted[i0][j])
-            for j in state.active_cols
-        ):
+        row = restricted[i]
+        if not all(row[j].issubset(row0[j]) for j in support):
             continue
-        identical = all(
-            analysis.restricted[i][j].approx_equals(analysis.restricted[i0][j])
-            for j in state.active_cols
+        identical = support == support0 and all(
+            row[j].approx_equals(row0[j]) for j in support
         )
         if identical and i > i0:
             continue
@@ -146,10 +160,13 @@ def apply_rule3(state: ReductionState, analysis: CellAnalysis) -> None:
 
     One pass in row order suffices: the rule leaves the active columns
     alone and a deletion only removes candidate witnesses, so a row not
-    dominated when visited cannot become dominated later.
+    dominated when visited cannot become dominated later.  For the same
+    reason each row's support over the active columns is computed once per
+    pass.
     """
+    supports = {i: frozenset(state.row_candidates(analysis, i)) for i in state.active_rows}
     for i0 in list(state.active_rows):
-        i = _dominating_row(state, analysis, i0)
+        i = _dominating_row(state, analysis, supports, i0)
         if i is not None:
             state.drop_row(i0, 3, f"restricted sets of row {i} contained in row {i0}'s")
 
@@ -181,14 +198,14 @@ def apply_rule5(state: ReductionState, analysis: CellAnalysis) -> None:
     """Delete equations whose restricted set fills an entire column bound.
 
     Such an equation is witnessed by every admissible value of that variable
-    and constrains nothing.
+    and constrains nothing.  Only support columns can qualify: elsewhere the
+    restricted set is empty, and a column with an empty bound is in no
+    row's support.
     """
     for i0 in list(state.active_rows):
-        for j0 in state.active_cols:
-            col = analysis.col_bounds[j0]
-            if col.is_empty:
-                continue
-            if analysis.restricted[i0][j0].approx_equals(col):
+        row = analysis.restricted[i0]
+        for j0 in state.row_candidates(analysis, i0):
+            if row[j0].approx_equals(analysis.col_bounds[j0]):
                 state.drop_row(
                     i0, 5, f"restricted set at ({i0}, {j0}) equals column bound {j0}"
                 )

@@ -11,7 +11,10 @@ b_i exactly (the exact set); every downstream stage -- reduction rules,
 assignment enumeration, box assembly, the membership test -- reads these
 cached sets.  They are cut out by the endpoints of the cell's two literals:
 phi(a+, x) = b_i holds on [l+, u+], and phi(a-, 1 - x) = b_i on
-[1 - u-, 1 - l-], so one scalar solver serves both polarities.
+[1 - u-, 1 - l-], so one scalar solver serves both polarities.  Most exact
+sets are empty: every cell that neither literal reaches shares one empty
+set as its exact and restricted set, and only non-empty exact sets are
+clipped to their column bound.
 
 ``is_feasible_point`` is the one point-membership test.  It always tests
 the whole system: the reduction rules preserve the feasible region, so a
@@ -114,6 +117,11 @@ class FeasibilityVerdict:
         return self.status == "ok"
 
 
+#: The exact set of every cell that no literal reaches, and the restricted
+#: set of every cell whose exact set is empty.
+_EMPTY = IntervalUnion.empty()
+
+
 class CellAnalysis:
     """All per-cell and per-column sets of a system, computed eagerly.
 
@@ -130,10 +138,12 @@ class CellAnalysis:
 
     def __init__(self, system: BipolarSystem) -> None:
         self.system = system
-        t, m, n = system.tnorm, system.m, system.n
+        t, n = system.tnorm, system.n
         # Cell (i, j) stays at or below b_i on [lo, hi] = [1 - u-, u+] (0 or 1
         # where a literal never reaches b_i); its exact set is the hit intervals
         # [l+, u+] and [1 - u-, 1 - l-] clipped to it.  Column bound: [max lo, min hi].
+        # Both cuts lie in [0, 1], so a relaxed set with lo <= hi is already
+        # canonical; otherwise canonicalization collapses or drops it.
         self.relaxed, self.exact = [], []
         lows, highs = [0.0] * n, [1.0] * n
         for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b):
@@ -143,23 +153,32 @@ class CellAnalysis:
                 q = solve_scalar_eq(t, a_minus[j], b)
                 lo = 0.0 if q.u is None else 1.0 - q.u
                 hi = 1.0 if p.u is None else p.u
-                hits = []
-                if p.u is not None:
-                    hits.append((max(lo, p.l), hi))
-                if q.u is not None:
-                    hits.append((lo, min(hi, 1.0 - q.l)))
-                relaxed.append(IntervalUnion.interval(lo, hi))
-                exact.append(IntervalUnion.from_pairs(hits))
-                lows[j] = max(lows[j], lo)
-                highs[j] = min(highs[j], hi)
+                if lo <= hi:
+                    relaxed.append(IntervalUnion(((lo, hi),)))
+                else:
+                    relaxed.append(IntervalUnion.interval(lo, hi))
+                if p.u is None and q.u is None:
+                    exact.append(_EMPTY)
+                else:
+                    hits = []
+                    if p.u is not None:
+                        hits.append((max(lo, p.l), hi))
+                    if q.u is not None:
+                        hits.append((lo, min(hi, 1.0 - q.l)))
+                    exact.append(IntervalUnion.from_pairs(hits))
+                if lo > lows[j]:
+                    lows[j] = lo
+                if hi < highs[j]:
+                    highs[j] = hi
             self.relaxed.append(relaxed)
             self.exact.append(exact)
         self.col_bounds = [IntervalUnion.interval(lo, hi) for lo, hi in zip(lows, highs)]
         self.restricted = [
-            [cell & self.col_bounds[j] for j, cell in enumerate(row)] for row in self.exact
+            [cell & self.col_bounds[j] if cell.pieces else _EMPTY for j, cell in enumerate(row)]
+            for row in self.exact
         ]
         self.row_support = [
-            tuple(j for j in range(n) if not self.restricted[i][j].is_empty) for i in range(m)
+            tuple(j for j, cell in enumerate(row) if cell.pieces) for row in self.restricted
         ]
 
     @property

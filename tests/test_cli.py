@@ -233,25 +233,48 @@ def test_report_determinism(runner):
 
 
 @pytest.mark.parametrize(
-    "args,expected,code",
+    "problem,args,expected,code",
     [
-        pytest.param(["feasible"], "feasible.out", 0, id="feasible"),
-        pytest.param(["solve"], "solve.out", 0, id="solve"),
-        pytest.param(["simplify", "--explain"], "simplify_explain.out", 0, id="simplify"),
+        pytest.param("problem.json", ["feasible"], "feasible.out", 0, id="feasible"),
+        pytest.param("problem.json", ["solve"], "solve.out", 0, id="solve"),
         pytest.param(
-            ["feasible", "--no-simplify"], "feasible_no_simplify.out", 0, id="no-simplify"
+            "problem.json", ["simplify", "--explain"], "simplify_explain.out", 0, id="simplify"
         ),
         pytest.param(
-            ["verify", "--step", "0.25", "--cap", "2000"], "verify.out", 0, id="verify"
+            "problem.json",
+            ["feasible", "--no-simplify"],
+            "feasible_no_simplify.out",
+            0,
+            id="no-simplify",
+        ),
+        pytest.param(
+            "problem.json",
+            ["verify", "--step", "0.25", "--cap", "2000"],
+            "verify.out",
+            0,
+            id="verify",
+        ),
+        pytest.param(
+            "rule3_problem.json", ["feasible"], "rule3_feasible.out", 0, id="rule3-feasible"
+        ),
+        pytest.param(
+            "rule3_problem.json",
+            ["simplify", "--explain"],
+            "rule3_simplify_explain.out",
+            0,
+            id="rule3-simplify",
         ),
     ],
 )
-def test_golden_output(runner, args, expected, code):
-    # A 3x3 minimum-t-norm system: arithmetic only, so no libm rounding can
-    # move a digit.  Rules 3 and 4 fire, the reduced run keeps 2 of the
-    # unreduced run's 4 boxes, and the linear objective has a negative
-    # coefficient, so its corner takes a factor's high end.
-    result = invoke(runner, args[0], os.path.join(GOLDEN, "problem.json"), *args[1:])
+def test_golden_output(runner, problem, args, expected, code):
+    # Minimum-t-norm systems: arithmetic only, so no libm rounding can move
+    # a digit.  problem.json is 3x3: rules 3 and 4 fire, the reduced run
+    # keeps 2 of the unreduced run's 4 boxes, and the linear objective has a
+    # negative coefficient, so its corner takes a factor's high end.
+    # rule3_problem.json is 8x4: rule 3 drops row 2, dominated by row 7,
+    # whose support is a strict part of row 2's, and row 4, the later of two
+    # identical rows (a copy of row 1); rule 5 fires too.
+    result = invoke(runner, args[0], os.path.join(GOLDEN, problem), *args[1:])
     with open(os.path.join(GOLDEN, expected), encoding="utf-8") as fh:
         assert result.stdout == fh.read()
     assert result.exit_code == code

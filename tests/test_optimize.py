@@ -266,3 +266,39 @@ def test_probe_accepts_correct_declarations():
 def test_probe_flags_wrong_declaration():
     wrong = objective_catalog("linear", 1, {"c": [1.0]}, j_plus=[], j_minus=[0])
     assert check_monotone(wrong)
+
+
+def test_probe_skips_sign_consistent_linear(monkeypatch):
+    # A sign-consistent linear objective is decided without a single draw;
+    # zero coefficients may sit on either side.
+    import bfre.optimize as optimize
+
+    monkeypatch.setattr(optimize, "random", None)
+    c = [2.0, -1.0, 0.0, 0.0, -0.0]
+    assert check_monotone(objective_catalog("linear", 5, {"c": c})) == []
+    swapped = objective_catalog("linear", 5, {"c": c}, j_plus=[0, 3, 4], j_minus=[1, 2])
+    assert check_monotone(swapped) == []
+
+
+def test_linear_probe_result_matches_probing():
+    # The shortcut returns what probing returns: [] when the declaration is
+    # sign-consistent, and the same violations from the same draws when not.
+    rng = random.Random(21)
+    consistent = flagged = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        c = [rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 1e3) for _ in range(n)]
+        plus = [j for j in range(n) if rng.random() < 0.5]
+        if rng.random() < 0.5:
+            plus = [j for j in range(n) if c[j] > 0.0 or (c[j] == 0.0 and j in plus)]
+        minus = [j for j in range(n) if j not in plus]
+        obj = objective_catalog("linear", n, {"c": c}, j_plus=plus, j_minus=minus)
+        # the same evaluator behind a plain function, which is always probed
+        fn = obj.fn
+        probed = MonotoneObjective("probed", n, obj.j_plus, obj.j_minus, lambda x: fn(x))
+        seed = rng.randrange(100)
+        violations = check_monotone(obj, seed)
+        assert violations == check_monotone(probed, seed), (c, plus)
+        consistent += all(c[j] >= 0.0 for j in plus) and all(c[j] <= 0.0 for j in minus)
+        flagged += bool(violations)
+    assert consistent > 100 and flagged > 50

@@ -257,3 +257,115 @@ def test_soundness_on_random_instances():
             assert direct == any(box.contains(x) for box in unreduced), (sys_, x)
             checked += 1
     assert checked > 3000
+
+
+# -- rules 3 and 5 against a brute-force reference ----------------------------------
+
+
+def reference_rule3(state, analysis):
+    """Rule 3 testing domination and identity over every active column."""
+    restricted = analysis.restricted
+    for i0 in list(state.active_rows):
+        for i in state.active_rows:
+            if i == i0:
+                continue
+            cols = state.active_cols
+            if not all(restricted[i][j].issubset(restricted[i0][j]) for j in cols):
+                continue
+            if i > i0 and all(restricted[i][j].approx_equals(restricted[i0][j]) for j in cols):
+                continue
+            state.drop_row(i0, 3, f"restricted sets of row {i} contained in row {i0}'s")
+            break
+
+
+def reference_rule5(state, analysis):
+    """Rule 5 comparing every active column's restricted set with its bound."""
+    for i0 in list(state.active_rows):
+        for j0 in state.active_cols:
+            col = analysis.col_bounds[j0]
+            if not col.is_empty and analysis.restricted[i0][j0].approx_equals(col):
+                state.drop_row(
+                    i0, 5, f"restricted set at ({i0}, {j0}) equals column bound {j0}"
+                )
+                break
+
+
+def planted_tall_system(rng):
+    """A tall system built around a witness, with planted duplicate rows,
+    rows whose support is a strict part of another row's with equal sets
+    on it, and rows of perturbed coefficients."""
+    t = TNormSpec(rng.choice(["minimum", "product"]))
+    base = random_system(rng, max_m=8, max_n=6, kind=t.kind, force_feasible=True)
+    a_plus, a_minus = [list(r) for r in base.a_plus], [list(r) for r in base.a_minus]
+    b = list(base.b)
+    for _ in range(rng.randint(4, 12)):
+        i = rng.randrange(len(b))
+        plus, minus = list(a_plus[i]), list(a_minus[i])
+        pick = rng.random()
+        if pick < 0.4:  # a row no literal reaches on some columns
+            for j in rng.sample(range(base.n), rng.randint(1, max(1, base.n - 1))):
+                plus[j] = minus[j] = 0.0
+        elif pick < 0.6:  # a perturbed copy
+            j = rng.randrange(base.n)
+            plus[j] = min(1.0, max(0.0, plus[j] + rng.choice([-0.2, 0.2])))
+        at = rng.randint(0, len(b))
+        a_plus.insert(at, plus)
+        a_minus.insert(at, minus)
+        b.insert(at, b[i])
+    return BipolarSystem(a_plus, a_minus, b, t)
+
+
+def reference_fixpoint(analysis):
+    rules = (apply_rule1, apply_rule2, reference_rule3, apply_rule4, reference_rule5)
+    state = ReductionState.initial(analysis)
+    while True:
+        logged = len(state.log)
+        for rule in rules:
+            rule(state, analysis)
+        if len(state.log) == logged:
+            return state
+
+
+def outcome(state):
+    return state.log, state.active_rows, state.active_cols, state.fixed
+
+
+def copy_state(state):
+    return ReductionState(
+        list(state.active_rows), list(state.active_cols), dict(state.fixed), list(state.log)
+    )
+
+
+def test_support_filtered_rules_match_reference():
+    rng = random.Random(131)
+    fired = {3: 0, 5: 0, "unequal_supports": 0}
+    for _ in range(150):
+        an = CellAnalysis(planted_tall_system(rng))
+        assert outcome(simplify_to_fixpoint(an)) == outcome(reference_fixpoint(an))
+        # each rule alone, from the states a cycle of the rules passes through
+        state = ReductionState.initial(an)
+        for rule, reference in [
+            (apply_rule1, None),
+            (apply_rule5, reference_rule5),
+            (apply_rule3, reference_rule3),
+            (apply_rule2, None),
+            (apply_rule4, None),
+            (apply_rule3, reference_rule3),
+            (apply_rule5, reference_rule5),
+        ]:
+            if reference is None:
+                rule(state, an)
+                continue
+            got, want = copy_state(state), copy_state(state)
+            rule(got, an)
+            reference(want, an)
+            assert outcome(got) == outcome(want)
+            events = got.log[len(state.log) :]
+            fired[3 if rule is apply_rule3 else 5] += bool(events)
+            for event in events if rule is apply_rule3 else []:
+                witness = int(event.why.split()[4])
+                fired["unequal_supports"] += state.row_candidates(
+                    an, witness
+                ) != state.row_candidates(an, event.row)
+            state = want
+    assert min(fired.values()) > 20, fired

@@ -1,10 +1,12 @@
 """System analysis: per-cell sets, column bounds, membership tests."""
 
+import contextlib
 import random
 
 import pytest
 
 import tables
+from bfre import intervals
 from bfre import (
     BipolarSystem,
     CellAnalysis,
@@ -17,6 +19,7 @@ from bfre import (
     solve_scalar_eq,
     tnorm_eval,
 )
+from bfre.tnorms import TNORM_KINDS
 from conftest import random_system
 
 
@@ -274,3 +277,89 @@ def test_corollary_consistency_per_equation():
                 assert is_feasible_point(rows[i], x)
             elif is_feasible_point(rows[i], x, eps=0.0):
                 assert r <= 1e-9
+
+
+# -- sparse construction against the dense definition -----------------------------
+
+
+def dense_reference(system):
+    """Relaxed, exact and restricted sets, column bounds and supports built
+    cell by cell through the canonicalizing constructors and ``&``."""
+    t, n = system.tnorm, system.n
+    relaxed, exact = [], []
+    lows, highs = [0.0] * n, [1.0] * n
+    for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b):
+        relaxed.append([])
+        exact.append([])
+        for j in range(n):
+            p, q = solve_scalar_eq(t, a_plus[j], b), solve_scalar_eq(t, a_minus[j], b)
+            lo = 0.0 if q.u is None else 1.0 - q.u
+            hi = 1.0 if p.u is None else p.u
+            hits = [] if p.u is None else [(max(lo, p.l), hi)]
+            hits += [] if q.u is None else [(lo, min(hi, 1.0 - q.l))]
+            relaxed[-1].append(IntervalUnion.interval(lo, hi))
+            exact[-1].append(IntervalUnion.from_pairs(hits))
+            lows[j], highs[j] = max(lows[j], lo), min(highs[j], hi)
+    cols = [IntervalUnion.interval(lo, hi) for lo, hi in zip(lows, highs)]
+    restricted = [[cell & cols[j] for j, cell in enumerate(row)] for row in exact]
+    support = [tuple(j for j in range(n) if not row[j].is_empty) for row in restricted]
+    return relaxed, exact, restricted, cols, support
+
+
+def assert_matches_dense(system):
+    an = CellAnalysis(system)
+    relaxed, exact, restricted, cols, support = dense_reference(system)
+    for got, want in ((an.relaxed, relaxed), (an.exact, exact), (an.restricted, restricted)):
+        assert [[c.pieces for c in row] for row in got] == [
+            [c.pieces for c in row] for row in want
+        ], system
+    assert [c.pieces for c in an.col_bounds] == [c.pieces for c in cols], system
+    assert an.row_support == support, system
+
+
+def plateau_system(rng, kind):
+    """b_i = 0 rows and a = b plateaus: some b_i copied from a coefficient."""
+    sys_ = random_system(rng, max_m=5, max_n=5, kind=kind)
+    b = list(sys_.b)
+    for i in range(sys_.m):
+        pick = rng.random()
+        if pick < 0.25:
+            b[i] = 0.0
+        elif pick < 0.6:
+            b[i] = rng.choice(sys_.a_plus[i] + sys_.a_minus[i])
+    return BipolarSystem(sys_.a_plus, sys_.a_minus, b, sys_.tnorm)
+
+
+@pytest.mark.parametrize("kind", TNORM_KINDS)
+def test_sparse_cells_match_dense_reference(kind):
+    rng = random.Random(TNORM_KINDS.index(kind) + 300)
+    for _ in range(40):
+        assert_matches_dense(random_system(rng, max_m=5, max_n=5, kind=kind))
+        assert_matches_dense(plateau_system(rng, kind))
+
+
+@pytest.mark.parametrize("eps", [None, 1e-7])
+def test_sparse_cells_match_dense_reference_near_tolerance(eps):
+    # Product 1x1 cells with b = a c / (a + c) + delta: the cuts 1 - u- and
+    # u+ meet at delta = 0 and cross for delta < 0, by less than or by more
+    # than the tolerance, where [1 - u-, u+] collapses to a point or empties.
+    rng = random.Random(84)
+    t = TNormSpec("product")
+    scope = contextlib.nullcontext() if eps is None else intervals.tolerance(eps)
+    with scope:
+        tol = intervals.EPS
+        crossed = {"collapsed": 0, "emptied": 0}
+        for _ in range(100):
+            a, c = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+            for scale in (0.0, 0.1, 0.5, 0.9, 1.5, 4.0, 40.0):
+                for sign in (1.0, -1.0):
+                    b = a * c / (a + c) + sign * scale * tol
+                    system = BipolarSystem([[a]], [[c]], [b], t)
+                    assert_matches_dense(system)
+                    p, q = solve_scalar_eq(t, a, b), solve_scalar_eq(t, c, b)
+                    width = p.u - (1.0 - q.u)
+                    if -tol <= width < 0.0:
+                        crossed["collapsed"] += 1
+                    elif width < -tol:
+                        crossed["emptied"] += 1
+        assert min(crossed.values()) > 50, crossed
