@@ -155,21 +155,27 @@ def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]
     column, plus multiples of step in [0, 1], merged within 1e-12.  A
     column with more than _LIST_MAX ticks is a lazy ``_GridColumn``, any
     other a list.  A step below 1 / DEFAULT_GRID_CAP raises
-    ``ResourceLimitError``."""
+    ``ResourceLimitError``.
+
+    Endpoints are read from the column bounds and the reached cells only.
+    A cell no literal reaches has relaxed set [0, 1] and empty exact and
+    restricted sets, so it adds only 0.0 and 1.0, and every column holds
+    both already: 0.0 is tick 0 (or ``last * step`` when step > 1) and 1.0
+    is always explicit.  Skipping those cells leaves every value, and its
+    ``repr``, unchanged."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     if 1.0 / step > DEFAULT_GRID_CAP:
         raise ResourceLimitError(f"grid step {step!r} is finer than 1/{DEFAULT_GRID_CAP}")
     last = int(1.0 / step)
-    grid = []
-    for j in range(analysis.n):
-        values = analysis.col_bounds[j].endpoints()
-        for i in range(analysis.m):
-            values.extend(analysis.relaxed[i][j].endpoints())
-            values.extend(analysis.exact[i][j].endpoints())
-            values.extend(analysis.restricted[i][j].endpoints())
-        grid.append(_column(values, step, last))
-    return grid
+    values = [bound.endpoints() for bound in analysis.col_bounds]
+    for i, reached in enumerate(analysis.reached):
+        relaxed, exact, restricted = analysis.relaxed[i], analysis.exact[i], analysis.restricted[i]
+        for j in reached:
+            values[j] += relaxed[j].endpoints()
+            values[j] += exact[j].endpoints()
+            values[j] += restricted[j].endpoints()
+    return [_column(column, step, last) for column in values]
 
 
 def _iter_grid(grid: Sequence[Sequence[float]], cap: int, seed: int):

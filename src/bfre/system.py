@@ -11,10 +11,16 @@ b_i exactly (the exact set); every downstream stage -- reduction rules,
 assignment enumeration, box assembly, the membership test -- reads these
 cached sets.  They are cut out by the endpoints of the cell's two literals:
 phi(a+, x) = b_i holds on [l+, u+], and phi(a-, 1 - x) = b_i on
-[1 - u-, 1 - l-], so one scalar solver serves both polarities.  Most exact
-sets are empty: every cell that neither literal reaches shares one empty
-set as its exact and restricted set, and only non-empty exact sets are
-clipped to their column bound.
+[1 - u-, 1 - l-], so one scalar solver serves both polarities.
+
+Only literals that reach b_i are solved.  phi(a, x) <= a, so a literal with
+b_i - a > 1e-12 (the drift tolerance of ``solve_scalar_eq``) never equals
+b_i and bounds nothing.  Most cells have no reaching literal: they share
+one full set [0, 1] as their relaxed set and one empty set as their exact
+and restricted set, and ``CellAnalysis.reached[i]`` lists the other columns
+of row i.  Column bounds, restricted sets and supports are built from the
+reached cells alone, and only non-empty exact sets are clipped to their
+column bound.
 
 ``is_feasible_point`` is the one point-membership test.  It always tests
 the whole system: the reduction rules preserve the feasible region, so a
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .intervals import IntervalUnion
-from .tnorms import TNormSpec, solve_scalar_eq, tnorm_eval
+from .tnorms import _EQ_DRIFT, TNormSpec, solve_scalar_eq, tnorm_eval
 
 __all__ = [
     "BipolarSystem",
@@ -117,6 +123,9 @@ class FeasibilityVerdict:
         return self.status == "ok"
 
 
+#: The relaxed set of every cell that no literal reaches.
+_FULL = IntervalUnion.full()
+
 #: The exact set of every cell that no literal reaches, and the restricted
 #: set of every cell whose exact set is empty.
 _EMPTY = IntervalUnion.empty()
@@ -132,6 +141,11 @@ class CellAnalysis:
     col_bounds[j]    : single interval every feasible x_j must lie in
     restricted[i][j] : exact[i][j] clipped to col_bounds[j]
     row_support[i]   : columns whose restricted set is non-empty (witnesses)
+    reached[i]       : ascending tuple of the columns j where a literal
+                       reaches b_i (b_i - a <= _EQ_DRIFT for a = a+_ij or
+                       a-_ij); every other cell of row i has the shared
+                       [0, 1] as its relaxed set and the shared empty set as
+                       its exact and restricted set
 
     Immutable after construction and freely shareable.
     """
@@ -139,47 +153,53 @@ class CellAnalysis:
     def __init__(self, system: BipolarSystem) -> None:
         self.system = system
         t, n = system.tnorm, system.n
+        # A literal with b_i - a > _EQ_DRIFT is exactly one solve_scalar_eq
+        # finds no solution for (BipolarSystem rejects NaN), so it is not solved.
         # Cell (i, j) stays at or below b_i on [lo, hi] = [1 - u-, u+] (0 or 1
         # where a literal never reaches b_i); its exact set is the hit intervals
         # [l+, u+] and [1 - u-, 1 - l-] clipped to it.  Column bound: [max lo, min hi].
         # Both cuts lie in [0, 1], so a relaxed set with lo <= hi is already
         # canonical; otherwise canonicalization collapses or drops it.
-        self.relaxed, self.exact = [], []
+        self.relaxed, self.exact, self.reached = [], [], []
         lows, highs = [0.0] * n, [1.0] * n
         for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b):
-            relaxed, exact = [], []
-            for j in range(n):
-                p = solve_scalar_eq(t, a_plus[j], b)
-                q = solve_scalar_eq(t, a_minus[j], b)
-                lo = 0.0 if q.u is None else 1.0 - q.u
-                hi = 1.0 if p.u is None else p.u
+            reached = tuple(
+                j
+                for j in range(n)
+                if b - a_plus[j] <= _EQ_DRIFT or b - a_minus[j] <= _EQ_DRIFT
+            )
+            relaxed, exact = [_FULL] * n, [_EMPTY] * n
+            for j in reached:
+                p = solve_scalar_eq(t, a_plus[j], b) if b - a_plus[j] <= _EQ_DRIFT else None
+                q = solve_scalar_eq(t, a_minus[j], b) if b - a_minus[j] <= _EQ_DRIFT else None
+                lo = 0.0 if q is None else 1.0 - q.u
+                hi = 1.0 if p is None else p.u
                 if lo <= hi:
-                    relaxed.append(IntervalUnion(((lo, hi),)))
+                    relaxed[j] = IntervalUnion(((lo, hi),))
                 else:
-                    relaxed.append(IntervalUnion.interval(lo, hi))
-                if p.u is None and q.u is None:
-                    exact.append(_EMPTY)
-                else:
-                    hits = []
-                    if p.u is not None:
-                        hits.append((max(lo, p.l), hi))
-                    if q.u is not None:
-                        hits.append((lo, min(hi, 1.0 - q.l)))
-                    exact.append(IntervalUnion.from_pairs(hits))
+                    relaxed[j] = IntervalUnion.interval(lo, hi)
+                hits = []
+                if p is not None:
+                    hits.append((max(lo, p.l), hi))
+                if q is not None:
+                    hits.append((lo, min(hi, 1.0 - q.l)))
+                exact[j] = IntervalUnion.from_pairs(hits)
                 if lo > lows[j]:
                     lows[j] = lo
                 if hi < highs[j]:
                     highs[j] = hi
+            self.reached.append(reached)
             self.relaxed.append(relaxed)
             self.exact.append(exact)
         self.col_bounds = [IntervalUnion.interval(lo, hi) for lo, hi in zip(lows, highs)]
-        self.restricted = [
-            [cell & self.col_bounds[j] if cell.pieces else _EMPTY for j, cell in enumerate(row)]
-            for row in self.exact
-        ]
-        self.row_support = [
-            tuple(j for j, cell in enumerate(row) if cell.pieces) for row in self.restricted
-        ]
+        self.restricted, self.row_support = [], []
+        for exact, reached in zip(self.exact, self.reached):
+            restricted = [_EMPTY] * n
+            for j in reached:
+                if exact[j].pieces:
+                    restricted[j] = exact[j] & self.col_bounds[j]
+            self.restricted.append(restricted)
+            self.row_support.append(tuple(j for j in reached if restricted[j].pieces))
 
     @property
     def m(self) -> int:

@@ -264,6 +264,13 @@ def test_report_determinism(runner):
             0,
             id="rule3-simplify",
         ),
+        pytest.param(
+            "rule3_problem.json",
+            ["verify", "--step", "0.25", "--cap", "2000"],
+            "rule3_verify.out",
+            0,
+            id="rule3-verify",
+        ),
     ],
 )
 def test_golden_output(runner, problem, args, expected, code):
@@ -273,7 +280,8 @@ def test_golden_output(runner, problem, args, expected, code):
     # negative coefficient, so its corner takes a factor's high end.
     # rule3_problem.json is 8x4: rule 3 drops row 2, dominated by row 7,
     # whose support is a strict part of row 2's, and row 4, the later of two
-    # identical rows (a copy of row 1); rule 5 fires too.
+    # identical rows (a copy of row 1); rule 5 fires too.  Only 18 of its 64
+    # literals reach their b_i, so its verify grid skips most cells.
     result = invoke(runner, args[0], os.path.join(GOLDEN, problem), *args[1:])
     with open(os.path.join(GOLDEN, expected), encoding="utf-8") as fh:
         assert result.stdout == fh.read()

@@ -9,6 +9,7 @@ import pytest
 
 from bfre import (
     BipolarSystem,
+    CellAnalysis,
     FeasibleBox,
     IntervalUnion,
     TNormSpec,
@@ -125,9 +126,34 @@ def test_lazy_grid_merges_near_ticks_like_eager_grid(column_kind):
                 relaxed=[[empty, column]],
                 exact=[[column, empty]],
                 restricted=[[empty, empty]],
+                reached=[(0, 1)],
             )
             grid = breakpoint_grid(analysis, step)
             _assert_same_columns(grid, _eager_grid(analysis, step))
+
+
+def sparse_system(rng):
+    """A random system whose b_i is one of the row's two largest
+    coefficients, so most literals fall short of b_i."""
+    sys_ = random_system(rng, max_m=6, max_n=6)
+    b = [
+        sorted(a_plus + a_minus)[-rng.randint(1, 2)]
+        for a_plus, a_minus in zip(sys_.a_plus, sys_.a_minus)
+    ]
+    return BipolarSystem(sys_.a_plus, sys_.a_minus, b, sys_.tnorm)
+
+
+@pytest.mark.parametrize("step", [0.25, 1e-4, 2.0])
+def test_grid_of_reached_cells_matches_all_cells_grid(step):
+    # _eager_grid reads every cell; breakpoint_grid only the reached ones.
+    rng = random.Random(43)
+    reached = cells = 0
+    for _ in range(20):
+        analysis = CellAnalysis(sparse_system(rng))
+        _assert_same_columns(breakpoint_grid(analysis, step), _eager_grid(analysis, step))
+        reached += sum(map(len, analysis.reached))
+        cells += analysis.m * analysis.n
+    assert 0 < reached < cells / 2
 
 
 def test_fine_grid_allocates_no_tick_lists(example_region):

@@ -1,12 +1,13 @@
 """System analysis: per-cell sets, column bounds, membership tests."""
 
 import contextlib
+import math
 import random
 
 import pytest
 
 import tables
-from bfre import intervals
+from bfre import intervals, tnorms
 from bfre import (
     BipolarSystem,
     CellAnalysis,
@@ -283,14 +284,16 @@ def test_corollary_consistency_per_equation():
 
 
 def dense_reference(system):
-    """Relaxed, exact and restricted sets, column bounds and supports built
-    cell by cell through the canonicalizing constructors and ``&``."""
+    """Relaxed, exact and restricted sets, column bounds, supports and
+    reached columns built cell by cell, with both literals of every cell
+    solved, through the canonicalizing constructors and ``&``."""
     t, n = system.tnorm, system.n
-    relaxed, exact = [], []
+    relaxed, exact, reached = [], [], []
     lows, highs = [0.0] * n, [1.0] * n
     for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b):
         relaxed.append([])
         exact.append([])
+        reached.append(())
         for j in range(n):
             p, q = solve_scalar_eq(t, a_plus[j], b), solve_scalar_eq(t, a_minus[j], b)
             lo = 0.0 if q.u is None else 1.0 - q.u
@@ -300,21 +303,24 @@ def dense_reference(system):
             relaxed[-1].append(IntervalUnion.interval(lo, hi))
             exact[-1].append(IntervalUnion.from_pairs(hits))
             lows[j], highs[j] = max(lows[j], lo), min(highs[j], hi)
+            if p.u is not None or q.u is not None:
+                reached[-1] += (j,)
     cols = [IntervalUnion.interval(lo, hi) for lo, hi in zip(lows, highs)]
     restricted = [[cell & cols[j] for j, cell in enumerate(row)] for row in exact]
     support = [tuple(j for j in range(n) if not row[j].is_empty) for row in restricted]
-    return relaxed, exact, restricted, cols, support
+    return relaxed, exact, restricted, cols, support, reached
 
 
 def assert_matches_dense(system):
     an = CellAnalysis(system)
-    relaxed, exact, restricted, cols, support = dense_reference(system)
+    relaxed, exact, restricted, cols, support, reached = dense_reference(system)
     for got, want in ((an.relaxed, relaxed), (an.exact, exact), (an.restricted, restricted)):
         assert [[c.pieces for c in row] for row in got] == [
             [c.pieces for c in row] for row in want
         ], system
     assert [c.pieces for c in an.col_bounds] == [c.pieces for c in cols], system
     assert an.row_support == support, system
+    assert an.reached == reached, system
 
 
 def plateau_system(rng, kind):
@@ -330,12 +336,56 @@ def plateau_system(rng, kind):
     return BipolarSystem(sys_.a_plus, sys_.a_minus, b, sys_.tnorm)
 
 
+#: Gaps b - a at the drift tolerance: on it, one ulp either side, and twice it.
+DRIFT_GAPS = (
+    tnorms._EQ_DRIFT,
+    math.nextafter(tnorms._EQ_DRIFT, 0.0),
+    math.nextafter(tnorms._EQ_DRIFT, 1.0),
+    2e-12,
+)
+
+
+def drift_system(rng, kind):
+    """One cell per row whose only non-zero literal, if any, falls short of
+    b_i by about the drift tolerance: either b_i is a gap and both literals
+    are 0, where the float gap is exact, or b_i lies in (0.01, 1) and one
+    literal is b_i - gap or a neighbouring float."""
+    sys_ = random_system(rng, max_m=5, max_n=5, kind=kind)
+    a_plus = [list(row) for row in sys_.a_plus]
+    a_minus = [list(row) for row in sys_.a_minus]
+    b = list(sys_.b)
+    for i in range(sys_.m):
+        gap = rng.choice(DRIFT_GAPS)
+        j = rng.randrange(sys_.n)
+        a_plus[i][j] = a_minus[i][j] = 0.0
+        if rng.random() < 0.5:
+            b[i] = gap
+        else:
+            b[i] = rng.uniform(0.01, 1.0)
+            a = b[i] - gap
+            rng.choice((a_plus, a_minus))[i][j] = rng.choice(
+                (math.nextafter(a, 0.0), a, math.nextafter(a, 1.0))
+            )
+    return BipolarSystem(a_plus, a_minus, b, sys_.tnorm)
+
+
 @pytest.mark.parametrize("kind", TNORM_KINDS)
 def test_sparse_cells_match_dense_reference(kind):
     rng = random.Random(TNORM_KINDS.index(kind) + 300)
+    gaps = []
     for _ in range(40):
         assert_matches_dense(random_system(rng, max_m=5, max_n=5, kind=kind))
         assert_matches_dense(plateau_system(rng, kind))
+        system = drift_system(rng, kind)
+        assert_matches_dense(system)
+        gaps += [
+            b - a
+            for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b)
+            for a in a_plus + a_minus
+        ]
+    # the gaps straddle the tolerance: on it, one ulp either side, and beyond
+    for gap in DRIFT_GAPS:
+        assert gap in gaps, gap
 
 
 @pytest.mark.parametrize("eps", [None, 1e-7])
