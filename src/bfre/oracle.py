@@ -10,21 +10,33 @@ The grid contains every interval endpoint appearing in the analysis, so every
 corner candidate the optimizer can produce is itself a grid point.
 
 Long grid columns are lazy: such a column keeps runs of tick indices and
-its few explicit values, and answers ``len`` and indexing by bisection.  A
-seeded sample reads one value per column and point, so however fine the
-step, the cost of a check follows the number of points checked, which
-``cap`` bounds.  Columns with few ticks are plain lists, which are cheaper
-to build and to index, and a sample copies lazy columns into lists when
-the copies stay within ``cap`` or about a million values.
+its few explicit values, and answers ``len`` and indexing by bisection, so
+a fine step costs no memory until the grid is walked.  Columns with at
+most _LIST_MAX ticks are plain lists.
 
-Box-union membership runs through a per-column index of the distinct box
-factors, so its cost grows with the distinct factors rather than with
-boxes x points.
+The walk moves over column indices, not values.  A point is a tuple of
+indices, taken from ``itertools.product`` of the index ranges or drawn one
+per column from a seeded stream, and its values are read only when the
+point is reported or handed to the objective.  No column is copied.
+
+Per-column tables make the cost of a walk follow the distinct values of
+each column rather than points x columns.  For each index of a list
+column the walk keeps two answers, each computed the first time the index
+is drawn: the value's ``witness_mask`` (-1 outside the column bound, else
+the rows it witnesses) and the bitmask of the boxes whose factor contains
+it.  A point is feasible when no witness mask is -1 and their OR covers
+every row, which is how ``is_feasible_point`` is defined, and it lies in
+the box union when the AND of its box masks is non-zero.  The box masks
+come from a per-column index of the distinct box factors, so they cost
+what the distinct factors cost, not boxes x values.  A lazy column gets no
+table and is tested on every draw, so no table holds more than _LIST_MAX
+ticks plus a column's endpoints, whatever ``cap`` and the step.
 
 ``bfre verify`` walks its grid once: ``grid_membership_check`` draws each
-point once, tests it once with ``is_feasible_point`` and, given an
-objective, takes the brute-force minimum in the same loop.
-``brute_force_min`` is the same minimum as a walk of its own.
+point once, tests it through the tables and, given an objective, takes the
+brute-force minimum in the same loop.  ``brute_force_min`` is the same
+minimum as a walk of its own that calls ``is_feasible_point`` on every
+point, and the tests keep it as the reference.
 """
 
 from __future__ import annotations
@@ -34,10 +46,11 @@ import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import getitem
 
 from .optimize import MonotoneObjective
 from .resolution import FeasibleBox, ResourceLimitError
-from .system import CellAnalysis, is_feasible_point
+from .system import CellAnalysis, is_feasible_point, witness_mask
 
 __all__ = [
     "GridReport",
@@ -55,13 +68,9 @@ DEFAULT_GRID_CAP = 2_000_000
 _MERGE_TOL = 1e-12
 
 #: Columns with at most this many ticks are built as sorted lists, which
-#: are cheaper to build and to index (a seeded sample indexes every column
-#: once per point); finer columns are lazy.
+#: are cheaper to build and to index, and which the walk tabulates per
+#: index; finer columns are lazy.
 _LIST_MAX = 4096
-
-#: A sample may copy lazy columns into lists up to this many values in all
-#: (about 32 MB), or up to its cap when that is larger.
-_COPY_MAX = 1 << 20
 
 
 def _dedup_sorted(values: list[float], tol: float = _MERGE_TOL) -> list[float]:
@@ -178,25 +187,59 @@ def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]
     return [_column(column, step, last) for column in values]
 
 
-def _iter_grid(grid: Sequence[Sequence[float]], cap: int, seed: int):
-    """Deterministic iterator over the grid: exhaustive when the Cartesian
-    size fits the cap, seeded uniform subsampling otherwise.
+def _walk(grid: Sequence[Sequence[float]], cap: int, seed: int):
+    """Deterministic walk over the grid as tuples of column indices:
+    ``itertools.product`` of the index ranges when the Cartesian size fits
+    the cap, else ``cap`` seeded draws, one index per column.
 
-    The sample draws ``cap`` values from every column, and a list indexes
-    faster than a lazy column.  So a column is copied into a list first when
-    all columns that short together hold at most ``cap`` or _COPY_MAX
-    values: the copies cost no more than the points drawn, or little memory.
+    The sampling contract is this rule: a draw for a column of length n
+    repeats ``getrandbits(n.bit_length())`` until the value is below n.  It
+    happens to be how ``random.Random(seed).choice`` picks an index, so a
+    sample holds the points that ``choice`` drew, at one C call per
+    coordinate instead of ``choice``'s two Python frames.
     """
+    lengths = [len(col) for col in grid]
     total = 1
-    for col in grid:
-        total *= len(col)
+    for length in lengths:
+        total *= length
     if total <= cap:
-        return total, False, itertools.product(*grid)
-    short = max(cap, _COPY_MAX) // len(grid)
-    columns = [list(col) if len(col) <= short else col for col in grid]
-    choice = random.Random(seed).choice
-    points = (tuple(map(choice, columns)) for _ in range(cap))
-    return total, True, points
+        return total, False, itertools.product(*map(range, lengths))
+    return total, True, _draws(lengths, cap, random.Random(seed).getrandbits)
+
+
+def _draws(lengths: list[int], cap: int, getrandbits):
+    sizes = [(n, n.bit_length()) for n in lengths]
+    for _ in range(cap):
+        point = []
+        for n, k in sizes:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            point.append(r)
+        yield tuple(point)
+
+
+class _NoTable:
+    """The memo of a lazy column: it keeps nothing, so every draw is tested
+    again, and the walk's memory does not grow with the points drawn."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> None:
+        return None
+
+    def __setitem__(self, i: int, value: int) -> None:
+        pass
+
+
+_NO_TABLE = _NoTable()
+
+
+def _table(column: Sequence[float]) -> list | _NoTable:
+    """A per-index memo for one column: a list of None as long as a list
+    column, at most _LIST_MAX ticks plus its endpoints, and ``_NO_TABLE``
+    for any other column, so no table grows with ``cap``."""
+    return [None] * len(column) if isinstance(column, list) else _NO_TABLE
 
 
 @dataclass
@@ -236,11 +279,15 @@ def grid_membership_check(
     feasible points, by ``brute_force_min``'s rule: the first strictly
     smaller value wins.  No feasible point is kept besides the best one.
 
-    The union test runs through a per-column factor index: ``index[j]``
-    maps each distinct factor value of column j to the bitmask of the boxes
-    that have it there.  A point's surviving boxes are the AND over columns of
-    the OR of the masks of the factors containing ``x[j]``, so the cost per
-    point grows with the distinct factors, not with the boxes.
+    Feasibility is ``is_feasible_point`` taken apart by column: the
+    ``witness_mask`` of each coordinate, remembered per (column, index) in
+    a list column's table.  The union test runs through a per-column factor
+    index: ``index[j]`` maps each distinct factor value of column j to the
+    bitmask of the boxes that have it there.  A point's surviving boxes are
+    the AND over columns of the OR of the masks of the factors containing
+    ``x[j]``, also remembered per (column, index).  Both loops stop early,
+    at the first coordinate outside its column bound and once no box is
+    left.
     """
     # Keyed by value through the pieces tuple, whose hash runs in C.
     index: list[dict[tuple, list]] = [{} for _ in grid]
@@ -253,30 +300,47 @@ def grid_membership_check(
             else:
                 entry[1] |= bit
     everyone = (1 << len(boxes)) - 1
-    total, sampled, points = _iter_grid(grid, cap, seed)
+    rows = (1 << analysis.m) - 1
+    witness = [_table(col) for col in grid]
+    in_boxes = [_table(col) for col in grid]
+    total, sampled, points = _walk(grid, cap, seed)
     mismatches = []
     checked = 0
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
-    for x in points:
+    for point in points:
         checked += 1
-        feasible = is_feasible_point(analysis, x)
+        covered = 0
+        for j, r in enumerate(point):
+            mask = witness[j][r]
+            if mask is None:
+                mask = witness[j][r] = witness_mask(analysis, j, grid[j][r])
+            if mask < 0:
+                covered = -1
+                break
+            covered |= mask
+        feasible = covered == rows
+        alive = everyone
+        for j, r in enumerate(point):
+            if not alive:
+                break
+            hit = in_boxes[j][r]
+            if hit is None:
+                v = grid[j][r]
+                hit = 0
+                for f, bits in index[j].values():
+                    if f.contains(v):
+                        hit |= bits
+                in_boxes[j][r] = hit
+            alive &= hit
+        in_union = bool(alive)
         if feasible and objective is not None:
+            x = tuple(map(getitem, grid, point))
             value = objective(x)
             if best_value is None or value < best_value:
                 best_point, best_value = x, value
-        alive = everyone
-        for v, column in zip(x, index):
-            if not alive:
-                break
-            hit = 0
-            for f, mask in column.values():
-                if f.contains(v):
-                    hit |= mask
-            alive &= hit
-        in_union = bool(alive)
         if feasible != in_union:
-            mismatches.append((x, feasible, in_union))
+            mismatches.append((tuple(map(getitem, grid, point)), feasible, in_union))
     return GridReport(total, checked, sampled, mismatches, best_point, best_value)
 
 
@@ -294,13 +358,14 @@ def brute_force_min(
     pipeline's global optimum whenever the corner-candidate selection is
     correct.
     """
-    _, _, points = _iter_grid(grid, cap, seed)
+    _, _, points = _walk(grid, cap, seed)
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
-    for x in points:
+    for point in points:
+        x = tuple(map(getitem, grid, point))
         if not is_feasible_point(analysis, x):
             continue
         v = objective(x)
         if best_value is None or v < best_value:
-            best_point, best_value = tuple(x), v
+            best_point, best_value = x, v
     return best_point, best_value

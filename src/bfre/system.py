@@ -24,12 +24,18 @@ column bound.
 
 ``is_feasible_point`` is the one point-membership test.  It always tests
 the whole system: the reduction rules preserve the feasible region, so a
-reduction shows only in the boxes it leads to.
+reduction shows only in the boxes it leads to.  It is built from
+``witness_mask``, which answers for one coordinate at a time: -1 when x_j
+leaves its column bound, else the rows x_j witnesses.  A point is feasible
+when no coordinate answers -1 and the answers together cover every row, so
+a caller that meets the same x_j many times (the ``verify`` grid walk) can
+ask once and keep the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .intervals import IntervalUnion
@@ -42,6 +48,7 @@ __all__ = [
     "is_feasible_point",
     "necessary_feasibility",
     "residual",
+    "witness_mask",
 ]
 
 
@@ -146,8 +153,11 @@ class CellAnalysis:
                        a-_ij); every other cell of row i has the shared
                        [0, 1] as its relaxed set and the shared empty set as
                        its exact and restricted set
+    column_witnesses[j] : pairs (1 << i, restricted[i][j]) of the rows i
+                       with j in row_support[i], built on first use
 
-    Immutable after construction and freely shareable.
+    Immutable after construction, apart from ``column_witnesses`` being
+    filled in once, and freely shareable.
     """
 
     def __init__(self, system: BipolarSystem) -> None:
@@ -209,6 +219,17 @@ class CellAnalysis:
     def n(self) -> int:
         return self.system.n
 
+    @cached_property
+    def column_witnesses(self) -> list[tuple[tuple[int, IntervalUnion], ...]]:
+        """Per column j, the pairs (1 << i, restricted[i][j]) of the rows i
+        with j in row_support[i], in row order.  Built on first use: only
+        ``witness_mask`` reads them."""
+        out: list[list[tuple[int, IntervalUnion]]] = [[] for _ in range(self.n)]
+        for i, (restricted, support) in enumerate(zip(self.restricted, self.row_support)):
+            for j in support:
+                out[j].append((1 << i, restricted[j]))
+        return [tuple(pairs) for pairs in out]
+
 
 def necessary_feasibility(analysis: CellAnalysis) -> FeasibilityVerdict:
     """Necessary checks: every column bound and every row support non-empty."""
@@ -221,23 +242,39 @@ def necessary_feasibility(analysis: CellAnalysis) -> FeasibilityVerdict:
     return FeasibilityVerdict("ok")
 
 
+def witness_mask(
+    analysis: CellAnalysis, j: int, v: float, *, eps: float | None = None
+) -> int:
+    """-1 when v lies outside col_bounds[j]; otherwise the bitmask of the
+    rows i with j in row_support[i] and v in restricted[i][j]."""
+    if not analysis.col_bounds[j].contains(v, eps):
+        return -1
+    mask = 0
+    for bit, restricted in analysis.column_witnesses[j]:
+        if restricted.contains(v, eps):
+            mask |= bit
+    return mask
+
+
 def is_feasible_point(
     analysis: CellAnalysis, x: Sequence[float], *, eps: float | None = None
 ) -> bool:
     """Exact membership test: x solves every equation of the system iff
 
     (I)  x_j lies in every column bound, and
-    (II) every equation has a witness column j with x_j in restricted[i][j].
+    (II) every equation has a witness column j with x_j in restricted[i][j],
+
+    that is, iff no ``witness_mask`` of x is -1 and their OR covers every row.
     """
     if len(x) != analysis.n:
         raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
-    if not all(col.contains(xj, eps) for col, xj in zip(analysis.col_bounds, x)):
-        return False
-    restricted = analysis.restricted
-    return all(
-        any(restricted[i][j].contains(x[j], eps) for j in support)
-        for i, support in enumerate(analysis.row_support)
-    )
+    covered = 0
+    for j, v in enumerate(x):
+        mask = witness_mask(analysis, j, v, eps=eps)
+        if mask < 0:
+            return False
+        covered |= mask
+    return covered == (1 << analysis.m) - 1
 
 
 def residual(system: BipolarSystem, x: Sequence[float], i: int) -> float:

@@ -271,6 +271,20 @@ def test_report_determinism(runner):
             0,
             id="rule3-verify",
         ),
+        pytest.param(
+            "problem.json",
+            ["verify", "--step", "0.25", "--cap", "20", "--seed", "3"],
+            "verify_sampled.out",
+            0,
+            id="verify-sampled",
+        ),
+        pytest.param(
+            "rule3_problem.json",
+            ["verify", "--step", "1e-4", "--cap", "50", "--seed", "1"],
+            "rule3_verify_lazy.out",
+            0,
+            id="rule3-verify-lazy",
+        ),
     ],
 )
 def test_golden_output(runner, problem, args, expected, code):
@@ -281,7 +295,9 @@ def test_golden_output(runner, problem, args, expected, code):
     # rule3_problem.json is 8x4: rule 3 drops row 2, dominated by row 7,
     # whose support is a strict part of row 2's, and row 4, the later of two
     # identical rows (a copy of row 1); rule 5 fires too.  Only 18 of its 64
-    # literals reach their b_i, so its verify grid skips most cells.
+    # literals reach their b_i, so its verify grid skips most cells.  The
+    # sampled verify cases pin the seeded draws, one over list columns and
+    # one over lazy columns.
     result = invoke(runner, args[0], os.path.join(GOLDEN, problem), *args[1:])
     with open(os.path.join(GOLDEN, expected), encoding="utf-8") as fh:
         assert result.stdout == fh.read()

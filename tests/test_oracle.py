@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from operator import getitem
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,8 @@ from bfre import (
     objective_catalog,
 )
 from bfre import oracle
-from bfre.oracle import DEFAULT_GRID_CAP
+from bfre.oracle import DEFAULT_GRID_CAP, GridReport
+from bfre.tnorms import TNORM_KINDS
 from conftest import LINEAR_C, random_system
 
 
@@ -174,12 +176,46 @@ def test_fine_grid_allocates_no_tick_lists(example_region):
             assert col[i] + 1e-12 < col[i + 1]
 
 
-def test_sampled_walk_draws_the_same_points_from_lazy_columns(monkeypatch):
-    # At step 1e-4 both columns are lazy, with over 10,000 values each.  With
-    # no copy budget of its own, cap 50 draws from them as they are and cap
-    # 30,000 copies them into lists first.  Either way the walk must see
-    # exactly the points that a grid of plain lists gives.
-    monkeypatch.setattr(oracle, "_COPY_MAX", 0)
+def _choice_points(columns, cap, seed):
+    choice = random.Random(seed).choice
+    return [tuple(map(choice, columns)) for _ in range(cap)]
+
+
+def test_sampled_walk_draws_the_choice_stream():
+    """The sampling contract is this walk's own: per point and column of
+    length n, ``getrandbits(n.bit_length())`` until the value is below n.
+    It happens to match the stream of ``random.Random(seed).choice``, and
+    this test pins the sampled points to that stream."""
+    lengths = [1, 2, 3, 5, 6, 7, 100, 1000, 4097, 5000]
+    lengths += [n for k in range(1, 13) for n in (2**k - 1, 2**k, 2**k + 1)]
+    rng = random.Random(8)
+    for seed in range(50):
+        rng.shuffle(lengths)
+        columns = lengths + [rng.randint(1, 5000) for _ in range(10)]
+        total, sampled, points = oracle._walk([range(n) for n in columns], 40, seed)
+        assert sampled and total > 40
+        assert list(points) == _choice_points(list(map(range, columns)), 40, seed)
+
+
+def test_sampled_walk_draws_the_choice_stream_from_lazy_columns(example_region):
+    # At step 1e-4 every column is lazy; its indices follow the same stream,
+    # and its values are those of the same column as a plain list.
+    grid = breakpoint_grid(example_region.analysis, step=1e-4)
+    assert all(isinstance(col, oracle._GridColumn) for col in grid)
+    lists = [list(col) for col in grid]
+    for seed in range(5):
+        _, sampled, points = oracle._walk(grid, 200, seed)
+        points = list(points)
+        assert sampled
+        assert points == _choice_points([range(len(col)) for col in grid], 200, seed)
+        values = [tuple(map(getitem, grid, point)) for point in points]
+        assert values == _choice_points(lists, 200, seed)
+
+
+def test_sampled_walk_draws_the_same_points_from_lazy_columns():
+    # At step 1e-4 both columns are lazy, with over 10,000 values each.  At
+    # caps 50 and 30,000 the walk must see exactly the points that a grid of
+    # plain lists gives.
     sys_ = BipolarSystem([[0.5, 0.8]], [[0.2, 0.4]], [0.4], TNormSpec("product"))
     res = feasible_region(sys_)
     obj = objective_catalog("linear", 2, {"c": [1.0, -1.0]})
@@ -275,6 +311,85 @@ def test_membership_index_matches_box_scan():
             assert report.mismatches == expected, (res.analysis.system, variant)
             lossy += bool(expected) and len(variant) > 0
     assert lossy > 0
+
+
+def _reference_report(analysis, boxes, grid, cap, seed, objective):
+    """The walk point by point: the product of the column values, or ``cap``
+    draws of ``random.Random(seed).choice`` per column; per point,
+    ``is_feasible_point``, the first strictly smaller objective value and a
+    scan of every box."""
+    total = 1
+    for col in grid:
+        total *= len(col)
+    sampled = total > cap
+    points = _choice_points(grid, cap, seed) if sampled else itertools.product(*grid)
+    mismatches, checked, best_point, best_value = [], 0, None, None
+    for x in points:
+        checked += 1
+        feasible = is_feasible_point(analysis, x)
+        if feasible and objective is not None:
+            value = objective(x)
+            if best_value is None or value < best_value:
+                best_point, best_value = x, value
+        in_union = any(box.contains(x) for box in boxes)
+        if feasible != in_union:
+            mismatches.append((x, feasible, in_union))
+    return GridReport(total, checked, sampled, mismatches, best_point, best_value)
+
+
+def test_memoized_walk_matches_point_by_point_reference(column_kind):
+    # Families in turn, boxes dropped, added and reordered, exhaustive and
+    # sampled grids, with and without an objective; the whole report must
+    # equal the reference's.
+    rng = random.Random(29)
+    seen = {"mismatch": 0, "sampled": 0, "exhaustive": 0, "best": 0}
+    for trial in range(60):
+        kind = TNORM_KINDS[trial % len(TNORM_KINDS)]
+        sys_ = random_system(rng, max_m=4, max_n=4, kind=kind)
+        res = feasible_region(sys_)
+        boxes = list(res.boxes)
+        full = FeasibleBox(tuple(IntervalUnion.full() for _ in range(sys_.n)), ())
+        variants = [tuple(boxes), (), tuple(reversed(boxes)) + (full,)]
+        if boxes:
+            variants.append(tuple(rng.sample(boxes, len(boxes) - 1)))
+        objective = None
+        if trial % 3 == 1:
+            objective = objective_catalog("max", sys_.n)
+        elif trial % 3 == 2:
+            c = [rng.uniform(-2, 2) for _ in range(sys_.n)]
+            objective = objective_catalog("linear", sys_.n, {"c": c})
+        for step, cap in ((0.5, DEFAULT_GRID_CAP), (0.25, 60)):
+            grid = breakpoint_grid(res.analysis, step)
+            for variant in variants:
+                report = grid_membership_check(
+                    res.analysis, variant, grid, cap, trial, objective
+                )
+                expected = _reference_report(
+                    res.analysis, variant, grid, cap, trial, objective
+                )
+                assert report == expected, (sys_, step, variant)
+                seen["mismatch"] += bool(report.mismatches)
+                seen["sampled" if report.sampled else "exhaustive"] += 1
+                seen["best"] += report.best_value is not None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lazy_columns_get_no_table(example_region):
+    # A table per index of a lazy column would hold up to cap entries; at
+    # step 5.1e-7 each column has about two million values.
+    analysis, boxes = example_region.analysis, example_region.boxes
+    grid = breakpoint_grid(analysis, step=5.1e-7)
+    assert all(oracle._table(col) is oracle._NO_TABLE for col in grid)
+    assert oracle._table([0.0, 0.5, 1.0]) == [None] * 3
+    tracemalloc.start()
+    try:
+        report = grid_membership_check(analysis, boxes, grid, cap=5_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.sampled and report.checked == 5_000 and report.ok
+    # a dict per column keeping every drawn index would take about 4 MB
+    assert peak < 100_000
 
 
 def test_membership_check_reports_dropped_and_extra_boxes(example_region):

@@ -14,8 +14,10 @@ from bfre import (
     IntervalUnion,
     TNormSpec,
     feasible_region,
+    global_optimum,
     is_feasible_point,
     necessary_feasibility,
+    objective_catalog,
     residual,
     solve_scalar_eq,
     tnorm_eval,
@@ -191,6 +193,77 @@ def test_is_feasible_point_examples(example_analysis):
     trivial = BipolarSystem([[0.0]], [[0.0]], [0.0], TNormSpec("minimum"))
     an = CellAnalysis(trivial)
     assert all(is_feasible_point(an, [x / 10]) for x in range(11))
+
+
+def _all_any_feasible(analysis, x, eps=None):
+    """The membership test written as its two conditions: every x_j in its
+    column bound, and every row with a support column j where x_j lies in
+    restricted[i][j]."""
+    if not all(col.contains(xj, eps) for col, xj in zip(analysis.col_bounds, x)):
+        return False
+    return all(
+        any(analysis.restricted[i][j].contains(x[j], eps) for j in support)
+        for i, support in enumerate(analysis.row_support)
+    )
+
+
+def _near_endpoints(analysis, j, tol):
+    """0, 1 and column j's bound and restricted endpoints, one ulp and one
+    tolerance either side of each, and one ulp either side of those."""
+    ends = [0.0, 1.0] + analysis.col_bounds[j].endpoints()
+    for restricted in analysis.restricted:
+        ends += restricted[j].endpoints()
+    out = set()
+    for v in ends:
+        for w in (v, v - tol, v + tol):
+            out.update((w, math.nextafter(w, -1.0), math.nextafter(w, 2.0)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("scope", ["default", "eps", "tolerance"])
+def test_is_feasible_point_matches_all_any_definition(scope):
+    # Random points, and points whose coordinates sit on, one ulp from and
+    # one tolerance from the cell and bound endpoints; systems with a row
+    # that no literal reaches, whose support is empty.
+    rng = random.Random(85)
+    eps = 1e-7 if scope == "eps" else None
+    context = intervals.tolerance(1e-7) if scope == "tolerance" else contextlib.nullcontext()
+    outcomes = {True: 0, False: 0}
+    empty_rows = 0
+    with context:
+        tol = intervals.EPS if eps is None else eps
+        for trial in range(150):
+            system = random_system(rng, max_m=4, max_n=4)
+            if trial % 5 == 0:
+                # b = 1 above every coefficient below 1: no literal reaches it
+                low = [0.5] * system.n
+                system = BipolarSystem(
+                    system.a_plus + (low,), system.a_minus + (low,), system.b + (1.0,),
+                    system.tnorm,
+                )
+            an = CellAnalysis(system)
+            empty_rows += not all(an.row_support)
+            near = [_near_endpoints(an, j, tol) for j in range(an.n)]
+            points = [[rng.random() for _ in range(an.n)] for _ in range(10)]
+            points += [[rng.choice(values) for values in near] for _ in range(40)]
+            for x in points:
+                expected = _all_any_feasible(an, x, eps)
+                assert is_feasible_point(an, x, eps=eps) == expected, (system, x)
+                outcomes[expected] += 1
+    assert empty_rows >= 30
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_witness_lists_are_built_only_for_point_tests(example_system):
+    # feasible and solve read no per-column witness lists; the first point
+    # test builds them once
+    result = feasible_region(example_system)
+    global_optimum(result.boxes, objective_catalog("max", example_system.n))
+    assert "column_witnesses" not in vars(result.analysis)
+    assert not is_feasible_point(result.analysis, [0.0] * 9)
+    witnesses = result.analysis.column_witnesses
+    assert is_feasible_point(result.analysis, [0.0, 0.75, 0.7, 1.0, 0.75, 0.4, 0.1, 0.0, 0.5])
+    assert result.analysis.column_witnesses is witnesses
 
 
 def test_satisfies_equation(example_system):
