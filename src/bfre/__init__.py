@@ -3,7 +3,8 @@
 Systems of the form  A+ phi x  OR  A- phi (1 - x)  =  b  under an arbitrary
 continuous t-norm phi: the feasible region is resolved exactly as a finite
 union of boxes, and coordinate-monotone objectives are minimized globally
-over it by comparing closed-form per-box corner candidates.
+over it by a branch-and-bound search over the witness assignments, which
+compares closed-form box corners and prunes by the corner of a partial box.
 """
 
 from .intervals import IntervalUnion, tolerance
@@ -14,7 +15,6 @@ from .optimize import (
     check_monotone,
     global_optimum,
     jacobi_eigenvalues,
-    local_candidate,
     objective_catalog,
 )
 from .oracle import breakpoint_grid, brute_force_min, grid_membership_check
@@ -75,7 +75,6 @@ __all__ = [
     "grid_membership_check",
     "is_feasible_point",
     "jacobi_eigenvalues",
-    "local_candidate",
     "necessary_feasibility",
     "objective_catalog",
     "residual",

@@ -15,11 +15,11 @@ JSON, one line of it with the separators of ``json.dumps``; numbers
 round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
-The ``boxes`` and ``candidates`` arrays are written by one encoder from
-shared text: the ``rows`` tuple once per report, each distinct factor and
-each box's ``columns`` once, and each corner coordinate once per endpoint
-object, so a report costs about one encoding per shared part rather than
-one per number printed.
+The ``boxes`` array is written by one encoder from shared text: the
+``rows`` tuple once per report and each distinct factor once, so a report
+costs about one encoding per shared part rather than one per number
+printed.  ``solve`` reports the best corner that the optimum search finds,
+not the corner of every box.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, NoReturn
 
 import click
 
 from . import intervals
 from .optimize import (
-    Candidate,
     MonotoneObjective,
     check_monotone,
     global_optimum,
@@ -148,22 +147,13 @@ class _JSONText(str):
     it as is."""
 
 
-def _report_json(
-    result: RegionResult, candidates: Sequence[Candidate] = ()
-) -> tuple[_JSONText, _JSONText | None]:
-    """The ``boxes`` and ``candidates`` arrays as the text ``json.dumps``
-    would give them; no ``candidates`` text without candidates.
+def _boxes_json(result: RegionResult) -> _JSONText:
+    """The ``boxes`` array as the text ``json.dumps`` would give it.
 
-    ``candidates`` are ``global_optimum``'s, one per box in box order.
     Boxes share most of their parts, so each part is encoded once: the
-    ``rows`` tuple, which every box carries; each distinct factor (column
-    bounds and the search's joint restricted sets); each box's
-    ``columns``, whose text its candidate reuses; and each endpoint of a
-    distinct factor, which is where every corner coordinate comes from.
-    ``result`` holds every box while this runs, so ``id`` tells the
-    objects apart.  Keys are objects, never float values: ``0.0`` and
-    ``-0.0`` compare equal but print apart.  The candidates' values go
-    through one ``json.dumps``, so ``inf`` prints as ``Infinity``.
+    ``rows`` tuple, which every box carries, and each distinct factor
+    (column bounds and the search's joint restricted sets).  ``result``
+    holds every box while this runs, so ``id`` tells the objects apart.
     """
     boxes = result.boxes
     factors = {}
@@ -173,34 +163,18 @@ def _report_json(
     sources = {id(box.source.rows): box.source.rows for box in boxes}
     rows = {key: json.dumps(r) for key, r in sources.items()}
     # tuples of plain ints, whose text as a list is their JSON text
-    columns = [str(list(box.source.columns)) for box in boxes]
     boxes_text = ", ".join(
         [
-            f'{{"rows": {rows[id(box.source.rows)]}, "columns": {cols}, '
+            f'{{"rows": {rows[id(box.source.rows)]}, '
+            f'"columns": {list(box.source.columns)}, '
             f'"factors": [{", ".join(map(text.__getitem__, map(id, box.factors)))}]}}'
-            for box, cols in zip(boxes, columns)
+            for box in boxes
         ]
     )
-    if not candidates:
-        return _JSONText(f"[{boxes_text}]"), None
-    endpoints = {id(x): x for f in factors.values() for piece in f.pieces for x in piece}
-    coords = {key: json.dumps(x) for key, x in endpoints.items()}
-    # one encoder call for all values; no JSON number holds ", "
-    values = json.dumps([c.value for c in candidates])[1:-1].split(", ")
-    candidates_text = ", ".join(
-        [
-            f'{{"columns": {cols}, '
-            f'"point": [{", ".join(map(coords.__getitem__, map(id, c.point)))}], '
-            f'"value": {value}}}'
-            for cols, c, value in zip(columns, candidates, values, strict=True)
-        ]
-    )
-    return _JSONText(f"[{boxes_text}]"), _JSONText(f"[{candidates_text}]")
+    return _JSONText(f"[{boxes_text}]")
 
 
-def _region_report(result: RegionResult, candidates: Sequence[Candidate] = ()) -> dict:
-    """The region report, with ``candidates`` after ``boxes`` when some are
-    given."""
+def _region_report(result: RegionResult) -> dict:
     report: dict[str, Any] = {
         "status": "feasible" if result.is_feasible else "infeasible",
         "verdict": _verdict_dict(result),
@@ -209,9 +183,7 @@ def _region_report(result: RegionResult, candidates: Sequence[Candidate] = ()) -
         report["reduction"] = _reduction_dict(result.reduction, explain=False)
         report["count_bound"] = count_bound(result.analysis, result.reduction)
     report["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
-    report["boxes"], candidates_text = _report_json(result, candidates)
-    if candidates_text is not None:
-        report["candidates"] = candidates_text
+    report["boxes"] = _boxes_json(result)
     return report
 
 
@@ -255,7 +227,8 @@ def _common_options(fn):
         type=int,
         default=DEFAULT_MAX_ASSIGNMENTS,
         show_default=True,
-        help="Cap on the number of enumerated assignments.",
+        help="Cap on the enumerated assignments, and on the leaves the optimum "
+        "search compares.",
         callback=_check_max_e,
     )(fn)
     fn = click.option(
@@ -343,8 +316,8 @@ def solve(problem, tol, max_e, no_simplify) -> None:
         result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
         if not result.is_feasible:
             return _region_report(result), EXIT_INFEASIBLE
-        best, candidates = global_optimum(result.boxes, objective)
-        out = _region_report(result, candidates)
+        best, _ = global_optimum(result.analysis, result.reduction, objective, max_e)
+        out = _region_report(result)
         out["best"] = {
             "columns": list(best.source.columns),
             "point": list(best.point),
@@ -395,7 +368,9 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
                 "value": value,
             }
             if result.is_feasible:
-                best, _ = global_optimum(result.boxes, objective)
+                best, _ = global_optimum(
+                    result.analysis, result.reduction, objective, max_e
+                )
                 out["pipeline_value"] = best.value
                 if membership.sampled:
                     # a sampled grid cannot certify equality, only the bound

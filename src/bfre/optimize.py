@@ -4,7 +4,10 @@ An objective partitions the variables into a non-decreasing set and a
 non-increasing set.  On a single box the optimum is then attained at a
 closed-form corner point: the factor minimum on non-decreasing coordinates
 and the factor maximum on non-increasing ones.  The global optimum over the
-whole region is the best such corner over all boxes.
+whole region is the best such corner over all boxes.  ``global_optimum``
+finds it by a depth-first branch-and-bound over the witness assignments
+(in the spirit of Fang & Li, Fuzzy Sets Syst. 103 (1999)): the corner of a
+partial box bounds every box below it, so most leaves are never scored.
 """
 
 from __future__ import annotations
@@ -15,14 +18,22 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .resolution import AdmissibleFunction, FeasibleBox
+from . import intervals
+from .intervals import IntervalUnion
+from .resolution import (
+    DEFAULT_MAX_ASSIGNMENTS,
+    AdmissibleFunction,
+    ResourceLimitError,
+    walk_admissible,
+)
+from .simplify import ReductionState
+from .system import CellAnalysis
 
 __all__ = [
     "MonotoneObjective",
     "Candidate",
     "InfeasibleError",
     "ProbeViolation",
-    "local_candidate",
     "global_optimum",
     "objective_catalog",
     "check_monotone",
@@ -65,7 +76,8 @@ class MonotoneObjective:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A per-box optimal corner point with its objective value."""
+    """The optimal corner of one box, named by the box's assignment, with
+    its objective value."""
 
     source: AdmissibleFunction
     point: tuple[float, ...]
@@ -82,33 +94,70 @@ def _corner_ends(objective: MonotoneObjective) -> tuple[int, ...]:
     return tuple(0 if j in objective.j_plus else -1 for j in range(objective.n))
 
 
-def _candidate(box: FeasibleBox, ends: Sequence[int], fn: Callable) -> Candidate:
-    point = tuple([f.pieces[e][e] for f, e in zip(box.factors, ends)])
-    return Candidate(box.source, point, fn(point))
-
-
-def local_candidate(box: FeasibleBox, objective: MonotoneObjective) -> Candidate:
-    """Optimal corner of one box: factor minimum on non-decreasing
-    coordinates, factor maximum on non-increasing ones."""
-    return _candidate(box, _corner_ends(objective), objective.fn)
-
-
 def global_optimum(
-    boxes: Sequence[FeasibleBox], objective: MonotoneObjective
+    analysis: CellAnalysis,
+    state: ReductionState,
+    objective: MonotoneObjective,
+    max_count: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> tuple[Candidate, list[Candidate]]:
-    """Best corner candidate over all boxes, plus every candidate.
+    """The best corner over the region of the (reduced) problem, and every
+    leaf corner the search compared, in the order it compared them.
 
-    Each candidate is optimal on its own box, so the smallest value is the
-    global optimum of the whole region.  Ties break toward the
-    lexicographically smallest generating assignment.  The corner ends are
-    chosen once per objective, not once per box.
+    ``walk_admissible`` visits the assignments in lexicographic order and
+    scores each leaf it reaches by its box's corner, which is optimal on
+    that box.  The corner of a partial box bounds every box below it from
+    below: each later row only narrows the factors, and the objective is
+    monotone.  A child whose bound is at least the incumbent's value is
+    pruned.  Every leaf still to come is lexicographically larger than the
+    incumbent, so the result is the optimum of scoring every box with ties
+    broken toward the lexicographically smallest assignment, bit for bit.
+
+    The bound is made sound for floats.  Canonicalization collapses a piece
+    of width in [-EPS, 0) to its midpoint, so each later intersection can
+    move a factor end outward by up to EPS/2.  A child is pruned only when
+    the corner widened outward by EPS per unassigned row, clamped to
+    [0, 1], is still at least the incumbent.  The declared partition is
+    trusted: under a false one the search may return another corner than
+    scoring every box would.
+
+    Comparing more than ``max_count`` leaves raises ``ResourceLimitError``,
+    whose message gives the incumbent's value; a region without a leaf
+    raises ``InfeasibleError``.
     """
-    if not boxes:
-        raise InfeasibleError("no boxes: the region is empty")
-    ends, fn = _corner_ends(objective), objective.fn
-    candidates = [_candidate(box, ends, fn) for box in boxes]
-    best = min(candidates, key=lambda c: (c.value, c.source.columns))
-    return best, candidates
+    ends, fn, eps = _corner_ends(objective), objective.fn, intervals.EPS
+    compared: list[Candidate] = []
+    best: Candidate | None = None
+
+    def prune(remaining: int, factors: list[IntervalUnion]) -> bool:
+        if best is None:
+            return False
+        w = eps * remaining
+        top = 1.0 - w
+        wide = [
+            (v - w if v > w else 0.0) if e == 0 else (v + w if v < top else 1.0)
+            for f, e in zip(factors, ends)
+            for v in (f.pieces[e][e],)
+        ]
+        return fn(wide) >= best.value
+
+    def leaf(source: AdmissibleFunction, factors: list[IntervalUnion]) -> None:
+        nonlocal best
+        point = tuple([f.pieces[e][e] for f, e in zip(factors, ends)])
+        candidate = Candidate(source, point, fn(point))
+        compared.append(candidate)
+        if best is None or candidate.value < best.value:
+            best = candidate
+        if len(compared) > max_count:
+            raise ResourceLimitError(
+                f"the optimum search compared {len(compared)} leaves, more than "
+                f"{max_count}, without finishing; best value so far "
+                f"{best.value!r}; raise the cap"
+            )
+
+    walk_admissible(analysis, state, leaf, prune)
+    if best is None:
+        raise InfeasibleError("no admissible assignment: the region is empty")
+    return best, compared
 
 
 # -- small symmetric eigenproblem -------------------------------------------

@@ -12,7 +12,7 @@ and are emitted without deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .intervals import IntervalUnion
 from .simplify import ReductionState, simplify_to_fixpoint
@@ -28,6 +28,7 @@ __all__ = [
     "FeasibleBox",
     "RegionResult",
     "ResourceLimitError",
+    "walk_admissible",
     "enumerate_admissible",
     "count_bound",
     "solution_box",
@@ -77,24 +78,32 @@ class FeasibleBox:
         return all(f.contains(x[j]) for j, f in enumerate(self.factors))
 
 
-def enumerate_admissible(
+def walk_admissible(
     analysis: CellAnalysis,
     state: ReductionState,
-    max_count: int = DEFAULT_MAX_ASSIGNMENTS,
-) -> list[FeasibleBox]:
-    """The boxes of all admissible functions of the (reduced) problem, in
-    lexicographic order of their ``source`` assignments.
+    leaf: Callable[[AdmissibleFunction, list[IntervalUnion]], None],
+    prune: Callable[[int, list[IntervalUnion]], bool] | None = None,
+) -> None:
+    """The depth-first search over the admissible functions of the (reduced)
+    problem, which enumeration and the optimum search share.
 
-    Depth-first search over active rows in ascending order, candidate
-    columns in ascending order.  The search state is the current partial
-    box, ``factors``: it starts as the fixed singletons and column bounds,
-    and assigning row i to column j narrows ``factors[j]`` to its
-    intersection with the restricted set of cell (i, j).  A branch extends
-    only while that intersection is non-empty, which is exactly the
-    admissibility condition, so the output is complete.  Each leaf's box is
-    the partial box as it stands.  The first row on a column takes the
-    restricted set itself, which lies inside the column bound, so boxes
-    share factor objects.
+    Active rows are assigned in ascending order, each to its candidate
+    columns in ascending order, so leaves come in lexicographic order of
+    their assignments.  The search state is the current partial box,
+    ``factors``: it starts as the fixed singletons and column bounds, and
+    assigning row i to column j narrows ``factors[j]`` to its intersection
+    with the restricted set of cell (i, j).  A branch extends only while
+    that intersection is non-empty, which is exactly the admissibility
+    condition, so every admissible function is reached.  The first row on a
+    column takes the restricted set itself, which lies inside the column
+    bound, so the partial boxes of different leaves share factor objects.
+
+    ``leaf(e, factors)`` runs at each leaf with its assignment and the
+    partial box as it stands, which is that assignment's box; ``factors``
+    is the search's own list, so a leaf copies what it keeps.
+    ``prune(remaining, factors)`` runs on every child that still has
+    ``remaining > 0`` rows to assign; when it returns True the child's
+    subtree is skipped.
     """
     rows = tuple(sorted(state.active_rows))
     candidates = [state.row_candidates(analysis, i) for i in rows]
@@ -103,18 +112,12 @@ def enumerate_admissible(
         for j, bound in enumerate(analysis.col_bounds)
     ]
     factors = list(base)
-    out: list[FeasibleBox] = []
     chosen: list[int] = []
+    depth = len(rows)
 
     def walk(k: int) -> None:
-        if k == len(rows):
-            if len(out) >= max_count:
-                raise ResourceLimitError(
-                    f"more than {max_count} admissible assignments; raise the cap"
-                )
-            out.append(solution_box(AdmissibleFunction(rows, tuple(chosen)), factors))
-            return
         restricted = analysis.restricted[rows[k]]
+        remaining = depth - k - 1
         for j in candidates[k]:
             before = factors[j]
             joint = restricted[j] if before is base[j] else before & restricted[j]
@@ -122,11 +125,43 @@ def enumerate_admissible(
                 continue
             factors[j] = joint
             chosen.append(j)
-            walk(k + 1)
+            if not remaining:  # from the last row's loop: one call per leaf
+                leaf(AdmissibleFunction(rows, tuple(chosen)), factors)
+            elif prune is None or not prune(remaining, factors):
+                walk(k + 1)
             chosen.pop()
             factors[j] = before
 
-    walk(0)
+    if depth:
+        walk(0)
+    else:
+        leaf(AdmissibleFunction(rows, ()), factors)
+
+
+def enumerate_admissible(
+    analysis: CellAnalysis,
+    state: ReductionState,
+    max_count: int = DEFAULT_MAX_ASSIGNMENTS,
+) -> list[FeasibleBox]:
+    """The boxes of all admissible functions of the (reduced) problem, in
+    lexicographic order of their ``source`` assignments.
+
+    ``walk_admissible`` without pruning; each leaf's box is its partial box
+    as it stands.  Passing ``max_count`` boxes raises ``ResourceLimitError``,
+    whose message says how many boxes were found: any box proves the system
+    feasible.
+    """
+    out: list[FeasibleBox] = []
+
+    def leaf(e: AdmissibleFunction, factors: list[IntervalUnion]) -> None:
+        if len(out) >= max_count:
+            raise ResourceLimitError(
+                f"more than {max_count} admissible assignments; {len(out)} boxes "
+                "found, so the system is feasible; raise the cap"
+            )
+        out.append(solution_box(e, factors))
+
+    walk_admissible(analysis, state, leaf)
     return out
 
 

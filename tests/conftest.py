@@ -82,10 +82,13 @@ def random_system(
     max_n: int = 3,
     kind: str | None = None,
     force_feasible: bool | None = None,
+    shape: tuple[int, int] | None = None,
 ) -> BipolarSystem:
-    """A small random instance; feasible ones are built around a witness point."""
-    m = rng.randint(1, max_m)
-    n = rng.randint(1, max_n)
+    """A small random instance; feasible ones are built around a witness point.
+
+    ``shape`` fixes (m, n) instead of drawing them up to (max_m, max_n).
+    """
+    m, n = shape or (rng.randint(1, max_m), rng.randint(1, max_n))
     t = random_tnorm(rng, kind)
     a_plus = [[_entry(rng) for _ in range(n)] for _ in range(m)]
     a_minus = [[_entry(rng) for _ in range(n)] for _ in range(m)]
@@ -142,3 +145,25 @@ def check_tnorm_axioms(spec: TNormSpec, samples: int, seed: int, tol: float = 1e
         left = tnorm_eval(spec, x, tnorm_eval(spec, y, z))
         right = tnorm_eval(spec, tnorm_eval(spec, x, y), z)
         assert abs(left - right) <= tol, (spec, x, y, z)
+
+
+# -- optimization reference ----------------------------------------------------
+
+
+def reference_optimum(boxes, objective):
+    """The exhaustive scan the optimum search must reproduce bit for bit.
+
+    Every box's corner (factor minimum on non-decreasing coordinates,
+    factor maximum on non-increasing ones) and its value, in box order, and
+    the best of them with ties broken by the assignment's columns.
+    Returns (best, corners), each corner a ``(value, point, source)``.
+    """
+    corners = []
+    for box in boxes:
+        point = tuple(
+            f.min_elem() if j in objective.j_plus else f.max_elem()
+            for j, f in enumerate(box.factors)
+        )
+        corners.append((objective(point), point, box.source))
+    best = min(corners, key=lambda c: (c[0], c[2].columns))
+    return best, corners

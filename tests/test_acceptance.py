@@ -32,6 +32,7 @@ from conftest import (
     check_tnorm_axioms,
     random_system,
     random_tnorm,
+    reference_optimum,
 )
 
 TOL = 1e-9
@@ -126,14 +127,23 @@ def test_criterion_3_enumeration_and_boxes(region):
 # -- criterion 4: linear optimization --------------------------------------------------
 
 
+def _optimum(region, objective):
+    """The search's best, which must be the exhaustive scan's bit for bit,
+    and the scan's per-box corners ``(value, point, source)``."""
+    reference, corners = reference_optimum(region.boxes, objective)
+    best, _ = global_optimum(region.analysis, region.reduction, objective)
+    assert (best.value, best.point, best.source) == reference
+    return best, corners
+
+
 def test_criterion_4_linear_optimization(region):
     with criterion(4, "linear optimization"):
         obj = objective_catalog("linear", 9, {"c": LINEAR_C})
-        best, cands = global_optimum(region.boxes, obj)
-        assert len(cands) == 4
-        for cand, (point, value) in zip(cands, tables.EXPECTED_LINEAR_CANDIDATES):
-            assert cand.point == pytest.approx(point, abs=TOL)
-            assert cand.value == pytest.approx(value, abs=TOL)
+        best, corners = _optimum(region, obj)
+        assert len(corners) == 4
+        for (value, point, _), expected in zip(corners, tables.EXPECTED_LINEAR_CANDIDATES):
+            assert point == pytest.approx(expected[0], abs=TOL)
+            assert value == pytest.approx(expected[1], abs=TOL)
         assert best.value == pytest.approx(-3.6, abs=TOL)
         assert best.point == pytest.approx(
             tables.EXPECTED_LINEAR_CANDIDATES[1][0], abs=TOL
@@ -147,8 +157,8 @@ def test_criterion_5_objective_catalog(region):
     with criterion(5, "objective catalog"):
         # support function over the simplex
         sup = objective_catalog("simplex_support", 9)
-        best, cands = global_optimum(region.boxes, sup)
-        values = [c.value for c in cands]
+        best, corners = _optimum(region, sup)
+        values = [value for value, _, _ in corners]
         assert values == pytest.approx(tables.EXPECTED_SUPPORT_VALUES, abs=5e-4)
         assert best.value == pytest.approx(0.75, abs=5e-4)
         argmin = {k for k, v in enumerate(values) if v <= min(values) + TOL}
@@ -156,20 +166,20 @@ def test_criterion_5_objective_catalog(region):
 
         # perspective objective
         persp = objective_catalog("perspective", 9, {"p": 3})
-        pbest, pcands = global_optimum(region.boxes, persp)
-        for cand, (_, value) in zip(pcands, tables.EXPECTED_PERSPECTIVE_CANDIDATES):
-            assert cand.value == pytest.approx(value, abs=5e-4)
+        pbest, pcorners = _optimum(region, persp)
+        for (value, _, _), expected in zip(pcorners, tables.EXPECTED_PERSPECTIVE_CANDIDATES):
+            assert value == pytest.approx(expected[1], abs=5e-4)
         assert pbest.value == pytest.approx(1.4218, abs=5e-4)
 
         # remaining catalog at the three distinct all-plus candidates
-        points = [c.point for c in cands[:3]]
+        points = [point for _, point, _ in corners[:3]]
         for name, (params, expected, stars) in tables.EXPECTED_CATALOG_TABLE.items():
             obj = objective_catalog(name, 9, params)
             got = [obj(p) for p in points]
             assert got == pytest.approx(expected, abs=5e-4), name
             got_argmin = {k for k, v in enumerate(got) if v <= min(got) + TOL}
             assert got_argmin == stars, name
-            gbest, _ = global_optimum(region.boxes, obj)
+            gbest, _ = _optimum(region, obj)
             assert gbest.value == pytest.approx(min(expected), abs=5e-4), name
 
 
@@ -259,7 +269,7 @@ def test_criterion_6e_optimum_vs_brute_force():
             assert res.is_feasible, sys_
             c = [rng.uniform(-2.0, 2.0) for _ in range(sys_.n)]
             obj = objective_catalog("linear", sys_.n, {"c": c})
-            best, _ = global_optimum(res.boxes, obj)
+            best, _ = global_optimum(res.analysis, res.reduction, obj)
             grid = breakpoint_grid(res.analysis, step=0.5)
             _, value = brute_force_min(res.analysis, obj, grid)
             assert value is not None, sys_

@@ -9,10 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from bfre.cli import main, parse_problem, problem_from_dict
-from bfre.optimize import global_optimum, local_candidate
 from bfre.resolution import count_bound, feasible_region
 
-from conftest import random_system
+from conftest import random_system, reference_optimum
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example_problem.json")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -203,7 +202,12 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
 @pytest.mark.parametrize(
     "args,fragment",
     [
-        pytest.param(["feasible", "--no-simplify", "--max-e", "3"], "admissible", id="max-e"),
+        # the cap message says how far the run got: 3 boxes prove feasibility
+        pytest.param(
+            ["feasible", "--no-simplify", "--max-e", "3"],
+            "more than 3 admissible assignments; 3 boxes found, so the system is feasible",
+            id="max-e",
+        ),
         # exit 2 means infeasible, so bad option values exit 1 like other errors
         pytest.param(["feasible", "--max-e", "0"], "--max-e", id="max-e-0"),
         pytest.param(["verify", "--max-e", "-5"], "--max-e", id="max-e-negative"),
@@ -306,8 +310,8 @@ def test_golden_output(runner, problem, args, expected, code):
 
 def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):
     """``feasible`` and ``solve`` print exactly ``json.dumps`` of the report
-    built from the library's results, and every candidate is its box's
-    ``local_candidate``."""
+    built from the library's results, and ``solve``'s ``best`` is the
+    exhaustive scan's optimum, bit for bit."""
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
     system, objective = parse_problem(str(path))
@@ -332,34 +336,22 @@ def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):
             for box in result.boxes
         ],
     }
-    best, candidates = global_optimum(result.boxes, objective)
-    assert candidates == [local_candidate(box, objective) for box in result.boxes]
-    expected_solve = {
-        **expected,
-        "candidates": [
-            {"columns": list(k.source.columns), "point": list(k.point), "value": k.value}
-            for k in candidates
-        ],
-        "best": {
-            "columns": list(best.source.columns),
-            "point": list(best.point),
-            "value": best.value,
-        },
-    }
+    (value, point, source), _ = reference_optimum(result.boxes, objective)
+    best = {"columns": list(source.columns), "point": list(point), "value": value}
     outputs = []
-    for command, report in (("feasible", expected), ("solve", expected_solve)):
+    for command, report in (("feasible", expected), ("solve", {**expected, "best": best})):
         out = invoke(runner, command, str(path)).stdout
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == report
         assert out == json.dumps(report) + "\n"  # same key order as well
         outputs.append(out)
-    return result, candidates, outputs
+    return result, best, outputs
 
 
 def test_report_is_one_line_of_plain_json(tmp_path, runner):
     # 4x6 product system whose 35 boxes share factor objects, several
     # distinct ones per column, so a report must encode each box's own
-    # factors and corner coordinates
+    # factors
     rng = random.Random(68)
     system = random_system(rng, 5, 6, kind="product", force_feasible=True)
     c = [1.0, -2.0, 0.5, -1.0, 3.0, -0.5]
@@ -380,7 +372,7 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
     # Rows 0 and 1 fix x0 = x1 = 0.5, so every box has singleton factors
     # there.  Row 2 has two witnesses, x2 = 4/9 or x3 = 0.  Perspective
     # takes the high end of x3: 1.0 in the first box, 0.0 in the second,
-    # whose value is then inf.
+    # whose value is then inf, so the first box is best.
     problem = {
         "m": 3,
         "n": 4,
@@ -390,12 +382,22 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
         "tnorm": {"name": "product"},
         "objective": {"name": "perspective", "params": {"p": 2}},
     }
-    result, candidates, (_, solved) = _assert_reports_encode_like_json_dumps(
-        tmp_path, runner, problem
-    )
+    result, best, _ = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
     assert result.reduction.fixed == {0: 0.5, 1: 0.5}
-    assert [k.point[3] for k in candidates] == [1.0, 0.0]
-    assert [k.value for k in candidates] == [pytest.approx(0.6975308641975309), math.inf]
+    assert best["columns"] == [2]
+    assert best["point"][3] == 1.0
+    assert best["value"] == pytest.approx(0.6975308641975309)
+    # Row 3 (right-hand side 0) pins x3 to 0, so every corner is infinite
+    # and the best one prints as Infinity.
+    problem.update(
+        m=4,
+        a_plus=problem["a_plus"] + [[0, 0, 0, 1.0]],
+        a_minus=problem["a_minus"] + [[0, 0, 0, 0]],
+        b=problem["b"] + [0.0],
+    )
+    _, best, (_, solved) = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
+    assert best["point"][3] == 0.0
+    assert best["value"] == math.inf
     assert '"value": Infinity}' in solved
 
 
@@ -435,14 +437,26 @@ def test_simplify_without_explain_omits_log(runner):
 
 
 def test_solve_command(runner):
-    result = invoke(runner, "solve", DATA)
-    assert result.exit_code == 0
-    report = json.loads(result.output)
-    assert report["best"]["value"] == pytest.approx(-3.6, abs=1e-9)
-    assert report["best"]["columns"] == [7, 8]
-    assert len(report["candidates"]) == 4
-    values = [c["value"] for c in report["candidates"]]
-    assert values == pytest.approx([-0.9, -3.6, -1.3, -3.3], abs=1e-9)
+    # solve reports the exhaustive scan's optimum, reduced and unreduced,
+    # and no per-box candidates
+    system, objective = parse_problem(DATA)
+    for args, simplify in (((), True), (("--no-simplify",), False)):
+        result = invoke(runner, "solve", DATA, *args)
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert "candidates" not in report
+        region = feasible_region(system, simplify=simplify)
+        (value, point, source), corners = reference_optimum(region.boxes, objective)
+        assert report["best"] == {
+            "columns": list(source.columns),
+            "point": list(point),
+            "value": value,
+        }
+        assert value == pytest.approx(-3.6, abs=1e-9)
+        if simplify:
+            assert source.columns == (7, 8)
+            values = [corner[0] for corner in corners]
+            assert values == pytest.approx([-0.9, -3.6, -1.3, -3.3], abs=1e-9)
 
 
 def test_solve_requires_objective(tmp_path, runner):

@@ -1,6 +1,10 @@
 """Objectives, corner candidates and global selection."""
 
+import collections
+import importlib.util
+import itertools
 import math
+import os
 import random
 
 import numpy as np
@@ -8,18 +12,24 @@ import pytest
 
 import tables
 from bfre import (
+    BipolarSystem,
     CellAnalysis,
     InfeasibleError,
+    ResourceLimitError,
+    TNormSpec,
     check_monotone,
     feasible_region,
     global_optimum,
     is_feasible_point,
     jacobi_eigenvalues,
-    local_candidate,
     objective_catalog,
+    tolerance,
 )
-from bfre.optimize import MonotoneObjective
-from conftest import LINEAR_C, random_system
+from bfre.cli import problem_from_dict
+from bfre.optimize import OBJECTIVE_NAMES, MonotoneObjective
+from bfre.simplify import ReductionState
+from bfre.tnorms import TNORM_KINDS
+from conftest import LINEAR_C, random_system, reference_optimum
 
 
 @pytest.fixture(scope="module")
@@ -84,27 +94,38 @@ def test_partition_override():
 # -- corner candidates -------------------------------------------------------------
 
 
+def _search(region, objective, **kwargs):
+    return global_optimum(region.analysis, region.reduction, objective, **kwargs)
+
+
+def _assert_search_is_the_scan(region, objective):
+    """The search's best is the exhaustive scan's, bit for bit; returns both."""
+    reference, corners = reference_optimum(region.boxes, objective)
+    best, compared = _search(region, objective)
+    assert (best.value, best.point, best.source) == reference
+    assert 0 < len(compared) <= len(region.boxes)
+    return best, compared, corners
+
+
 def test_linear_candidates(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
-    best, cands = global_optimum(example_region.boxes, obj)
-    assert len(cands) == 4
-    for cand, (point, value) in zip(cands, tables.EXPECTED_LINEAR_CANDIDATES):
-        assert cand.point == pytest.approx(point, abs=1e-9)
-        assert cand.value == pytest.approx(value, abs=1e-9)
+    best, _, corners = _assert_search_is_the_scan(example_region, obj)
+    assert len(corners) == 4
+    for (value, point, _), expected in zip(corners, tables.EXPECTED_LINEAR_CANDIDATES):
+        assert point == pytest.approx(expected[0], abs=1e-9)
+        assert value == pytest.approx(expected[1], abs=1e-9)
     assert best.value == pytest.approx(-3.6, abs=1e-9)
     assert list(best.source.columns) == [7, 8]
 
 
 def test_all_plus_candidates(example_region):
     obj = objective_catalog("simplex_support", 9)
-    best, cands = global_optimum(example_region.boxes, obj)
-    for cand, point in zip(cands, tables.EXPECTED_ALL_PLUS_CANDIDATES):
-        assert cand.point == pytest.approx(point, abs=1e-9)
-    assert [c.value for c in cands] == pytest.approx(
-        tables.EXPECTED_SUPPORT_VALUES, abs=1e-9
-    )
-    # duplicate candidate points from distinct assignments are both kept
-    assert cands[1].point == cands[3].point
+    best, _, corners = _assert_search_is_the_scan(example_region, obj)
+    for (_, point, _), expected in zip(corners, tables.EXPECTED_ALL_PLUS_CANDIDATES):
+        assert point == pytest.approx(expected, abs=1e-9)
+    assert [c[0] for c in corners] == pytest.approx(tables.EXPECTED_SUPPORT_VALUES, abs=1e-9)
+    # distinct assignments can share a corner point
+    assert corners[1][1] == corners[3][1]
     # ties break toward the lexicographically smallest assignment
     assert best.source.columns == (7, 8)
     assert best.value == pytest.approx(0.75, abs=1e-9)
@@ -112,48 +133,52 @@ def test_all_plus_candidates(example_region):
 
 def test_perspective_candidates(example_region):
     obj = objective_catalog("perspective", 9, {"p": 3})
-    best, cands = global_optimum(example_region.boxes, obj)
-    for cand, (point, value) in zip(cands, tables.EXPECTED_PERSPECTIVE_CANDIDATES):
-        assert cand.point == pytest.approx(point, abs=1e-9)
-        assert cand.value == pytest.approx(value, abs=5e-4)
+    best, _, corners = _assert_search_is_the_scan(example_region, obj)
+    for (value, point, _), expected in zip(corners, tables.EXPECTED_PERSPECTIVE_CANDIDATES):
+        assert point == pytest.approx(expected[0], abs=1e-9)
+        assert value == pytest.approx(expected[1], abs=5e-4)
     assert best.value == pytest.approx(1.4218, abs=5e-4)
     assert list(best.source.columns) == [7, 7]
 
 
 def test_corner_rule_is_exact(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
-    for box in example_region.boxes:
-        cand = local_candidate(box, obj)
-        for j, factor in enumerate(box.factors):
+    boxes = {box.source: box for box in example_region.boxes}
+    _, compared = _search(example_region, obj)
+    assert len(compared) >= 2
+    for cand in compared:
+        for j, factor in enumerate(boxes[cand.source].factors):
             expected = factor.min_elem() if j in obj.j_plus else factor.max_elem()
             assert cand.point[j] == expected
+        assert cand.value == obj(cand.point)
 
 
 def test_single_point_box():
-    from bfre import BipolarSystem, TNormSpec
-
     res = feasible_region(BipolarSystem.from_fre([[1.0]], [0.5], TNormSpec("product")))
     obj = objective_catalog("linear", 1, {"c": [3.0]})
-    best, cands = global_optimum(res.boxes, obj)
+    best, compared = _search(res, obj)
     assert best.point == pytest.approx((0.5,))
     assert best.value == pytest.approx(1.5)
+    assert compared == [best]
 
 
 def test_global_optimum_requires_boxes():
-    obj = objective_catalog("max", 2)
+    # no coefficient reaches b_0, so equation 0 has no witness column
+    an = CellAnalysis(BipolarSystem.from_fre([[0.2, 0.3]], [0.5], TNormSpec("product")))
     with pytest.raises(InfeasibleError):
-        global_optimum([], obj)
+        global_optimum(an, ReductionState.initial(an), objective_catalog("max", 2))
 
 
 def test_candidates_are_feasible(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
-    _, cands = global_optimum(example_region.boxes, obj)
-    for cand in cands:
+    _, compared = _search(example_region, obj)
+    for cand in compared:
         assert is_feasible_point(example_region.analysis, cand.point)
 
 
 def test_candidate_minimizes_its_box():
     rng = random.Random(55)
+    checked = 0
     for trial in range(25):
         sys_ = random_system(rng, max_m=3, max_n=3, force_feasible=True)
         res = feasible_region(sys_)
@@ -161,14 +186,16 @@ def test_candidate_minimizes_its_box():
             continue
         c = [rng.uniform(-2, 2) for _ in range(sys_.n)]
         obj = objective_catalog("linear", sys_.n, {"c": c})
-        for box in res.boxes:
-            cand = local_candidate(box, obj)
+        boxes = {box.source: box for box in res.boxes}
+        for cand in _search(res, obj)[1]:
             for _ in range(40):
                 x = []
-                for factor in box.factors:
+                for factor in boxes[cand.source].factors:
                     lo, hi = rng.choice(factor.pieces)
                     x.append(rng.uniform(lo, hi))
                 assert cand.value <= obj(x) + 1e-9
+            checked += 1
+    assert checked >= 20
 
 
 def test_global_optimum_below_feasible_grid():
@@ -182,11 +209,126 @@ def test_global_optimum_below_feasible_grid():
             continue
         c = [rng.uniform(-2, 2) for _ in range(sys_.n)]
         obj = objective_catalog("linear", sys_.n, {"c": c})
-        best, _ = global_optimum(res.boxes, obj)
+        best, _ = _search(res, obj)
         grid = breakpoint_grid(res.analysis, step=0.34)
         point, value = brute_force_min(res.analysis, obj, grid)
         assert value is not None
         assert best.value <= value + 1e-9
+
+
+# -- the search against the exhaustive scan -------------------------------------------
+
+#: Catalog parameters for 9 variables; ``linear`` draws its c per system.
+_PARAMS = {
+    "perspective": {"p": 2.5},
+    "p_norm": {"p": 3},
+    "sum_largest": {"r": 4},
+    "sum_log": {"alpha": [0.5 + j / 9 for j in range(9)]},
+}
+
+
+def _pin_last_to_zero(system):
+    """``system`` and one more variable, pinned to 0 by one more equation
+    with right-hand side 0; ``perspective`` divides by it."""
+    a_plus = [[*row, 0.0] for row in system.a_plus] + [[0.0] * system.n + [1.0]]
+    a_minus = [[*row, 0.0] for row in system.a_minus] + [[0.0] * (system.n + 1)]
+    return BipolarSystem(a_plus, a_minus, [*system.b, 0.0], system.tnorm)
+
+
+@pytest.mark.parametrize("kind", TNORM_KINDS)
+def test_search_matches_exhaustive_scan(kind):
+    # Six systems around a witness, every catalog objective, reduced and
+    # unreduced, at the default tolerance and at 1e-7.  Every second system
+    # pins x_8 to 0, so its perspective corners are infinite.  Without the
+    # widening of the bound the search misses the scan's optimum by an ulp
+    # in four of these comparisons (frank systems 3 and 5, unreduced).
+    rng = random.Random(f"search/{kind}")
+    compared = boxes = infinite = 0
+    for k in range(6):
+        if k % 2:
+            system = random_system(rng, kind=kind, force_feasible=True, shape=(6, 8))
+            system = _pin_last_to_zero(system)
+        else:
+            system = random_system(rng, kind=kind, force_feasible=True, shape=(6, 9))
+        c = [rng.uniform(-2.0, 2.0) for _ in range(9)]
+        for simplify, eps in itertools.product((True, False), (1e-9, 1e-7)):
+            with tolerance(eps):
+                region = feasible_region(system, simplify=simplify)
+                assert region.is_feasible
+                for name in OBJECTIVE_NAMES:
+                    params = {"c": c} if name == "linear" else _PARAMS.get(name, {})
+                    obj = objective_catalog(name, 9, params)
+                    _, leaves, corners = _assert_search_is_the_scan(region, obj)
+                    compared += len(leaves)
+                    infinite += sum(math.isinf(value) for value, _, _ in corners)
+                boxes += len(region.boxes) * len(OBJECTIVE_NAMES)
+    assert compared < boxes, (compared, boxes)
+    assert infinite > 0
+
+
+def _planted_workloads():
+    """``bench/workloads.py``, which builds the benchmark's planted systems."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(path, "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["product", "frank", "dubois_prade"])
+def test_search_when_the_first_leaf_is_not_optimal(kind):
+    # The benchmark's dense-square shape: 6 core rows, each free column
+    # shared by two of them.  A c of alternating sign over the shared
+    # columns makes the first leaf a poor one, so the search must move its
+    # incumbent and still prune most of the 610 leaves.
+    workloads = _planted_workloads()
+    shape = workloads.WORKLOADS["dense-square"]["shape"]
+    problem, _ = workloads.planted_system(random.Random(f"adversarial/{kind}"), kind, shape)
+    region = feasible_region(problem_from_dict(problem)[0])
+    analysis, state = region.analysis, region.reduction
+    uses = collections.Counter(
+        j for i in state.active_rows for j in state.row_candidates(analysis, i)
+    )
+    shared = sorted(j for j, count in uses.items() if count >= 2)
+    assert len(shared) == shape.free
+    c = [0.0] * analysis.n
+    for k, j in enumerate(shared):
+        c[j] = (-1.0) ** k * (1.0 + k / 10)
+    obj = objective_catalog("linear", analysis.n, {"c": c})
+    best, compared, corners = _assert_search_is_the_scan(region, obj)
+    assert len(region.boxes) == 610
+    assert corners[0][0] > best.value  # the first leaf is not optimal
+    assert len(compared) < len(region.boxes) // 4
+
+
+def test_widening_keeps_a_leaf_the_collapse_lowered():
+    # Column 1 holds x = 0.5 for row 0 and x = 0.5 - 4e-10 for row 1, closer
+    # than EPS, so each intersection collapses to a midpoint: row 0's
+    # restricted set is {0.5 - 2e-10}, and the leaf (1, 1) has x_1 =
+    # 0.5 - 3e-10, below the end of the partial box it grew from.  The
+    # first leaf (0, 1) scores 0.5 - 2.5e-10, between the two: the plain
+    # corner of the partial box (1, .) would prune the optimum.
+    system = BipolarSystem(
+        [[0.9, 0.9], [0.1, 0.9]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5 - 4e-10],
+        TNormSpec("minimum"),
+    )
+    region = feasible_region(system, simplify=False)
+    partial = region.analysis.restricted[0][1].min_elem()
+    obj = objective_catalog("linear", 2, {"c": [3e-10, 1.0]})
+    best, compared, corners = _assert_search_is_the_scan(region, obj)
+    assert best.source.columns == (1, 1)
+    assert best.point[1] < partial
+    assert corners[0][0] < obj([0.0, partial])
+    assert len(compared) == 2
+
+
+def test_search_cap_reports_the_incumbent(example_region):
+    obj = objective_catalog("linear", 9, {"c": LINEAR_C})
+    with pytest.raises(ResourceLimitError, match=r"compared 2 leaves, more than 1, .* -3\.6;"):
+        _search(example_region, obj, max_count=1)
+    assert len(_search(example_region, obj, max_count=2)[1]) == 2
 
 
 # -- catalog evaluators ---------------------------------------------------------------
@@ -194,8 +336,8 @@ def test_global_optimum_below_feasible_grid():
 
 def test_catalog_reference_values(example_region):
     sup = objective_catalog("simplex_support", 9)
-    _, cands = global_optimum(example_region.boxes, sup)
-    points = [c.point for c in cands[:3]]
+    _, corners = reference_optimum(example_region.boxes, sup)
+    points = [point for _, point, _ in corners[:3]]
     for name, (params, values, _stars) in tables.EXPECTED_CATALOG_TABLE.items():
         obj = objective_catalog(name, 9, params)
         got = [obj(p) for p in points]

@@ -476,7 +476,7 @@ def test_brute_force_matches_pipeline_on_random_instances():
         obj = objective_catalog(
             "linear", sys_.n, {"c": [rng.uniform(-2, 2) for _ in range(sys_.n)]}
         )
-        best, _ = global_optimum(res.boxes, obj)
+        best, _ = global_optimum(res.analysis, res.reduction, obj)
         grid = breakpoint_grid(res.analysis, step=0.5)
         _, value = brute_force_min(res.analysis, obj, grid)
         assert value is not None

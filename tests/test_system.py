@@ -258,7 +258,8 @@ def test_witness_lists_are_built_only_for_point_tests(example_system):
     # feasible and solve read no per-column witness lists; the first point
     # test builds them once
     result = feasible_region(example_system)
-    global_optimum(result.boxes, objective_catalog("max", example_system.n))
+    objective = objective_catalog("max", example_system.n)
+    global_optimum(result.analysis, result.reduction, objective)
     assert "column_witnesses" not in vars(result.analysis)
     assert not is_feasible_point(result.analysis, [0.0] * 9)
     witnesses = result.analysis.column_witnesses
