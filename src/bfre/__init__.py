@@ -14,19 +14,16 @@ from .optimize import (
     MonotoneObjective,
     check_monotone,
     global_optimum,
-    jacobi_eigenvalues,
     objective_catalog,
 )
 from .oracle import breakpoint_grid, brute_force_min, grid_membership_check
 from .resolution import (
-    AdmissibleFunction,
     FeasibleBox,
     RegionResult,
     ResourceLimitError,
     count_bound,
     enumerate_admissible,
     feasible_region,
-    solution_box,
 )
 from .simplify import ReductionState, RuleEvent, simplify_to_fixpoint
 from .system import (
@@ -49,7 +46,6 @@ from .tnorms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleFunction",
     "BipolarSystem",
     "Candidate",
     "CellAnalysis",
@@ -74,12 +70,10 @@ __all__ = [
     "global_optimum",
     "grid_membership_check",
     "is_feasible_point",
-    "jacobi_eigenvalues",
     "necessary_feasibility",
     "objective_catalog",
     "residual",
     "simplify_to_fixpoint",
-    "solution_box",
     "solve_scalar_eq",
     "solve_scalar_eq_numeric",
     "tnorm_eval",

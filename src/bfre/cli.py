@@ -16,8 +16,8 @@ round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
 The ``boxes`` array is written by one encoder from shared text: the
-``rows`` tuple once per report and each distinct factor once, so a report
-costs about one encoding per shared part rather than one per number
+region's ``rows`` list once per report and each distinct factor once, so a
+report costs about one encoding per shared part rather than one per number
 printed.  ``solve`` reports the best corner that the optimum search finds,
 not the corner of every box.
 """
@@ -107,11 +107,14 @@ def problem_from_dict(
         spec = data["objective"]
         if not isinstance(spec, dict) or "name" not in spec:
             raise ProblemFormatError(f"{origin}: objective must be an object with a 'name'")
+        params = spec.get("params")
+        if not isinstance(params, (dict, type(None))):
+            raise ProblemFormatError(f"{origin}: objective 'params' must be an object")
         try:
             objective = objective_catalog(
                 spec["name"],
                 n,
-                spec.get("params") or {},
+                params,
                 j_plus=spec.get("j_plus"),
                 j_minus=spec.get("j_minus"),
             )
@@ -151,22 +154,24 @@ def _boxes_json(result: RegionResult) -> _JSONText:
     """The ``boxes`` array as the text ``json.dumps`` would give it.
 
     Boxes share most of their parts, so each part is encoded once: the
-    ``rows`` tuple, which every box carries, and each distinct factor
-    (column bounds and the search's joint restricted sets).  ``result``
-    holds every box while this runs, so ``id`` tells the objects apart.
+    ``rows`` list, which is the region's active rows and the same for every
+    box, and each distinct factor (column bounds and the search's joint
+    restricted sets).  ``result`` holds every box while this runs, so ``id``
+    tells the factors apart.
     """
     boxes = result.boxes
+    if not boxes:
+        return _JSONText("[]")
     factors = {}
     for box in boxes:
         factors.update(zip(map(id, box.factors), box.factors))
     text = {key: json.dumps(f.to_pairs()) for key, f in factors.items()}
-    sources = {id(box.source.rows): box.source.rows for box in boxes}
-    rows = {key: json.dumps(r) for key, r in sources.items()}
+    rows = json.dumps(sorted(result.reduction.active_rows))
     # tuples of plain ints, whose text as a list is their JSON text
     boxes_text = ", ".join(
         [
-            f'{{"rows": {rows[id(box.source.rows)]}, '
-            f'"columns": {list(box.source.columns)}, '
+            f'{{"rows": {rows}, '
+            f'"columns": {list(box.columns)}, '
             f'"factors": [{", ".join(map(text.__getitem__, map(id, box.factors)))}]}}'
             for box in boxes
         ]
@@ -319,7 +324,7 @@ def solve(problem, tol, max_e, no_simplify) -> None:
         best, _ = global_optimum(result.analysis, result.reduction, objective, max_e)
         out = _region_report(result)
         out["best"] = {
-            "columns": list(best.source.columns),
+            "columns": list(best.columns),
             "point": list(best.point),
             "value": best.value,
         }

@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 from . import intervals
 from .intervals import IntervalUnion
-from .resolution import (
-    DEFAULT_MAX_ASSIGNMENTS,
-    AdmissibleFunction,
-    ResourceLimitError,
-    walk_admissible,
-)
+from .resolution import DEFAULT_MAX_ASSIGNMENTS, ResourceLimitError, walk_admissible
 from .simplify import ReductionState
 from .system import CellAnalysis
 
@@ -37,7 +32,6 @@ __all__ = [
     "global_optimum",
     "objective_catalog",
     "check_monotone",
-    "jacobi_eigenvalues",
     "OBJECTIVE_NAMES",
 ]
 
@@ -76,10 +70,11 @@ class MonotoneObjective:
 
 @dataclass(frozen=True)
 class Candidate:
-    """The optimal corner of one box, named by the box's assignment, with
-    its objective value."""
+    """The optimal corner of one box, named by the box's witness columns
+    (one per active row, in ascending row order), with its objective
+    value."""
 
-    source: AdmissibleFunction
+    columns: tuple[int, ...]
     point: tuple[float, ...]
     value: float
 
@@ -110,7 +105,7 @@ def global_optimum(
     monotone.  A child whose bound is at least the incumbent's value is
     pruned.  Every leaf still to come is lexicographically larger than the
     incumbent, so the result is the optimum of scoring every box with ties
-    broken toward the lexicographically smallest assignment, bit for bit.
+    broken toward the lexicographically smallest ``columns``, bit for bit.
 
     The bound is made sound for floats.  Canonicalization collapses a piece
     of width in [-EPS, 0) to its midpoint, so each later intersection can
@@ -140,10 +135,10 @@ def global_optimum(
         ]
         return fn(wide) >= best.value
 
-    def leaf(source: AdmissibleFunction, factors: list[IntervalUnion]) -> None:
+    def leaf(columns: tuple[int, ...], factors: list[IntervalUnion]) -> None:
         nonlocal best
         point = tuple([f.pieces[e][e] for f, e in zip(factors, ends)])
-        candidate = Candidate(source, point, fn(point))
+        candidate = Candidate(columns, point, fn(point))
         compared.append(candidate)
         if best is None or candidate.value < best.value:
             best = candidate

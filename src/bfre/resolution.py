@@ -6,7 +6,9 @@ Each admissible function generates a box: the Cartesian product of the joint
 restricted sets on assigned columns, the column bounds on unassigned columns,
 and the fixed-variable singletons.  The union of the boxes over all
 admissible functions is exactly the feasible region; the boxes may overlap
-and are emitted without deduplication.
+and are emitted without deduplication.  The active equations are the same
+for every box of a region, so a box names its admissible function by the
+witness columns alone, in ascending order of the active rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .system import (
 )
 
 __all__ = [
-    "AdmissibleFunction",
     "FeasibleBox",
     "RegionResult",
     "ResourceLimitError",
@@ -50,38 +51,24 @@ class ResourceLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AdmissibleFunction:
-    """A witness-column assignment, one column per active row.
-
-    columns[k] is the column assigned to rows[k]; indices refer to the
-    original system.  For every column used by several rows, the intersection
-    of their restricted sets is non-empty.
-    """
-
-    rows: tuple[int, ...]
-    columns: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FeasibleBox:
-    """One product box of the feasible region, tagged with its source.
+    """One product box of the feasible region, named by its witness columns.
 
     factors[j] is the admissible set for x_j: a singleton for fixed
     variables, the joint restricted set for assigned columns and the column
-    bound otherwise.  Every factor is non-empty.
+    bound otherwise.  Every factor is non-empty.  columns[k] is the witness
+    column of the k-th active row in ascending order; indices refer to the
+    original system.
     """
 
     factors: tuple[IntervalUnion, ...]
-    source: AdmissibleFunction
-
-    def contains(self, x: Sequence[float]) -> bool:
-        return all(f.contains(x[j]) for j, f in enumerate(self.factors))
+    columns: tuple[int, ...]
 
 
 def walk_admissible(
     analysis: CellAnalysis,
     state: ReductionState,
-    leaf: Callable[[AdmissibleFunction, list[IntervalUnion]], None],
+    leaf: Callable[[tuple[int, ...], list[IntervalUnion]], None],
     prune: Callable[[int, list[IntervalUnion]], bool] | None = None,
 ) -> None:
     """The depth-first search over the admissible functions of the (reduced)
@@ -98,9 +85,11 @@ def walk_admissible(
     column takes the restricted set itself, which lies inside the column
     bound, so the partial boxes of different leaves share factor objects.
 
-    ``leaf(e, factors)`` runs at each leaf with its assignment and the
-    partial box as it stands, which is that assignment's box; ``factors``
-    is the search's own list, so a leaf copies what it keeps.
+    ``leaf(columns, factors)`` runs at each leaf with its witness columns,
+    one per active row in ascending row order, and the partial box as it
+    stands, which is that assignment's box; ``factors`` is the search's own
+    list, so a leaf copies what it keeps.  With no active row the only leaf
+    is ``leaf((), factors)``.
     ``prune(remaining, factors)`` runs on every child that still has
     ``remaining > 0`` rows to assign; when it returns True the child's
     subtree is skipped.
@@ -126,7 +115,7 @@ def walk_admissible(
             factors[j] = joint
             chosen.append(j)
             if not remaining:  # from the last row's loop: one call per leaf
-                leaf(AdmissibleFunction(rows, tuple(chosen)), factors)
+                leaf(tuple(chosen), factors)
             elif prune is None or not prune(remaining, factors):
                 walk(k + 1)
             chosen.pop()
@@ -135,7 +124,7 @@ def walk_admissible(
     if depth:
         walk(0)
     else:
-        leaf(AdmissibleFunction(rows, ()), factors)
+        leaf((), factors)
 
 
 def enumerate_admissible(
@@ -144,7 +133,7 @@ def enumerate_admissible(
     max_count: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> list[FeasibleBox]:
     """The boxes of all admissible functions of the (reduced) problem, in
-    lexicographic order of their ``source`` assignments.
+    lexicographic order of their witness ``columns``.
 
     ``walk_admissible`` without pruning; each leaf's box is its partial box
     as it stands.  Passing ``max_count`` boxes raises ``ResourceLimitError``,
@@ -153,13 +142,13 @@ def enumerate_admissible(
     """
     out: list[FeasibleBox] = []
 
-    def leaf(e: AdmissibleFunction, factors: list[IntervalUnion]) -> None:
+    def leaf(columns: tuple[int, ...], factors: list[IntervalUnion]) -> None:
         if len(out) >= max_count:
             raise ResourceLimitError(
                 f"more than {max_count} admissible assignments; {len(out)} boxes "
                 "found, so the system is feasible; raise the cap"
             )
-        out.append(solution_box(e, factors))
+        out.append(solution_box(columns, factors))
 
     walk_admissible(analysis, state, leaf)
     return out
@@ -177,18 +166,20 @@ def count_bound(analysis: CellAnalysis, state: ReductionState) -> int:
 
 
 def solution_box(
-    e: AdmissibleFunction, factors: Sequence[IntervalUnion]
+    columns: tuple[int, ...], factors: Sequence[IntervalUnion]
 ) -> FeasibleBox:
-    """The box generated by an admissible function, from the partial box the
-    search holds at its leaf: the joint restricted set on each assigned
-    column, the fixed singleton or column bound elsewhere."""
-    return FeasibleBox(tuple(factors), e)
+    """The box generated by an admissible function, from its witness columns
+    and the partial box the search holds at its leaf: the joint restricted
+    set on each assigned column, the fixed singleton or column bound
+    elsewhere."""
+    return FeasibleBox(tuple(factors), columns)
 
 
 @dataclass
 class RegionResult:
-    """Full pipeline output: verdict, reduction and boxes (each box's
-    ``source`` is its admissible function)."""
+    """Full pipeline output: verdict, reduction and boxes.  Each box's
+    ``columns`` are the witnesses of ``reduction.active_rows`` in ascending
+    row order."""
 
     verdict: FeasibilityVerdict
     analysis: CellAnalysis

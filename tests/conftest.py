@@ -155,8 +155,8 @@ def reference_optimum(boxes, objective):
 
     Every box's corner (factor minimum on non-decreasing coordinates,
     factor maximum on non-increasing ones) and its value, in box order, and
-    the best of them with ties broken by the assignment's columns.
-    Returns (best, corners), each corner a ``(value, point, source)``.
+    the best of them with ties broken by the box's witness columns.
+    Returns (best, corners), each corner a ``(value, point, columns)``.
     """
     corners = []
     for box in boxes:
@@ -164,6 +164,12 @@ def reference_optimum(boxes, objective):
             f.min_elem() if j in objective.j_plus else f.max_elem()
             for j, f in enumerate(box.factors)
         )
-        corners.append((objective(point), point, box.source))
-    best = min(corners, key=lambda c: (c[0], c[2].columns))
+        corners.append((objective(point), point, box.columns))
+    best = min(corners, key=lambda c: (c[0], c[2]))
     return best, corners
+
+
+def in_box(box, x) -> bool:
+    """Whether point x lies in the box: every coordinate in its factor.
+    The box-membership reference of the tests."""
+    return all(f.contains(x[j]) for j, f in enumerate(box.factors))

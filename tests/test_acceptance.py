@@ -30,6 +30,7 @@ from conftest import (
     AXIOM_SPECS,
     LINEAR_C,
     check_tnorm_axioms,
+    in_box,
     random_system,
     random_tnorm,
     reference_optimum,
@@ -110,12 +111,12 @@ def test_criterion_3_enumeration_and_boxes(region):
     with criterion(3, "enumeration and boxes"):
         state = region.reduction
         reduced_index = {j: k + 1 for k, j in enumerate(state.active_cols)}
-        got = [[reduced_index[j] for j in box.source.columns] for box in region.boxes]
+        got = [[reduced_index[j] for j in box.columns] for box in region.boxes]
         assert got == [[6, 6], [6, 7], [7, 6], [7, 7]]
         assert len(region.boxes) == 4
         for box, expected in zip(region.boxes, tables.EXPECTED_BOX_FACTORS):
             for j, pairs in expected.items():
-                assert box.factors[j].approx_equals(iu(pairs), eps=TOL), (box.source, j)
+                assert box.factors[j].approx_equals(iu(pairs), eps=TOL), (box.columns, j)
             assert box.factors[4].approx_equals(iu([[0.75, 0.75]]), eps=TOL)
             assert box.factors[6].approx_equals(iu([[0.1, 0.1]]), eps=TOL)
             for j in (0, 1, 2, 3, 5):
@@ -129,10 +130,10 @@ def test_criterion_3_enumeration_and_boxes(region):
 
 def _optimum(region, objective):
     """The search's best, which must be the exhaustive scan's bit for bit,
-    and the scan's per-box corners ``(value, point, source)``."""
+    and the scan's per-box corners ``(value, point, columns)``."""
     reference, corners = reference_optimum(region.boxes, objective)
     best, _ = global_optimum(region.analysis, region.reduction, objective)
-    assert (best.value, best.point, best.source) == reference
+    assert (best.value, best.point, best.columns) == reference
     return best, corners
 
 
@@ -234,7 +235,7 @@ def test_criterion_6c_region_equivalence(random_corpus):
         for sys_, res, points in random_corpus:
             for x in points:
                 direct = is_feasible_point(res.analysis, x)
-                in_union = any(box.contains(x) for box in res.boxes)
+                in_union = any(in_box(box, x) for box in res.boxes)
                 if direct != in_union:
                     mismatches += 1
                 checked += 1
@@ -252,8 +253,8 @@ def test_criterion_6d_simplification_soundness(random_corpus):
                 continue  # rejected by the necessary checks before reduction
             unreduced = feasible_region(sys_, simplify=False).boxes
             for x in points:
-                reduced = any(box.contains(x) for box in res.boxes)
-                if reduced != any(box.contains(x) for box in unreduced):
+                reduced = any(in_box(box, x) for box in res.boxes)
+                if reduced != any(in_box(box, x) for box in unreduced):
                     mismatches += 1
         assert mismatches == 0
 

@@ -111,6 +111,17 @@ def test_parse_field_exact():
             ),
             "must hold integers",
         ),
+        # params must be an object, also under an objective that reads none
+        *(
+            (
+                lambda d, name=name, params=params: d.update(
+                    objective={"name": name, "params": params}
+                ),
+                "objective 'params' must be an object",
+            )
+            for name in ("max", "linear")
+            for params in (5, "c", [1, 2], True)
+        ),
     ],
 )
 def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):
@@ -329,15 +340,15 @@ def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):
         "column_bounds": [f.to_pairs() for f in result.analysis.col_bounds],
         "boxes": [
             {
-                "rows": list(box.source.rows),
-                "columns": list(box.source.columns),
+                "rows": list(state.active_rows),
+                "columns": list(box.columns),
                 "factors": [f.to_pairs() for f in box.factors],
             }
             for box in result.boxes
         ],
     }
-    (value, point, source), _ = reference_optimum(result.boxes, objective)
-    best = {"columns": list(source.columns), "point": list(point), "value": value}
+    (value, point, columns), _ = reference_optimum(result.boxes, objective)
+    best = {"columns": list(columns), "point": list(point), "value": value}
     outputs = []
     for command, report in (("feasible", expected), ("solve", {**expected, "best": best})):
         out = invoke(runner, command, str(path)).stdout
@@ -446,15 +457,15 @@ def test_solve_command(runner):
         report = json.loads(result.output)
         assert "candidates" not in report
         region = feasible_region(system, simplify=simplify)
-        (value, point, source), corners = reference_optimum(region.boxes, objective)
+        (value, point, columns), corners = reference_optimum(region.boxes, objective)
         assert report["best"] == {
-            "columns": list(source.columns),
+            "columns": list(columns),
             "point": list(point),
             "value": value,
         }
         assert value == pytest.approx(-3.6, abs=1e-9)
         if simplify:
-            assert source.columns == (7, 8)
+            assert columns == (7, 8)
             values = [corner[0] for corner in corners]
             assert values == pytest.approx([-0.9, -3.6, -1.3, -3.3], abs=1e-9)
 

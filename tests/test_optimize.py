@@ -21,12 +21,11 @@ from bfre import (
     feasible_region,
     global_optimum,
     is_feasible_point,
-    jacobi_eigenvalues,
     objective_catalog,
     tolerance,
 )
 from bfre.cli import problem_from_dict
-from bfre.optimize import OBJECTIVE_NAMES, MonotoneObjective
+from bfre.optimize import OBJECTIVE_NAMES, MonotoneObjective, jacobi_eigenvalues
 from bfre.simplify import ReductionState
 from bfre.tnorms import TNORM_KINDS
 from conftest import LINEAR_C, random_system, reference_optimum
@@ -102,7 +101,7 @@ def _assert_search_is_the_scan(region, objective):
     """The search's best is the exhaustive scan's, bit for bit; returns both."""
     reference, corners = reference_optimum(region.boxes, objective)
     best, compared = _search(region, objective)
-    assert (best.value, best.point, best.source) == reference
+    assert (best.value, best.point, best.columns) == reference
     assert 0 < len(compared) <= len(region.boxes)
     return best, compared, corners
 
@@ -115,7 +114,7 @@ def test_linear_candidates(example_region):
         assert point == pytest.approx(expected[0], abs=1e-9)
         assert value == pytest.approx(expected[1], abs=1e-9)
     assert best.value == pytest.approx(-3.6, abs=1e-9)
-    assert list(best.source.columns) == [7, 8]
+    assert list(best.columns) == [7, 8]
 
 
 def test_all_plus_candidates(example_region):
@@ -127,7 +126,7 @@ def test_all_plus_candidates(example_region):
     # distinct assignments can share a corner point
     assert corners[1][1] == corners[3][1]
     # ties break toward the lexicographically smallest assignment
-    assert best.source.columns == (7, 8)
+    assert best.columns == (7, 8)
     assert best.value == pytest.approx(0.75, abs=1e-9)
 
 
@@ -138,16 +137,16 @@ def test_perspective_candidates(example_region):
         assert point == pytest.approx(expected[0], abs=1e-9)
         assert value == pytest.approx(expected[1], abs=5e-4)
     assert best.value == pytest.approx(1.4218, abs=5e-4)
-    assert list(best.source.columns) == [7, 7]
+    assert list(best.columns) == [7, 7]
 
 
 def test_corner_rule_is_exact(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
-    boxes = {box.source: box for box in example_region.boxes}
+    boxes = {box.columns: box for box in example_region.boxes}
     _, compared = _search(example_region, obj)
     assert len(compared) >= 2
     for cand in compared:
-        for j, factor in enumerate(boxes[cand.source].factors):
+        for j, factor in enumerate(boxes[cand.columns].factors):
             expected = factor.min_elem() if j in obj.j_plus else factor.max_elem()
             assert cand.point[j] == expected
         assert cand.value == obj(cand.point)
@@ -186,11 +185,11 @@ def test_candidate_minimizes_its_box():
             continue
         c = [rng.uniform(-2, 2) for _ in range(sys_.n)]
         obj = objective_catalog("linear", sys_.n, {"c": c})
-        boxes = {box.source: box for box in res.boxes}
+        boxes = {box.columns: box for box in res.boxes}
         for cand in _search(res, obj)[1]:
             for _ in range(40):
                 x = []
-                for factor in boxes[cand.source].factors:
+                for factor in boxes[cand.columns].factors:
                     lo, hi = rng.choice(factor.pieces)
                     x.append(rng.uniform(lo, hi))
                 assert cand.value <= obj(x) + 1e-9
@@ -318,7 +317,7 @@ def test_widening_keeps_a_leaf_the_collapse_lowered():
     partial = region.analysis.restricted[0][1].min_elem()
     obj = objective_catalog("linear", 2, {"c": [3e-10, 1.0]})
     best, compared, corners = _assert_search_is_the_scan(region, obj)
-    assert best.source.columns == (1, 1)
+    assert best.columns == (1, 1)
     assert best.point[1] < partial
     assert corners[0][0] < obj([0.0, partial])
     assert len(compared) == 2

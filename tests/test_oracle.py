@@ -24,7 +24,7 @@ from bfre import (
 from bfre import oracle
 from bfre.oracle import DEFAULT_GRID_CAP, GridReport
 from bfre.tnorms import TNORM_KINDS
-from conftest import LINEAR_C, random_system
+from conftest import LINEAR_C, in_box, random_system
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,7 @@ def _box_scan_mismatches(analysis, boxes, grid):
     out = []
     for x in itertools.product(*grid):
         feasible = is_feasible_point(analysis, x)
-        in_union = any(box.contains(x) for box in boxes)
+        in_union = any(in_box(box, x) for box in boxes)
         if feasible != in_union:
             out.append((x, feasible, in_union))
     return out
@@ -331,7 +331,7 @@ def _reference_report(analysis, boxes, grid, cap, seed, objective):
             value = objective(x)
             if best_value is None or value < best_value:
                 best_point, best_value = x, value
-        in_union = any(box.contains(x) for box in boxes)
+        in_union = any(in_box(box, x) for box in boxes)
         if feasible != in_union:
             mismatches.append((x, feasible, in_union))
     return GridReport(total, checked, sampled, mismatches, best_point, best_value)
@@ -402,7 +402,7 @@ def test_membership_check_reports_dropped_and_extra_boxes(example_region):
         own = [
             x
             for x in itertools.product(*sub)
-            if not any(b.contains(x) for b in others)
+            if not any(in_box(b, x) for b in others)
         ]
         if own:
             break
@@ -412,7 +412,7 @@ def test_membership_check_reports_dropped_and_extra_boxes(example_region):
     assert report.mismatches == [(x, True, False) for x in own]
 
     full = FeasibleBox(
-        tuple(IntervalUnion.full() for _ in range(analysis.n)), boxes[0].source
+        tuple(IntervalUnion.full() for _ in range(analysis.n)), boxes[0].columns
     )
     report = grid_membership_check(
         analysis, boxes + (full,), breakpoint_grid(analysis, step=0.25), cap=2000

@@ -21,7 +21,7 @@ from bfre import (
 from bfre.resolution import ResourceLimitError
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import necessary_feasibility
-from conftest import make_example_system, random_system
+from conftest import in_box, make_example_system, random_system
 
 
 def iu(pairs):
@@ -33,15 +33,15 @@ def iu(pairs):
 
 def test_enumeration_on_reduced_problem(example_analysis):
     state = simplify_to_fixpoint(example_analysis)
-    es = [box.source for box in enumerate_admissible(example_analysis, state)]
-    assert [list(e.columns) for e in es] == [[7, 7], [7, 8], [8, 7], [8, 8]]
-    assert all(e.rows == (2, 5) for e in es)
+    es = [box.columns for box in enumerate_admissible(example_analysis, state)]
+    assert es == [(7, 7), (7, 8), (8, 7), (8, 8)]
+    assert state.active_rows == [2, 5]
 
 
 def test_full_problem_rejects_conflicting_assignment(example_analysis):
     state = ReductionState.initial(example_analysis)
     es = enumerate_admissible(example_analysis, state)
-    columns = {box.source.columns for box in es}
+    columns = {box.columns for box in es}
     # rows 1 and 3 cannot share column 1: {0.75} and {0.9} are disjoint
     assert (2, 1, 8, 1, 4, 8, 5) not in columns
     assert (2, 1, 8, 3, 4, 7, 1) in columns
@@ -50,7 +50,7 @@ def test_full_problem_rejects_conflicting_assignment(example_analysis):
 
 def test_enumeration_lexicographic_and_unique(example_analysis):
     state = ReductionState.initial(example_analysis)
-    es = [box.source.columns for box in enumerate_admissible(example_analysis, state)]
+    es = [box.columns for box in enumerate_admissible(example_analysis, state)]
     assert es == sorted(es)
     assert len(es) == len(set(es))
 
@@ -59,7 +59,7 @@ def test_single_row_enumeration():
     sys_ = BipolarSystem([[1.0, 1.0, 0.2]], [[0.0, 0.0, 0.0]], [0.5], TNormSpec("minimum"))
     an = CellAnalysis(sys_)
     es = enumerate_admissible(an, ReductionState.initial(an))
-    assert [list(box.source.columns) for box in es] == [[0], [1]]
+    assert [box.columns for box in es] == [(0,), (1,)]
 
 
 def test_enumeration_cap():
@@ -96,7 +96,7 @@ def test_enumeration_completeness_vs_brute_force():
             continue
         for state in (ReductionState.initial(an), simplify_to_fixpoint(an)):
             boxes = enumerate_admissible(an, state)
-            dfs = {box.source.columns for box in boxes}
+            dfs = {box.columns for box in boxes}
             rows = sorted(state.active_rows)
             supports = [state.row_candidates(an, i) for i in rows]
             if any(not s for s in supports):
@@ -114,13 +114,11 @@ def test_enumeration_completeness_vs_brute_force():
                     brute.add(tuple(combo))
             assert dfs == brute, sys_
             for box in boxes:
-                assert box.source.rows == tuple(rows)
+                assert len(box.columns) == len(rows)
                 for j in range(an.n):
-                    rows_at = [
-                        i for i, c in zip(box.source.rows, box.source.columns) if c == j
-                    ]
+                    rows_at = [i for i, c in zip(rows, box.columns) if c == j]
                     expected = _reference_factor(an, state, rows_at, j)
-                    assert box.factors[j].approx_equals(expected), (sys_, box.source, j)
+                    assert box.factors[j].approx_equals(expected), (sys_, box.columns, j)
 
 
 # -- count bound -------------------------------------------------------------------
@@ -157,7 +155,7 @@ def test_boxes_on_reference_system(example_analysis):
     boxes = enumerate_admissible(example_analysis, state)
     for box, expected in zip(boxes, tables.EXPECTED_BOX_FACTORS):
         for j, pairs in expected.items():
-            assert box.factors[j].approx_equals(iu(pairs)), (box.source, j)
+            assert box.factors[j].approx_equals(iu(pairs)), (box.columns, j)
         # fixed variables appear as singletons
         assert box.factors[4].approx_equals(iu([[0.75, 0.75]]))
         assert box.factors[6].approx_equals(iu([[0.1, 0.1]]))
@@ -171,9 +169,9 @@ def test_box_on_full_problem(example_analysis):
     (box,) = [
         b
         for b in enumerate_admissible(example_analysis, state)
-        if b.source.columns == (2, 1, 8, 3, 4, 7, 1)
+        if b.columns == (2, 1, 8, 3, 4, 7, 1)
     ]
-    assert box.source.rows == (0, 1, 2, 3, 4, 5, 6)
+    assert state.active_rows == [0, 1, 2, 3, 4, 5, 6]
     assert box.factors[0].approx_equals(iu([[0.0, 0.25]]))
     assert box.factors[1].approx_equals(iu([[0.75, 0.75]]))
     assert box.factors[2].approx_equals(iu([[0.1, 0.3], [0.7, 0.7]]))
@@ -196,18 +194,19 @@ def test_boxes_share_factor_objects(make_system, reduce):
     # row is assigned holds one object in every box, and a column one row i
     # is assigned holds the cell's own restricted set
     analysis = CellAnalysis(make_system())
-    boxes = enumerate_admissible(analysis, reduce(analysis))
+    state = reduce(analysis)
+    boxes = enumerate_admissible(analysis, state)
     assert len(boxes) > 1
     unassigned: dict[int, IntervalUnion] = {}
     single = 0
     for box in boxes:
         for j, factor in enumerate(box.factors):
-            rows = [i for i, c in zip(box.source.rows, box.source.columns) if c == j]
+            rows = [i for i, c in zip(state.active_rows, box.columns) if c == j]
             if not rows:
-                assert unassigned.setdefault(j, factor) is factor, (box.source, j)
+                assert unassigned.setdefault(j, factor) is factor, (box.columns, j)
             elif len(rows) == 1:
                 single += 1
-                assert factor is analysis.restricted[rows[0]][j], (box.source, j)
+                assert factor is analysis.restricted[rows[0]][j], (box.columns, j)
     assert unassigned and single
 
 
@@ -280,7 +279,7 @@ def test_region_membership_equivalence():
         res = feasible_region(sys_)
         for x in _grid_points(res.analysis, rng, 400):
             direct = is_feasible_point(res.analysis, x)
-            in_union = any(box.contains(x) for box in res.boxes)
+            in_union = any(in_box(box, x) for box in res.boxes)
             assert direct == in_union, (sys_, x)
 
 
@@ -291,8 +290,8 @@ def test_simplified_and_unsimplified_regions_agree():
         fast = feasible_region(sys_, simplify=True)
         slow = feasible_region(sys_, simplify=False)
         for x in _grid_points(fast.analysis, rng, 250):
-            assert any(b.contains(x) for b in fast.boxes) == any(
-                b.contains(x) for b in slow.boxes
+            assert any(in_box(b, x) for b in fast.boxes) == any(
+                in_box(b, x) for b in slow.boxes
             ), (sys_, x)
 
 

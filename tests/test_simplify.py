@@ -25,7 +25,7 @@ from bfre.simplify import (
     simplify_to_fixpoint,
 )
 from bfre.system import necessary_feasibility
-from conftest import random_system
+from conftest import in_box, random_system
 
 
 def analysis_of(a_plus, a_minus, b, tnorm=None):
@@ -253,8 +253,8 @@ def test_soundness_on_random_instances():
         points = [[rng.choice(col) for col in grid] for _ in range(120)]
         for x in points:
             direct = is_feasible_point(an, x)
-            assert direct == any(box.contains(x) for box in reduced), (sys_, x)
-            assert direct == any(box.contains(x) for box in unreduced), (sys_, x)
+            assert direct == any(in_box(box, x) for box in reduced), (sys_, x)
+            assert direct == any(in_box(box, x) for box in unreduced), (sys_, x)
             checked += 1
     assert checked > 3000
 
