@@ -15,11 +15,13 @@ JSON, one line of it with the separators of ``json.dumps``; numbers
 round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
-The ``boxes`` array is written by one encoder from shared text: the
-region's ``rows`` list once per report and each distinct factor once, so a
-report costs about one encoding per shared part rather than one per number
-printed.  ``solve`` reports the best corner that the optimum search finds,
-not the corner of every box.
+The ``boxes`` array is written by one encoder from shared text.  Every
+box equals the search's root (fixed singletons and column bounds) except on
+its witness columns, so the root's factor texts are encoded once per
+report, and a box costs a copy of that list plus one patch per witness
+column, each distinct witness factor being encoded once.  The region's
+``rows`` list is encoded once too.  ``solve`` reports the best corner that
+the optimum search finds, not the corner of every box.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .resolution import (
     count_bound,
     feasible_region,
     reduce_system,
+    root_factors,
 )
 from .simplify import ReductionState
 from .system import BipolarSystem
@@ -153,30 +156,40 @@ class _JSONText(str):
 def _boxes_json(result: RegionResult) -> _JSONText:
     """The ``boxes`` array as the text ``json.dumps`` would give it.
 
-    Boxes share most of their parts, so each part is encoded once: the
-    ``rows`` list, which is the region's active rows and the same for every
-    box, and each distinct factor (column bounds and the search's joint
-    restricted sets).  ``result`` holds every box while this runs, so ``id``
-    tells the factors apart.
+    A box differs from the search's root (``root_factors``: the fixed
+    singletons and column bounds) only on its witness columns, so the root's
+    n factor texts are encoded once per report, and each box copies that
+    list and patches only the factors on its ``columns``.  Those factors are
+    shared by many boxes, so each distinct object is encoded once; ``result``
+    holds every box while this runs, so ``id`` tells them apart.  The
+    ``rows`` list, the region's active rows, is the same for every box and
+    is encoded once too, and column indices come from a table of their
+    texts.
     """
     boxes = result.boxes
     if not boxes:
         return _JSONText("[]")
-    factors = {}
+    state = result.reduction
+    root = [json.dumps(f.to_pairs()) for f in root_factors(result.analysis, state)]
+    index = [str(j) for j in range(len(root))]
+    text: dict[int, str] = {}
+    rows = json.dumps(sorted(state.active_rows))
+    parts = []
     for box in boxes:
-        factors.update(zip(map(id, box.factors), box.factors))
-    text = {key: json.dumps(f.to_pairs()) for key, f in factors.items()}
-    rows = json.dumps(sorted(result.reduction.active_rows))
-    # tuples of plain ints, whose text as a list is their JSON text
-    boxes_text = ", ".join(
-        [
+        texts = root.copy()
+        factors = box.factors
+        for j in box.columns:
+            f = factors[j]
+            t = text.get(id(f))
+            if t is None:
+                t = text[id(f)] = json.dumps(f.to_pairs())
+            texts[j] = t
+        parts.append(
             f'{{"rows": {rows}, '
-            f'"columns": {list(box.columns)}, '
-            f'"factors": [{", ".join(map(text.__getitem__, map(id, box.factors)))}]}}'
-            for box in boxes
-        ]
-    )
-    return _JSONText(f"[{boxes_text}]")
+            f'"columns": [{", ".join(map(index.__getitem__, box.columns))}], '
+            f'"factors": [{", ".join(texts)}]}}'
+        )
+    return _JSONText(f"[{', '.join(parts)}]")
 
 
 def _region_report(result: RegionResult) -> dict:

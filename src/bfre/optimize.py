@@ -339,18 +339,19 @@ def _build_sum_log(n: int, params: dict):
     return fn, frozenset(range(n)), frozenset()
 
 
+#: Each objective's builder and the parameter names it reads.
 _BUILDERS = {
-    "linear": _build_linear,
-    "simplex_support": _build_simplex_support,
-    "perspective": _build_perspective,
-    "max": _build_max,
-    "geometric_mean": _build_geometric_mean,
-    "log_sum_exp": _build_log_sum_exp,
-    "p_norm": _build_p_norm,
-    "frobenius": _build_frobenius,
-    "sum_largest": _build_sum_largest,
-    "max_eigenvalue": _build_max_eigenvalue,
-    "sum_log": _build_sum_log,
+    "linear": (_build_linear, ("c",)),
+    "simplex_support": (_build_simplex_support, ()),
+    "perspective": (_build_perspective, ("p",)),
+    "max": (_build_max, ()),
+    "geometric_mean": (_build_geometric_mean, ()),
+    "log_sum_exp": (_build_log_sum_exp, ()),
+    "p_norm": (_build_p_norm, ("p",)),
+    "frobenius": (_build_frobenius, ()),
+    "sum_largest": (_build_sum_largest, ("r",)),
+    "max_eigenvalue": (_build_max_eigenvalue, ()),
+    "sum_log": (_build_sum_log, ("alpha",)),
 }
 
 OBJECTIVE_NAMES = tuple(sorted(_BUILDERS))
@@ -366,13 +367,24 @@ def objective_catalog(
     """Build a catalog objective for n variables.
 
     The monotonicity partition defaults to the catalog declaration; passing
-    j_plus/j_minus overrides it (both must be given together).
+    j_plus/j_minus overrides it (both must be given together).  A parameter
+    the objective does not read is rejected, so a misspelt or misplaced key
+    cannot pass silently.
     """
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown objective {name!r}; expected one of {', '.join(OBJECTIVE_NAMES)}"
         )
-    fn, plus, minus = _BUILDERS[name](n, params or {})
+    build, keys = _BUILDERS[name]
+    params = params or {}
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        takes = f"only {', '.join(map(repr, keys))}" if keys else "no parameters"
+        raise ValueError(
+            f"objective {name!r} takes {takes}; unknown parameter(s) "
+            f"{', '.join(map(repr, unknown))}"
+        )
+    fn, plus, minus = build(n, params)
     if (j_plus is None) != (j_minus is None):
         raise ValueError("override j_plus and j_minus together or not at all")
     if j_plus is not None and j_minus is not None:

@@ -29,6 +29,7 @@ __all__ = [
     "FeasibleBox",
     "RegionResult",
     "ResourceLimitError",
+    "root_factors",
     "walk_admissible",
     "enumerate_admissible",
     "count_bound",
@@ -54,15 +55,28 @@ class ResourceLimitError(RuntimeError):
 class FeasibleBox:
     """One product box of the feasible region, named by its witness columns.
 
-    factors[j] is the admissible set for x_j: a singleton for fixed
-    variables, the joint restricted set for assigned columns and the column
-    bound otherwise.  Every factor is non-empty.  columns[k] is the witness
-    column of the k-th active row in ascending order; indices refer to the
-    original system.
+    factors[j] is the admissible set for x_j: the joint restricted set on
+    the witness columns, and ``root_factors(...)[j]`` (a fixed singleton or
+    the column bound) on every other column.  Every factor is non-empty.
+    columns[k] is the witness column of the k-th active row in ascending
+    order; indices refer to the original system.  The boxes of one search
+    share factor objects: one per root factor, one per cell's restricted set
+    and one per distinct (earlier factor, cell) intersection.
     """
 
     factors: tuple[IntervalUnion, ...]
     columns: tuple[int, ...]
+
+
+def root_factors(analysis: CellAnalysis, state: ReductionState) -> list[IntervalUnion]:
+    """The root of the assignment search: the factor every box keeps on the
+    columns its assignment leaves alone, the fixed singleton on fixed columns
+    and the column bound elsewhere."""
+    fixed = state.fixed
+    return [
+        IntervalUnion.point(fixed[j]) if j in fixed else bound
+        for j, bound in enumerate(analysis.col_bounds)
+    ]
 
 
 def walk_admissible(
@@ -77,13 +91,16 @@ def walk_admissible(
     Active rows are assigned in ascending order, each to its candidate
     columns in ascending order, so leaves come in lexicographic order of
     their assignments.  The search state is the current partial box,
-    ``factors``: it starts as the fixed singletons and column bounds, and
-    assigning row i to column j narrows ``factors[j]`` to its intersection
-    with the restricted set of cell (i, j).  A branch extends only while
-    that intersection is non-empty, which is exactly the admissibility
-    condition, so every admissible function is reached.  The first row on a
-    column takes the restricted set itself, which lies inside the column
-    bound, so the partial boxes of different leaves share factor objects.
+    ``factors``: it starts as ``root_factors``, and assigning row i to
+    column j narrows ``factors[j]`` to its intersection with the restricted
+    set of cell (i, j).  A branch extends only while that intersection is
+    non-empty, which is exactly the admissibility condition, so every
+    admissible function is reached.  A column no row is assigned keeps its
+    root factor.  The first row on a column takes the restricted set
+    itself, which lies inside the column bound, and each later row's
+    intersection is computed once per walk for each distinct (earlier
+    factor, cell) pair and then shared, so the partial boxes of different
+    leaves share factor objects.
 
     ``leaf(columns, factors)`` runs at each leaf with its witness columns,
     one per active row in ascending row order, and the partial box as it
@@ -96,20 +113,26 @@ def walk_admissible(
     """
     rows = tuple(sorted(state.active_rows))
     candidates = [state.row_candidates(analysis, i) for i in rows]
-    base = [
-        IntervalUnion.point(state.fixed[j]) if j in state.fixed else bound
-        for j, bound in enumerate(analysis.col_bounds)
-    ]
+    base = root_factors(analysis, state)
     factors = list(base)
     chosen: list[int] = []
     depth = len(rows)
+    # before & cell per (id(before), id(cell)): both stay alive, in the
+    # analysis or as a value of this dict, so no id is reused
+    joints: dict[tuple[int, int], IntervalUnion] = {}
 
     def walk(k: int) -> None:
         restricted = analysis.restricted[rows[k]]
         remaining = depth - k - 1
         for j in candidates[k]:
-            before = factors[j]
-            joint = restricted[j] if before is base[j] else before & restricted[j]
+            before, cell = factors[j], restricted[j]
+            if before is base[j]:
+                joint = cell
+            else:
+                key = (id(before), id(cell))
+                joint = joints.get(key)
+                if joint is None:
+                    joint = joints[key] = before & cell
             if joint.is_empty:
                 continue
             factors[j] = joint

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from bfre.cli import main, parse_problem, problem_from_dict
 from bfre.resolution import count_bound, feasible_region
+from bfre.tnorms import TNORM_KINDS
 
 from conftest import random_system, reference_optimum
 
@@ -59,6 +60,13 @@ def test_parse_field_exact():
         (lambda d: d.update(m=3), "declared"),
         (lambda d: d.pop("a_minus"), "missing field"),
         (lambda d: d.update(objective={"name": "linear", "params": {}}), "requires parameter"),
+        # a parameter the objective does not read is rejected, not ignored
+        (lambda d: d.update(objective={"name": "max", "params": {"p": 3}}), "unknown parameter"),
+        (
+            lambda d: d.update(objective={"name": "p_norm", "params": {"p": 2, "r": 1}}),
+            "unknown parameter(s) 'r'",
+        ),
+        (lambda d: d["objective"]["params"].update(alpha=[1.0] * 9), "takes only 'c'"),
         # wrongly typed fields name the file instead of raising a traceback
         (lambda d: d.update(tnorm={"name": "frank", "param": "2"}), "bad.json"),
         (lambda d: d.update(objective={"name": "linear", "params": {"c": 5}}), "bad.json"),
@@ -319,14 +327,15 @@ def test_golden_output(runner, problem, args, expected, code):
     assert result.exit_code == code
 
 
-def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):
+def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem, simplify=True):
     """``feasible`` and ``solve`` print exactly ``json.dumps`` of the report
-    built from the library's results, and ``solve``'s ``best`` is the
-    exhaustive scan's optimum, bit for bit."""
+    built from the library's results, each box's factors read from
+    ``box.factors``, and ``solve``'s ``best`` is the exhaustive scan's
+    optimum, bit for bit."""
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
     system, objective = parse_problem(str(path))
-    result = feasible_region(system)
+    result = feasible_region(system, simplify=simplify)
     state = result.reduction
     expected = {
         "status": "feasible",
@@ -349,9 +358,10 @@ def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem):
     }
     (value, point, columns), _ = reference_optimum(result.boxes, objective)
     best = {"columns": list(columns), "point": list(point), "value": value}
+    flags = [] if simplify else ["--no-simplify"]
     outputs = []
     for command, report in (("feasible", expected), ("solve", {**expected, "best": best})):
-        out = invoke(runner, command, str(path)).stdout
+        out = invoke(runner, command, str(path), *flags).stdout
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == report
         assert out == json.dumps(report) + "\n"  # same key order as well
@@ -366,17 +376,43 @@ def test_report_is_one_line_of_plain_json(tmp_path, runner):
     rng = random.Random(68)
     system = random_system(rng, 5, 6, kind="product", force_feasible=True)
     c = [1.0, -2.0, 0.5, -1.0, 3.0, -0.5]
-    problem = {
+    problem = _problem_dict(system, {"name": "linear", "params": {"c": c}})
+    result, _, _ = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
+    assert len(result.boxes) >= 20
+
+
+def _problem_dict(system, objective):
+    return {
         "m": system.m,
         "n": system.n,
         "a_plus": system.a_plus,
         "a_minus": system.a_minus,
         "b": system.b,
         "tnorm": {"name": system.tnorm.kind, "param": system.tnorm.param},
-        "objective": {"name": "linear", "params": {"c": c}},
+        "objective": objective,
     }
-    result, _, _ = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
-    assert len(result.boxes) >= 20
+
+
+def test_reports_encode_like_json_dumps_over_all_families(tmp_path, runner):
+    # Seeded systems built around a witness, in every t-norm family, reduced
+    # and unreduced.  The encoder writes the root's factors once and patches
+    # a box's witness columns, so the sweep must meet fixed columns (whose
+    # root factor is a singleton) and boxes where two active rows share a
+    # witness column (whose factor is a joint intersection).
+    rng = random.Random(18)
+    fixed = shared = 0
+    for kind in TNORM_KINDS:
+        for _ in range(2):
+            system = random_system(rng, kind=kind, force_feasible=True, shape=(5, 6))
+            c = [rng.uniform(-2.0, 2.0) for _ in range(system.n)]
+            problem = _problem_dict(system, {"name": "linear", "params": {"c": c}})
+            for simplify in (True, False):
+                result, _, _ = _assert_reports_encode_like_json_dumps(
+                    tmp_path, runner, problem, simplify
+                )
+                fixed += bool(result.reduction.fixed)
+                shared += any(len(set(b.columns)) < len(b.columns) for b in result.boxes)
+    assert fixed and shared
 
 
 def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):

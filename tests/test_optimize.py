@@ -67,6 +67,27 @@ def test_catalog_validation():
         objective_catalog("max", 3, j_plus=[0, 1, 2])  # one-sided override
 
 
+def test_catalog_rejects_parameters_the_objective_does_not_read():
+    unknown = r"unknown parameter\(s\)"
+    with pytest.raises(ValueError, match=rf"'max' takes no parameters; {unknown} 'p', 'c'"):
+        objective_catalog("max", 2, {"p": 3, "c": "x"})
+    with pytest.raises(ValueError, match=rf"'p_norm' takes only 'p'; {unknown} 'r'"):
+        objective_catalog("p_norm", 2, {"p": 2, "r": "junk"})
+    with pytest.raises(ValueError, match=rf"{unknown} 'R'"):
+        objective_catalog("sum_largest", 3, {"r": 2, "R": 2})
+    # every declared name is still accepted
+    declared = {
+        "linear": {"c": [1.0, 2.0]},
+        "perspective": {"p": 2},
+        "p_norm": {"p": 2},
+        "sum_largest": {"r": 1},
+        "sum_log": {"alpha": [1.0, 1.0]},
+        "max": {},
+    }
+    for name, params in declared.items():
+        assert objective_catalog(name, 2, params).name == name
+
+
 def test_linear_partition_follows_signs():
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
     assert obj.j_plus == frozenset({0, 1, 4, 5, 7})

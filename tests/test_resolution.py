@@ -18,7 +18,7 @@ from bfre import (
     feasible_region,
     is_feasible_point,
 )
-from bfre.resolution import ResourceLimitError
+from bfre.resolution import ResourceLimitError, root_factors
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import necessary_feasibility
 from conftest import in_box, make_example_system, random_system
@@ -189,25 +189,48 @@ def test_box_on_full_problem(example_analysis):
     ],
     ids=["reference", "reference-reduced", "random"],
 )
-def test_boxes_share_factor_objects(make_system, reduce):
-    # the CLI report encodes each distinct factor object once, so a column no
-    # row is assigned holds one object in every box, and a column one row i
-    # is assigned holds the cell's own restricted set
+def test_boxes_share_factor_objects(make_system, reduce, monkeypatch):
+    # The CLI report writes the root's factor texts once and patches only a
+    # box's witness columns, and it encodes each distinct factor object once.
+    # So a column no row is assigned holds the root factor, one object in
+    # every box; a column one row i is assigned holds the cell's own
+    # restricted set; and a column rows i1 < ... < ik share holds one object
+    # per chain of cells, because each intersection with an earlier factor is
+    # computed once per (earlier factor, cell) pair.
     analysis = CellAnalysis(make_system())
     state = reduce(analysis)
+    calls = []
+    and_ = IntervalUnion.__and__
+
+    def counting_and(self, other):
+        calls.append((self, other))  # the references keep both ids unique
+        return and_(self, other)
+
+    monkeypatch.setattr(IntervalUnion, "__and__", counting_and)
     boxes = enumerate_admissible(analysis, state)
+    monkeypatch.undo()
     assert len(boxes) > 1
+    # at most one intersection per (earlier factor, cell) pair in one walk
+    pairs = [(id(before), id(cell)) for before, cell in calls]
+    assert len(pairs) == len(set(pairs))
+    root = root_factors(analysis, state)
     unassigned: dict[int, IntervalUnion] = {}
-    single = 0
+    joint: dict[tuple[int, ...], IntervalUnion] = {}
+    single = shared = 0
     for box in boxes:
         for j, factor in enumerate(box.factors):
             rows = [i for i, c in zip(state.active_rows, box.columns) if c == j]
             if not rows:
+                assert factor.pieces == root[j].pieces, (box.columns, j)
                 assert unassigned.setdefault(j, factor) is factor, (box.columns, j)
             elif len(rows) == 1:
                 single += 1
                 assert factor is analysis.restricted[rows[0]][j], (box.columns, j)
-    assert unassigned and single
+            else:
+                shared += 1
+                chain = tuple(id(analysis.restricted[i][j]) for i in rows)
+                assert joint.setdefault(chain, factor) is factor, (box.columns, j)
+    assert unassigned and single and shared
 
 
 # -- end-to-end region ---------------------------------------------------------------
