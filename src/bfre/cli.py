@@ -15,6 +15,13 @@ JSON, one line of it with the separators of ``json.dumps``; numbers
 round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
+click only parses the command line.  A report line is written with one
+``sys.stdout.write`` and flushed, and an error is one ``error:`` line
+written to ``sys.stderr`` the same way.  click's usage errors (a missing
+or unknown argument, option or command, a bad option type, a PROBLEM
+path that does not exist) keep click's message on stderr but exit 1, like
+every other error.
+
 The ``boxes`` array is written by one encoder from shared text.  Every
 box equals the search's root (fixed singletons and column bounds) except on
 its witness columns, so the root's factor texts are encoded once per
@@ -209,16 +216,21 @@ def _echo(report: dict) -> None:
     """Print ``json.dumps(report)``: one line of compact JSON.
 
     Every top-level value but a ``_JSONText`` goes through the C encoder.
+    The line is written to ``sys.stdout`` in one call and flushed here, so
+    a closed pipe raises inside the command, where click turns it into
+    exit 1.
     """
     items = (
         f"{json.dumps(k)}: {v if isinstance(v, _JSONText) else json.dumps(v)}"
         for k, v in report.items()
     )
-    click.echo("{" + ", ".join(items) + "}")
+    sys.stdout.write(f"{{{', '.join(items)}}}\n")
+    sys.stdout.flush()
 
 
 def _fail(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    sys.stderr.write(f"error: {message}\n")
+    sys.stderr.flush()
     sys.exit(EXIT_ERROR)
 
 
@@ -278,7 +290,24 @@ def _run(
     sys.exit(code)
 
 
-@click.group()
+class _Group(click.Group):
+    """click's group, with every click error exiting 1: exit 2 means
+    infeasible.  ``--help`` still exits 0."""
+
+    def main(self, *args: Any, **kwargs: Any) -> NoReturn:
+        kwargs["standalone_mode"] = False
+        try:
+            code = super().main(*args, **kwargs)
+        except click.ClickException as exc:
+            exc.show()
+            code = EXIT_ERROR
+        except click.Abort:
+            sys.stderr.write("Aborted!\n")
+            code = EXIT_ERROR
+        sys.exit(code)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Solver for systems of bipolar fuzzy relational equations.
 

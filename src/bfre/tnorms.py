@@ -69,11 +69,14 @@ def _lukasiewicz():
 
 def _frank(s):
     ln_s, c = math.log(s), s - 1.0
-    return (
-        (lambda x: -math.log(math.expm1(x * ln_s) / c)),
-        (lambda t: math.log1p(c * math.exp(-t)) / ln_s),
-        math.inf,
-    )
+
+    def f(x):
+        # -log((s^x - 1) / (s - 1)); the quotient underflows only for tiny x,
+        # where it is x ln(s) / (s - 1) to double precision
+        q = math.expm1(x * ln_s) / c
+        return -math.log(q) if q > 0.0 else -math.log(x) - math.log(ln_s / c)
+
+    return f, (lambda t: math.log1p(c * math.exp(-t)) / ln_s), math.inf
 
 
 def _yager(p):
@@ -135,7 +138,9 @@ _TABLE: dict[str, tuple] = {
     "einstein_product": (None, lambda _: (1.0, *_hamacher(2.0))),
     "lukasiewicz": (None, lambda _: (1.0, *_lukasiewicz())),
     "frank": (
-        (lambda s: s > 0.0 and s != 1.0, "s > 0 and s != 1"),
+        # at or below 2**-54, s - 1 rounds to -1: f is 0 short of x = 1 and
+        # f_inv(0) is log1p(-1)
+        (lambda s: s > 2.0**-54 and s != 1.0, "s > 2**-54 and s != 1"),
         lambda s: (1.0, *_frank(s)),
     ),
     "yager": ((lambda p: p > 0.0, "p > 0"), lambda p: (1.0, *_yager(p))),

@@ -1,9 +1,13 @@
 """CLI commands, file format, exit codes, report determinism."""
 
+import contextlib
+import gc
+import io
 import json
 import math
 import os
 import random
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -247,6 +251,71 @@ def test_bad_option_values(runner, args, fragment):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert fragment in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["feasible", "{tmp}/missing.json"], id="missing-file"),
+        pytest.param(["feasible", "{tmp}"], id="directory"),
+        pytest.param(["feasible"], id="missing-argument"),
+        pytest.param(["feasible", DATA, "--bogus"], id="unknown-option"),
+        pytest.param(["bogus", DATA], id="unknown-command"),
+        pytest.param(["verify", DATA, "--cap", "x"], id="cap-not-a-number"),
+        pytest.param(["verify", DATA, "--step", "x"], id="step-not-a-number"),
+        pytest.param(["verify", DATA, "--seed", "x"], id="seed-not-a-number"),
+        pytest.param(["feasible", DATA, "--max-e", "x"], id="max-e-not-a-number"),
+        pytest.param(["simplify", DATA, "--tol", "x"], id="tol-not-a-number"),
+        pytest.param([], id="no-command"),
+    ],
+)
+def test_usage_errors_exit_1(tmp_path, runner, args):
+    # exit 2 means infeasible, so a script must not read a usage error as one
+    result = invoke(runner, *(a.format(tmp=tmp_path) for a in args))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "Usage:" in result.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]], ids=["main", "solve"])
+def test_help_exits_0(runner, args):
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("Usage: ")
+
+
+def test_interrupt_exits_1(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("bfre.cli.feasible_region", interrupted)
+    result = invoke(runner, "feasible", DATA)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.endswith("Aborted!\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["feasible", DATA],
+        ["tnorm-eval", "product", "0.8", "0.4"],
+        ["feasible", DATA, "--max-e", "1"],
+    ],
+    ids=["feasible", "tnorm-eval", "error"],
+)
+def test_in_process_runs_release_their_streams(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=args, prog_name="bfre")
+        except SystemExit:
+            pass
+    assert (err if "--max-e" in args else out).getvalue()
+    refs = weakref.ref(out), weakref.ref(err)
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_report_determinism(runner):
@@ -586,6 +655,25 @@ def test_tnorm_eval_solve(runner):
 def test_tnorm_eval_rejects_bad_kind(runner):
     result = invoke(runner, "tnorm-eval", "banana", "0.5", "0.5")
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("param", [1e-17, 1e-20])
+def test_frank_parameter_below_range_is_an_error(tmp_path, runner, param):
+    with open(DATA) as fh:
+        data = json.load(fh)
+    data["tnorm"] = {"name": "frank", "param": param}
+    path = tmp_path / "frank.json"
+    path.write_text(json.dumps(data))
+    for args in (
+        ["feasible", str(path)],
+        ["tnorm-eval", "frank", "0.85", "0.9", "--param", str(param)],
+    ):
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "out of range for 'frank'" in result.stderr
+        assert result.stderr.count("\n") == 1
 
 
 def test_tol_flag(tmp_path, runner):

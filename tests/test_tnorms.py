@@ -47,11 +47,34 @@ def test_all_catalog_kinds_constructible():
         ("schweizer_sklar", math.inf),
         ("schweizer_sklar", math.nan),
         ("aczel_alsina", math.inf),
+        # at s <= 2**-54, s - 1 rounds to -1, so f vanishes short of x = 1
+        ("frank", 2.0**-54),
+        ("frank", 1e-17),
+        ("frank", 1e-20),
+        ("frank", 5e-324),
     ],
 )
 def test_out_of_range_parameters_rejected(kind, param):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         TNormSpec(kind, param)
+
+
+def test_frank_smallest_parameter_evaluates():
+    t = TNormSpec("frank", math.nextafter(2.0**-54, 1.0))
+    assert 0.0 < tnorm_eval(t, 0.85, 0.9) <= 0.85
+    assert solve_scalar_eq(t, 0.85, 0.85).u == 1.0
+
+
+@pytest.mark.parametrize("s,x,y", [(1e8, 5e-324, 5e-324), (1.0 + 2.0**-52, 5e-324, 0.8)])
+def test_frank_generator_near_zero(s, x, y):
+    # (s^x - 1) / (s - 1) underflows to 0 here; f must not take log(0)
+    t = TNormSpec("frank", s)
+    assert 0.0 <= tnorm_eval(t, x, y) <= 5e-324
+    assert solve_scalar_eq(t, x, 0.0).u == 0.0
+    assert solve_scalar_eq(t, 0.5, x).u < 1e-300
+    # near 0, f(x) = -log(x) + const, so f keeps its slope across the underflow
+    f = t._summand[1]
+    assert f(x) - f(1e-200) == pytest.approx(math.log(1e-200 / x), rel=1e-12)
 
 
 def test_parameter_presence_enforced():
