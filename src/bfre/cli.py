@@ -15,20 +15,25 @@ JSON, one line of it with the separators of ``json.dumps``; numbers
 round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
-click only parses the command line.  A report line is written with one
-``sys.stdout.write`` and flushed, and an error is one ``error:`` line
-written to ``sys.stderr`` the same way.  click's usage errors (a missing
-or unknown argument, option or command, a bad option type, a PROBLEM
-path that does not exist) keep click's message on stderr but exit 1, like
-every other error.
+click only parses the command line.  A report line is written to
+``sys.stdout`` piece by piece with one ``writelines`` and flushed: the
+text before the ``boxes`` array, each box's text with its separator, and
+the text after it.  The boxes are never joined into one string.  When
+the reader closes the pipe before the last piece, a later write fails and
+the command exits 1, whether or not stdout is buffered.  ``--help`` is
+written to ``sys.stdout`` and an error, one ``error:`` line, to
+``sys.stderr``, each with one ``write`` and a flush.  click's usage errors (a
+missing or unknown argument, option or command, a bad option type, a
+PROBLEM path that does not exist) keep click's message on stderr but exit
+1, like every other error.
 
-The ``boxes`` array is written by one encoder from shared text.  Every
-box equals the search's root (fixed singletons and column bounds) except on
-its witness columns, so the root's factor texts are encoded once per
-report, and a box costs a copy of that list plus one patch per witness
-column, each distinct witness factor being encoded once.  The region's
-``rows`` list is encoded once too.  ``solve`` reports the best corner that
-the optimum search finds, not the corner of every box.
+The box texts come from one encoder and shared text.  Every box equals
+the search's root (fixed singletons and column bounds) except on its
+witness columns, so the root's factor texts are encoded once per report,
+and a box costs a copy of that list plus one patch per witness column,
+each distinct witness factor being encoded once.  The region's ``rows``
+list is encoded once too.  ``solve`` reports the best corner that the
+optimum search finds, not the corner of every box.
 """
 
 from __future__ import annotations
@@ -155,13 +160,13 @@ def _reduction_dict(state: ReductionState, explain: bool) -> dict:
     return out
 
 
-class _JSONText(str):
-    """A top-level report value that is already JSON text; ``_echo`` writes
-    it as is."""
+class _JSONArray(list):
+    """A top-level report value that is a JSON array, held as the texts of
+    its elements; ``_echo`` writes them one by one."""
 
 
-def _boxes_json(result: RegionResult) -> _JSONText:
-    """The ``boxes`` array as the text ``json.dumps`` would give it.
+def _boxes_json(result: RegionResult) -> _JSONArray:
+    """The texts ``json.dumps`` would give each element of ``boxes``.
 
     A box differs from the search's root (``root_factors``: the fixed
     singletons and column bounds) only on its witness columns, so the root's
@@ -175,13 +180,13 @@ def _boxes_json(result: RegionResult) -> _JSONText:
     """
     boxes = result.boxes
     if not boxes:
-        return _JSONText("[]")
+        return _JSONArray()
     state = result.reduction
     root = [json.dumps(f.to_pairs()) for f in root_factors(result.analysis, state)]
     index = [str(j) for j in range(len(root))]
     text: dict[int, str] = {}
     rows = json.dumps(sorted(state.active_rows))
-    parts = []
+    parts = _JSONArray()
     for box in boxes:
         texts = root.copy()
         factors = box.factors
@@ -196,7 +201,7 @@ def _boxes_json(result: RegionResult) -> _JSONText:
             f'"columns": [{", ".join(map(index.__getitem__, box.columns))}], '
             f'"factors": [{", ".join(texts)}]}}'
         )
-    return _JSONText(f"[{', '.join(parts)}]")
+    return parts
 
 
 def _region_report(result: RegionResult) -> dict:
@@ -212,19 +217,34 @@ def _region_report(result: RegionResult) -> dict:
     return report
 
 
+def _report_pieces(report: dict):
+    """The text of ``json.dumps(report)`` and a newline, in pieces: each
+    element of a ``_JSONArray`` and each separator between two is a piece
+    of its own, and every other value goes through the C encoder."""
+    text, sep = "{", ""
+    for key, value in report.items():
+        text += f"{sep}{json.dumps(key)}: "
+        sep = ", "
+        if isinstance(value, _JSONArray):
+            yield f"{text}["
+            for k, element in enumerate(value):
+                if k:
+                    yield sep
+                yield element
+            text = "]"
+        else:
+            text += json.dumps(value)
+    yield f"{text}}}\n"
+
+
 def _echo(report: dict) -> None:
     """Print ``json.dumps(report)``: one line of compact JSON.
 
-    Every top-level value but a ``_JSONText`` goes through the C encoder.
-    The line is written to ``sys.stdout`` in one call and flushed here, so
-    a closed pipe raises inside the command, where click turns it into
-    exit 1.
+    The line is written to ``sys.stdout`` piece by piece, so the boxes are
+    never joined into one string, and flushed here, so a closed pipe raises
+    inside the command, where click turns it into exit 1.
     """
-    items = (
-        f"{json.dumps(k)}: {v if isinstance(v, _JSONText) else json.dumps(v)}"
-        for k, v in report.items()
-    )
-    sys.stdout.write(f"{{{', '.join(items)}}}\n")
+    sys.stdout.writelines(_report_pieces(report))
     sys.stdout.flush()
 
 
@@ -290,9 +310,30 @@ def _run(
     sys.exit(code)
 
 
-class _Group(click.Group):
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's ``--help`` callback, printing through ``sys.stdout``."""
+    if value and not ctx.resilient_parsing:
+        sys.stdout.write(f"{ctx.get_help()}\n")
+        sys.stdout.flush()
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` is written like a report: straight to
+    ``sys.stdout`` and flushed, not through ``click.echo``."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
     """click's group, with every click error exiting 1: exit 2 means
     infeasible.  ``--help`` still exits 0."""
+
+    command_class = _Command
 
     def main(self, *args: Any, **kwargs: Any) -> NoReturn:
         kwargs["standalone_mode"] = False

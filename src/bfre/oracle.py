@@ -27,10 +27,14 @@ the rows it witnesses) and the bitmask of the boxes whose factor contains
 it.  A point is feasible when no witness mask is -1 and their OR covers
 every row, which is how ``is_feasible_point`` is defined, and it lies in
 the box union when the AND of its box masks is non-zero.  The box masks
-come from a per-column index of the distinct box factors, so they cost
-what the distinct factors cost, not boxes x values.  A lazy column gets no
-table and is tested on every draw, so no table holds more than _LIST_MAX
-ticks plus a column's endpoints, whatever ``cap`` and the step.
+come from a per-column index of the distinct box factors.  A column's
+index costs one lookup per box, and it is built the first time the union
+test reaches the column; that test stops at the first column where no box
+is left, so a walk whose points leave the region early indexes a few
+columns, not all n.  A value's box mask then costs the distinct factors
+of its column, not the boxes.  A lazy column gets no table and is tested
+on every draw, so no table holds more than _LIST_MAX ticks plus a
+column's endpoints, whatever ``cap`` and the step.
 
 ``bfre verify`` walks its grid once: ``grid_membership_check`` draws each
 point once, tests it through the tables and, given an objective, takes the
@@ -242,6 +246,21 @@ def _table(column: Sequence[float]) -> list | _NoTable:
     return [None] * len(column) if isinstance(column, list) else _NO_TABLE
 
 
+def _factor_index(boxes: Sequence[FeasibleBox], j: int) -> dict[tuple, list]:
+    """Column j's factor index: each distinct factor of the boxes there,
+    keyed by its pieces (a tuple, hashed in C), mapped to
+    ``[factor, bitmask of the boxes that have it]``."""
+    index: dict[tuple, list] = {}
+    for k, box in enumerate(boxes):
+        f = box.factors[j]
+        entry = index.get(f.pieces)
+        if entry is None:
+            index[f.pieces] = [f, 1 << k]
+        else:
+            entry[1] |= 1 << k
+    return index
+
+
 @dataclass
 class GridReport:
     """Outcome of a grid sweep comparing two membership definitions.
@@ -283,22 +302,15 @@ def grid_membership_check(
     ``witness_mask`` of each coordinate, remembered per (column, index) in
     a list column's table.  The union test runs through a per-column factor
     index: ``index[j]`` maps each distinct factor value of column j to the
-    bitmask of the boxes that have it there.  A point's surviving boxes are
-    the AND over columns of the OR of the masks of the factors containing
-    ``x[j]``, also remembered per (column, index).  Both loops stop early,
-    at the first coordinate outside its column bound and once no box is
-    left.
+    bitmask of the boxes that have it there, and it is built by
+    ``_factor_index`` the first time a point's union test reaches column j.
+    A point's surviving boxes are the AND over columns of the OR of the
+    masks of the factors containing ``x[j]``, also remembered per (column,
+    index).  Both loops stop early, at the first coordinate outside its
+    column bound and once no box is left, so a column no point reaches
+    with a box left is never indexed.
     """
-    # Keyed by value through the pieces tuple, whose hash runs in C.
-    index: list[dict[tuple, list]] = [{} for _ in grid]
-    for k, box in enumerate(boxes):
-        bit = 1 << k
-        for column, f in zip(index, box.factors):
-            entry = column.get(f.pieces)
-            if entry is None:
-                column[f.pieces] = [f, bit]
-            else:
-                entry[1] |= bit
+    index: list[dict[tuple, list] | None] = [None] * len(grid)
     everyone = (1 << len(boxes)) - 1
     rows = (1 << analysis.m) - 1
     witness = [_table(col) for col in grid]
@@ -326,9 +338,12 @@ def grid_membership_check(
                 break
             hit = in_boxes[j][r]
             if hit is None:
+                factors = index[j]
+                if factors is None:
+                    factors = index[j] = _factor_index(boxes, j)
                 v = grid[j][r]
                 hit = 0
-                for f, bits in index[j].values():
+                for f, bits in factors.values():
                     if f.contains(v):
                         hit |= bits
                 in_boxes[j][r] = hit

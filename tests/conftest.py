@@ -1,7 +1,11 @@
-"""Shared fixtures: the worked 7x9 reference system and random instances."""
+"""Shared fixtures: the worked 7x9 reference system, random instances and
+the benchmark's planted systems."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 import random
 
 import pytest
@@ -167,6 +171,27 @@ def reference_optimum(boxes, objective):
         corners.append((objective(point), point, box.columns))
     best = min(corners, key=lambda c: (c[0], c[2]))
     return best, corners
+
+
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py``, which builds the benchmark's planted systems."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(path, "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dense_square_problem(kind: str, stream: str) -> dict:
+    """A planted problem of the benchmark's ``dense-square`` shape (610 boxes
+    in each of its families), as the dict a problem file holds."""
+    workloads = bench_workloads()
+    shape = workloads.WORKLOADS["dense-square"]["shape"]
+    problem, _ = workloads.planted_system(random.Random(stream), kind, shape)
+    return problem
 
 
 def in_box(box, x) -> bool:

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -16,7 +18,7 @@ from bfre.cli import main, parse_problem, problem_from_dict
 from bfre.resolution import count_bound, feasible_region
 from bfre.tnorms import TNORM_KINDS
 
-from conftest import random_system, reference_optimum
+from conftest import dense_square_problem, random_system, reference_optimum
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example_problem.json")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -301,8 +303,10 @@ def test_interrupt_exits_1(runner, monkeypatch):
         ["feasible", DATA],
         ["tnorm-eval", "product", "0.8", "0.4"],
         ["feasible", DATA, "--max-e", "1"],
+        ["--help"],
+        ["feasible", "--help"],
     ],
-    ids=["feasible", "tnorm-eval", "error"],
+    ids=["feasible", "tnorm-eval", "error", "help", "feasible-help"],
 )
 def test_in_process_runs_release_their_streams(args):
     out, err = io.StringIO(), io.StringIO()
@@ -316,6 +320,31 @@ def test_in_process_runs_release_their_streams(args):
     del out, err
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_exits_1(tmp_path, unbuffered):
+    # A reader that closes after the first byte of a 0.5 MB report, as
+    # `bfre feasible ... | head -c 1` does.  Unbuffered, stdout's binary
+    # layer is a raw file, and one write of the whole report would stop
+    # short without an error.
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(dense_square_problem("product", "pipe")))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bfre.cli", "feasible", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
 
 
 def test_report_determinism(runner):

@@ -1,10 +1,8 @@
 """Objectives, corner candidates and global selection."""
 
 import collections
-import importlib.util
 import itertools
 import math
-import os
 import random
 
 import numpy as np
@@ -28,7 +26,13 @@ from bfre.cli import problem_from_dict
 from bfre.optimize import OBJECTIVE_NAMES, MonotoneObjective, jacobi_eigenvalues
 from bfre.simplify import ReductionState
 from bfre.tnorms import TNORM_KINDS
-from conftest import LINEAR_C, random_system, reference_optimum
+from conftest import (
+    LINEAR_C,
+    bench_workloads,
+    dense_square_problem,
+    random_system,
+    reference_optimum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -286,26 +290,14 @@ def test_search_matches_exhaustive_scan(kind):
     assert infinite > 0
 
 
-def _planted_workloads():
-    """``bench/workloads.py``, which builds the benchmark's planted systems."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", os.path.join(path, "workloads.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("kind", ["product", "frank", "dubois_prade"])
 def test_search_when_the_first_leaf_is_not_optimal(kind):
     # The benchmark's dense-square shape: 6 core rows, each free column
     # shared by two of them.  A c of alternating sign over the shared
     # columns makes the first leaf a poor one, so the search must move its
     # incumbent and still prune most of the 610 leaves.
-    workloads = _planted_workloads()
-    shape = workloads.WORKLOADS["dense-square"]["shape"]
-    problem, _ = workloads.planted_system(random.Random(f"adversarial/{kind}"), kind, shape)
+    shape = bench_workloads().WORKLOADS["dense-square"]["shape"]
+    problem = dense_square_problem(kind, f"adversarial/{kind}")
     region = feasible_region(problem_from_dict(problem)[0])
     analysis, state = region.analysis, region.reduction
     uses = collections.Counter(

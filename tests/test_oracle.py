@@ -22,9 +22,10 @@ from bfre import (
     objective_catalog,
 )
 from bfre import oracle
+from bfre.cli import problem_from_dict
 from bfre.oracle import DEFAULT_GRID_CAP, GridReport
 from bfre.tnorms import TNORM_KINDS
-from conftest import LINEAR_C, in_box, random_system
+from conftest import LINEAR_C, dense_square_problem, in_box, random_system
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +373,78 @@ def test_memoized_walk_matches_point_by_point_reference(column_kind):
                 seen["sampled" if report.sampled else "exhaustive"] += 1
                 seen["best"] += report.best_value is not None
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.fixture(scope="module")
+def large_regions():
+    """Planted regions of 610 boxes, one per family of ``dense-square``, so
+    that box masks span many 30-bit digits."""
+    return [
+        feasible_region(problem_from_dict(dense_square_problem(kind, f"oracle/{kind}"))[0])
+        for kind in ("product", "frank", "dubois_prade")
+    ]
+
+
+def test_lazy_index_matches_reference_on_large_regions(large_regions):
+    # Boxes dropped, duplicated and reordered; a sampled breakpoint grid
+    # and an exhaustive one of a few values per witness column around a
+    # box's corner, which a variant drops every box of.
+    rng = random.Random(43)
+    seen = {"mismatch": 0, "best": 0, "sampled": 0, "exhaustive": 0}
+    for res in large_regions:
+        boxes = list(res.boxes)
+        assert len(boxes) >= 200
+        corner = tuple(f.min_elem() for f in rng.choice(boxes).factors)
+        variants = [
+            tuple(boxes),
+            tuple(box for box in boxes if not in_box(box, corner)),
+            tuple(rng.sample(boxes, len(boxes) - 40) + rng.sample(boxes, 60)),
+            tuple(reversed(boxes)),
+        ]
+        full = breakpoint_grid(res.analysis, 0.25)
+        grid = [[v] for v in corner]
+        for j in rng.sample(sorted({j for box in boxes for j in box.columns}), 4):
+            grid[j] = sorted({corner[j], *rng.sample(list(full[j]), 2)})
+        objective = objective_catalog("linear", res.analysis.n, {"c": [1.0] * res.analysis.n})
+        for variant in variants:
+            for walk_grid, cap in ((full, 60), (grid, DEFAULT_GRID_CAP)):
+                report = grid_membership_check(
+                    res.analysis, variant, walk_grid, cap, 5, objective
+                )
+                expected = _reference_report(
+                    res.analysis, variant, walk_grid, cap, 5, objective
+                )
+                assert report == expected
+                seen["mismatch"] += bool(report.mismatches)
+                seen["best"] += report.best_value is not None
+                seen["sampled" if report.sampled else "exhaustive"] += 1
+    assert min(seen.values()) >= 3, seen
+
+
+def test_union_test_indexes_only_the_columns_it_reaches(large_regions, monkeypatch):
+    # A column's factor index is built the first time the union test
+    # reaches the column, once, and a sampled grid whose points leave the
+    # region early never reaches most columns.
+    built = []
+    build = oracle._factor_index
+    monkeypatch.setattr(
+        oracle, "_factor_index", lambda boxes, j: built.append(j) or build(boxes, j)
+    )
+    for res in large_regions:
+        built.clear()
+        grid = breakpoint_grid(res.analysis, 0.25)
+        report = grid_membership_check(res.analysis, res.boxes, grid, cap=40, seed=0)
+        assert report.sampled
+        reached = set()
+        for x in _choice_points(grid, 40, 0):
+            alive = res.boxes
+            for j, v in enumerate(x):
+                if not alive:
+                    break
+                reached.add(j)
+                alive = [box for box in alive if box.factors[j].contains(v)]
+        assert sorted(built) == sorted(reached)
+        assert len(built) < res.analysis.n
 
 
 def test_lazy_columns_get_no_table(example_region):
