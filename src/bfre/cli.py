@@ -460,13 +460,11 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
                     result.analysis, result.reduction, objective, max_e
                 )
                 out["pipeline_value"] = best.value
-                if membership.sampled:
-                    # a sampled grid cannot certify equality, only the bound
-                    out["objective_check"] = "lower_bound"
-                    agree = value is None or value >= best.value - 1e-9
-                else:
-                    out["objective_check"] = "exact"
-                    agree = value is not None and abs(best.value - value) <= 1e-9
+                # a sample certifies only the lower test, which reads snapped points
+                out["objective_check"] = "lower_bound" if membership.sampled else "exact"
+                agree = value is None or membership.snapped_value >= best.value - 1e-9
+                if not membership.sampled:
+                    agree = agree and value is not None and value <= best.value + 1e-9
                 out["objective_agreement"] = agree
                 if not agree:
                     out["status"] = "mismatch"

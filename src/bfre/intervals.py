@@ -119,19 +119,8 @@ class IntervalUnion:
         lo, hi = self.pieces[0]
         return 0.5 * (lo + hi)
 
-    def contains(self, x: float, eps: float | None = None) -> bool:
-        tol = EPS if eps is None else eps
-        return any(lo - tol <= x <= hi + tol for lo, hi in self.pieces)
-
-    def min_elem(self) -> float:
-        if not self.pieces:
-            raise ValueError("empty interval union has no minimum")
-        return self.pieces[0][0]
-
-    def max_elem(self) -> float:
-        if not self.pieces:
-            raise ValueError("empty interval union has no maximum")
-        return self.pieces[-1][1]
+    def contains(self, x: float) -> bool:
+        return any(lo - EPS <= x <= hi + EPS for lo, hi in self.pieces)
 
     def endpoints(self) -> list[float]:
         out: list[float] = []
@@ -147,13 +136,12 @@ class IntervalUnion:
             for lo, hi in self.pieces
         )
 
-    def approx_equals(self, other: "IntervalUnion", eps: float | None = None) -> bool:
+    def approx_equals(self, other: "IntervalUnion") -> bool:
         """Piecewise endpoint equality within tolerance."""
-        tol = EPS if eps is None else eps
         if len(self.pieces) != len(other.pieces):
             return False
         return all(
-            abs(lo - olo) <= tol and abs(hi - ohi) <= tol
+            abs(lo - olo) <= EPS and abs(hi - ohi) <= EPS
             for (lo, hi), (olo, ohi) in zip(self.pieces, other.pieces)
         )
 

@@ -52,6 +52,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import getitem
 
+from .intervals import IntervalUnion
 from .optimize import MonotoneObjective
 from .resolution import FeasibleBox, ResourceLimitError
 from .system import CellAnalysis, is_feasible_point, witness_mask
@@ -77,10 +78,10 @@ _MERGE_TOL = 1e-12
 _LIST_MAX = 4096
 
 
-def _dedup_sorted(values: list[float], tol: float = _MERGE_TOL) -> list[float]:
+def _dedup_sorted(values: list[float]) -> list[float]:
     out: list[float] = []
     for v in sorted(values):
-        if not out or v - out[-1] > tol:
+        if not out or v - out[-1] > _MERGE_TOL:
             out.append(v)
     return out
 
@@ -267,7 +268,8 @@ class GridReport:
 
     ``best_point`` and ``best_value`` are the objective's minimum over the
     feasible points of the sweep, as ``brute_force_min`` finds it; both are
-    None without an objective or without a feasible point.
+    None without an objective or without a feasible point.  ``snapped_value``
+    is that minimum over the points snapped into a box, as the walk does it.
     """
 
     total_points: int
@@ -276,6 +278,7 @@ class GridReport:
     mismatches: list[tuple[tuple[float, ...], bool, bool]]
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
+    snapped_value: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -297,6 +300,8 @@ def grid_membership_check(
     Given an objective, the same walk also takes its minimum over the
     feasible points, by ``brute_force_min``'s rule: the first strictly
     smaller value wins.  No feasible point is kept besides the best one.
+    For ``snapped_value`` each point moves to the nearest point of the first
+    box left to it: one within the tolerance outside a box beats no corner.
 
     Feasibility is ``is_feasible_point`` taken apart by column: the
     ``witness_mask`` of each coordinate, remembered per (column, index) in
@@ -320,6 +325,7 @@ def grid_membership_check(
     checked = 0
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
+    snapped_value = best_value
     for point in points:
         checked += 1
         covered = 0
@@ -354,9 +360,19 @@ def grid_membership_check(
             value = objective(x)
             if best_value is None or value < best_value:
                 best_point, best_value = x, value
+            if in_union:
+                box = boxes[(alive & -alive).bit_length() - 1]
+                value = objective(tuple(map(_nearest, box.factors, x)))
+            if snapped_value is None or value < snapped_value:
+                snapped_value = value
         if feasible != in_union:
             mismatches.append((tuple(map(getitem, grid, point)), feasible, in_union))
-    return GridReport(total, checked, sampled, mismatches, best_point, best_value)
+    return GridReport(total, checked, sampled, mismatches, best_point, best_value, snapped_value)
+
+
+def _nearest(factor: IntervalUnion, v: float) -> float:
+    """The point of ``factor`` nearest to v, the first one on a tie."""
+    return min((min(max(v, lo), hi) for lo, hi in factor.pieces), key=lambda y: abs(y - v))
 
 
 def brute_force_min(

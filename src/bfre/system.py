@@ -22,14 +22,14 @@ of row i.  Column bounds, restricted sets and supports are built from the
 reached cells alone, and only non-empty exact sets are clipped to their
 column bound.
 
-``is_feasible_point`` is the one point-membership test.  It always tests
-the whole system: the reduction rules preserve the feasible region, so a
-reduction shows only in the boxes it leads to.  It is built from
-``witness_mask``, which answers for one coordinate at a time: -1 when x_j
-leaves its column bound, else the rows x_j witnesses.  A point is feasible
-when no coordinate answers -1 and the answers together cover every row, so
-a caller that meets the same x_j many times (the ``verify`` grid walk) can
-ask once and keep the answer.
+``is_feasible_point`` is the one point-membership test, up to
+``intervals.EPS``.  It always tests the whole system: the reduction rules
+preserve the feasible region, so a reduction shows only in the boxes it
+leads to.  It is built from ``witness_mask``, which answers for one
+coordinate at a time: -1 when x_j leaves its column bound, else the rows
+x_j witnesses.  A point is feasible when no coordinate answers -1 and the
+answers together cover every row, so a caller that meets the same x_j
+many times (the ``verify`` grid walk) can ask once and keep the answer.
 """
 
 from __future__ import annotations
@@ -242,23 +242,19 @@ def necessary_feasibility(analysis: CellAnalysis) -> FeasibilityVerdict:
     return FeasibilityVerdict("ok")
 
 
-def witness_mask(
-    analysis: CellAnalysis, j: int, v: float, *, eps: float | None = None
-) -> int:
+def witness_mask(analysis: CellAnalysis, j: int, v: float) -> int:
     """-1 when v lies outside col_bounds[j]; otherwise the bitmask of the
     rows i with j in row_support[i] and v in restricted[i][j]."""
-    if not analysis.col_bounds[j].contains(v, eps):
+    if not analysis.col_bounds[j].contains(v):
         return -1
     mask = 0
     for bit, restricted in analysis.column_witnesses[j]:
-        if restricted.contains(v, eps):
+        if restricted.contains(v):
             mask |= bit
     return mask
 
 
-def is_feasible_point(
-    analysis: CellAnalysis, x: Sequence[float], *, eps: float | None = None
-) -> bool:
+def is_feasible_point(analysis: CellAnalysis, x: Sequence[float]) -> bool:
     """Exact membership test: x solves every equation of the system iff
 
     (I)  x_j lies in every column bound, and
@@ -270,7 +266,7 @@ def is_feasible_point(
         raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
     covered = 0
     for j, v in enumerate(x):
-        mask = witness_mask(analysis, j, v, eps=eps)
+        mask = witness_mask(analysis, j, v)
         if mask < 0:
             return False
         covered |= mask
@@ -278,13 +274,14 @@ def is_feasible_point(
 
 
 def residual(system: BipolarSystem, x: Sequence[float], i: int) -> float:
-    """Absolute deviation of equation i's left-hand side from b_i at x."""
+    """Absolute deviation of equation i's left-hand side from b_i at x in [0, 1]^n."""
     if len(x) != system.n:
         raise ValueError(f"point has {len(x)} coordinates, system has {system.n}")
     t = system.tnorm
     lhs = 0.0
-    for j in range(system.n):
-        xj = min(1.0, max(0.0, x[j]))
+    for j, xj in enumerate(x):
+        if not 0.0 <= xj <= 1.0:
+            raise ValueError(f"x[{j}] = {xj!r} is no number or outside [0, 1]")
         v = max(
             tnorm_eval(t, system.a_plus[i][j], xj),
             tnorm_eval(t, system.a_minus[i][j], 1.0 - xj),

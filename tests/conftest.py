@@ -165,7 +165,7 @@ def reference_optimum(boxes, objective):
     corners = []
     for box in boxes:
         point = tuple(
-            f.min_elem() if j in objective.j_plus else f.max_elem()
+            f.pieces[0][0] if j in objective.j_plus else f.pieces[-1][1]
             for j, f in enumerate(box.factors)
         )
         corners.append((objective(point), point, box.columns))

@@ -68,17 +68,17 @@ def test_criterion_1_cell_sets(example_system):
         for i in range(7):
             for j in range(9):
                 assert an.relaxed[i][j].approx_equals(
-                    iu(tables.EXPECTED_RELAXED[i][j]), eps=TOL
+                    iu(tables.EXPECTED_RELAXED[i][j])
                 ), ("relaxed", i, j)
                 assert an.exact[i][j].approx_equals(
-                    iu(tables.EXPECTED_EXACT[i][j]), eps=TOL
+                    iu(tables.EXPECTED_EXACT[i][j])
                 ), ("exact", i, j)
                 assert an.restricted[i][j].approx_equals(
-                    iu(tables.EXPECTED_RESTRICTED[i][j]), eps=TOL
+                    iu(tables.EXPECTED_RESTRICTED[i][j])
                 ), ("restricted", i, j)
         for j in range(9):
             assert an.col_bounds[j].approx_equals(
-                iu(tables.EXPECTED_COL_BOUNDS[j]), eps=TOL
+                iu(tables.EXPECTED_COL_BOUNDS[j])
             ), ("bound", j)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"cell-set reproduction took {elapsed:.3f}s"
@@ -100,7 +100,7 @@ def test_criterion_2_simplification(region):
         for r, i in enumerate(state.active_rows):
             for c, j in enumerate(state.active_cols):
                 assert region.analysis.restricted[i][j].approx_equals(
-                    iu(tables.EXPECTED_REDUCED_RESTRICTED[r][c]), eps=TOL
+                    iu(tables.EXPECTED_REDUCED_RESTRICTED[r][c])
                 ), (i, j)
 
 
@@ -116,12 +116,12 @@ def test_criterion_3_enumeration_and_boxes(region):
         assert len(region.boxes) == 4
         for box, expected in zip(region.boxes, tables.EXPECTED_BOX_FACTORS):
             for j, pairs in expected.items():
-                assert box.factors[j].approx_equals(iu(pairs), eps=TOL), (box.columns, j)
-            assert box.factors[4].approx_equals(iu([[0.75, 0.75]]), eps=TOL)
-            assert box.factors[6].approx_equals(iu([[0.1, 0.1]]), eps=TOL)
+                assert box.factors[j].approx_equals(iu(pairs)), (box.columns, j)
+            assert box.factors[4].approx_equals(iu([[0.75, 0.75]]))
+            assert box.factors[6].approx_equals(iu([[0.1, 0.1]]))
             for j in (0, 1, 2, 3, 5):
                 assert box.factors[j].approx_equals(
-                    iu(tables.EXPECTED_COL_BOUNDS[j]), eps=TOL
+                    iu(tables.EXPECTED_COL_BOUNDS[j])
                 ), j
 
 

@@ -639,6 +639,79 @@ def test_verify_small_exhaustive(tmp_path, runner):
     assert report["monotonicity_violations"] == 0
 
 
+def _one_cell_problem(value, c):
+    """x_0 in [value, 1] under the minimum: a+ = b = value, a- = 0."""
+    return {
+        "m": 1,
+        "n": 1,
+        "a_plus": [[value]],
+        "a_minus": [[0.0]],
+        "b": [value],
+        "tnorm": {"name": "minimum"},
+        "objective": {"name": "linear", "params": {"c": [c]}},
+    }
+
+
+@pytest.mark.parametrize(
+    "problem,args,brute_force",
+    [
+        # the tick 0.59999995 lies within --tol below the region [0.6, 1]
+        (_one_cell_problem(0.6, 1.0), ("--step", "0.59999995", "--tol", "1e-7"), 0.59999995),
+        # the tick 0.6 lies within the default 1e-9 below [0.6000000005, 1],
+        # and c = 5 stretches the gap in value past 1e-9
+        (_one_cell_problem(0.6000000005, 5.0), ("--step", "0.3"), 3.0),
+    ],
+    ids=["tol", "default-tol"],
+)
+def test_verify_objective_check_honours_the_tolerance(tmp_path, runner, problem, args, brute_force):
+    # A grid point within the tolerance outside the optimal box is feasible
+    # and scores below the box corner; snapped into its box it scores the
+    # corner, so a correct region verifies.  The reported point is unsnapped.
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(problem))
+    result = invoke(runner, "verify", str(path), *args)
+    report = json.loads(result.output)
+    assert report["status"] == "verified", report
+    assert result.exit_code == 0
+    assert report["objective_check"] == "exact"
+    assert report["objective_agreement"] is True
+    assert report["brute_force"]["value"] == brute_force
+    assert report["pipeline_value"] > brute_force + 1e-9
+
+
+@pytest.mark.parametrize(
+    "args,check", [((), "exact"), (("--cap", "10"), "lower_bound")], ids=["exact", "sampled"]
+)
+def test_verify_flags_a_wrong_optimum(tmp_path, runner, args, check):
+    # test_verify_small_exhaustive's problem with x_0 declared non-increasing
+    # and x_1 non-decreasing, the reverse of c: the corner search then
+    # misses the optimum, and the objective check, sampled or not, must say so.
+    problem = {
+        "m": 1,
+        "n": 2,
+        "a_plus": [[1.0, 0.4]],
+        "a_minus": [[0.0, 0.0]],
+        "b": [0.5],
+        "tnorm": {"name": "product"},
+        "objective": {
+            "name": "linear",
+            "params": {"c": [1.0, -1.0]},
+            "j_plus": [1],
+            "j_minus": [0],
+        },
+    }
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(problem))
+    result = invoke(runner, "verify", str(path), "--step", "0.25", *args)
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    assert report["status"] == "mismatch"
+    assert report["membership_mismatches"] == []
+    assert report["objective_check"] == check
+    assert report["objective_agreement"] is False
+    assert report["brute_force"]["value"] < report["pipeline_value"] - 1e-9
+
+
 def test_verify_without_objective(tmp_path, runner):
     with open(DATA) as fh:
         problem = json.load(fh)

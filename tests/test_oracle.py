@@ -314,28 +314,44 @@ def test_membership_index_matches_box_scan():
     assert lossy > 0
 
 
+def _nearest_in(factor, v):
+    """v itself when a piece of factor holds it exactly, else the factor's
+    endpoint nearest to v (the lower one on a tie)."""
+    if any(lo <= v <= hi for lo, hi in factor.pieces):
+        return v
+    return min(factor.endpoints(), key=lambda e: abs(e - v))
+
+
 def _reference_report(analysis, boxes, grid, cap, seed, objective):
     """The walk point by point: the product of the column values, or ``cap``
     draws of ``random.Random(seed).choice`` per column; per point,
     ``is_feasible_point``, the first strictly smaller objective value and a
-    scan of every box."""
+    scan of every box.  The snapped value moves a feasible point into the
+    first box that holds it, if any, before the objective reads it."""
     total = 1
     for col in grid:
         total *= len(col)
     sampled = total > cap
     points = _choice_points(grid, cap, seed) if sampled else itertools.product(*grid)
-    mismatches, checked, best_point, best_value = [], 0, None, None
+    mismatches, checked, best_point, best_value, snapped_value = [], 0, None, None, None
     for x in points:
         checked += 1
         feasible = is_feasible_point(analysis, x)
+        holding = [box for box in boxes if in_box(box, x)]
         if feasible and objective is not None:
             value = objective(x)
             if best_value is None or value < best_value:
                 best_point, best_value = x, value
-        in_union = any(in_box(box, x) for box in boxes)
+            if holding:
+                value = objective([_nearest_in(f, v) for f, v in zip(holding[0].factors, x)])
+            if snapped_value is None or value < snapped_value:
+                snapped_value = value
+        in_union = bool(holding)
         if feasible != in_union:
             mismatches.append((x, feasible, in_union))
-    return GridReport(total, checked, sampled, mismatches, best_point, best_value)
+    return GridReport(
+        total, checked, sampled, mismatches, best_point, best_value, snapped_value
+    )
 
 
 def test_memoized_walk_matches_point_by_point_reference(column_kind):
@@ -394,7 +410,7 @@ def test_lazy_index_matches_reference_on_large_regions(large_regions):
     for res in large_regions:
         boxes = list(res.boxes)
         assert len(boxes) >= 200
-        corner = tuple(f.min_elem() for f in rng.choice(boxes).factors)
+        corner = tuple(f.pieces[0][0] for f in rng.choice(boxes).factors)
         variants = [
             tuple(boxes),
             tuple(box for box in boxes if not in_box(box, corner)),

@@ -22,8 +22,9 @@ from bfre import (
     solve_scalar_eq,
     tnorm_eval,
 )
+from bfre.cli import problem_from_dict
 from bfre.tnorms import TNORM_KINDS
-from conftest import random_system
+from conftest import bench_workloads, random_system
 
 
 def iu(pairs):
@@ -184,8 +185,8 @@ def test_is_feasible_point_examples(example_analysis):
     assert not is_feasible_point(example_analysis, [0.0] * 9)
     with pytest.raises(ValueError):
         is_feasible_point(example_analysis, [0.0] * 3)
-    # the tolerance is keyword-only, so no third positional argument is
-    # silently read as one
+    # the test takes no tolerance argument: intervals.EPS, set only through
+    # intervals.tolerance, is the one tolerance, so a third argument is an error
     with pytest.raises(TypeError):
         is_feasible_point(example_analysis, best, 1e-9)
 
@@ -195,16 +196,21 @@ def test_is_feasible_point_examples(example_analysis):
     assert all(is_feasible_point(an, [x / 10]) for x in range(11))
 
 
-def _all_any_feasible(analysis, x, eps=None):
+def _all_any_feasible(analysis, x, contains=IntervalUnion.contains):
     """The membership test written as its two conditions: every x_j in its
     column bound, and every row with a support column j where x_j lies in
-    restricted[i][j]."""
-    if not all(col.contains(xj, eps) for col, xj in zip(analysis.col_bounds, x)):
+    restricted[i][j]; ``contains(set, v)`` tests one value."""
+    if not all(contains(col, xj) for col, xj in zip(analysis.col_bounds, x)):
         return False
     return all(
-        any(analysis.restricted[i][j].contains(x[j], eps) for j in support)
+        any(contains(analysis.restricted[i][j], x[j]) for j in support)
         for i, support in enumerate(analysis.row_support)
     )
+
+
+def _exactly_in(interval_union, v):
+    """Membership with no tolerance: v lies in one of the closed pieces."""
+    return any(lo <= v <= hi for lo, hi in interval_union.pieces)
 
 
 def _near_endpoints(analysis, j, tol):
@@ -220,18 +226,17 @@ def _near_endpoints(analysis, j, tol):
     return sorted(out)
 
 
-@pytest.mark.parametrize("scope", ["default", "eps", "tolerance"])
+@pytest.mark.parametrize("scope", ["default", "tolerance"])
 def test_is_feasible_point_matches_all_any_definition(scope):
     # Random points, and points whose coordinates sit on, one ulp from and
     # one tolerance from the cell and bound endpoints; systems with a row
     # that no literal reaches, whose support is empty.
     rng = random.Random(85)
-    eps = 1e-7 if scope == "eps" else None
     context = intervals.tolerance(1e-7) if scope == "tolerance" else contextlib.nullcontext()
     outcomes = {True: 0, False: 0}
     empty_rows = 0
     with context:
-        tol = intervals.EPS if eps is None else eps
+        tol = intervals.EPS
         for trial in range(150):
             system = random_system(rng, max_m=4, max_n=4)
             if trial % 5 == 0:
@@ -247,8 +252,8 @@ def test_is_feasible_point_matches_all_any_definition(scope):
             points = [[rng.random() for _ in range(an.n)] for _ in range(10)]
             points += [[rng.choice(values) for values in near] for _ in range(40)]
             for x in points:
-                expected = _all_any_feasible(an, x, eps)
-                assert is_feasible_point(an, x, eps=eps) == expected, (system, x)
+                expected = _all_any_feasible(an, x)
+                assert is_feasible_point(an, x) == expected, (system, x)
                 outcomes[expected] += 1
     assert empty_rows >= 30
     assert min(outcomes.values()) > 200, outcomes
@@ -279,6 +284,18 @@ def test_residual_examples(example_system, example_analysis):
     for i in range(7):
         assert residual(example_system, best, i) <= 1e-9
     assert residual(example_system, [0.0] * 9, 3) == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("x0", [float("nan"), -3.0, 1.5])
+def test_residual_rejects_a_coordinate_outside_the_unit_interval(x0):
+    # no clamping: the membership test rejects these points, and a residual
+    # of 0.0 for them would call them solutions
+    system = BipolarSystem([[0.8]], [[0.0]], [0.0], TNormSpec("product"))
+    assert not is_feasible_point(CellAnalysis(system), [x0])
+    with pytest.raises(ValueError, match=r"x\[0\]"):
+        residual(system, [x0], 0)
+    assert residual(system, [0.0], 0) == 0.0
+    assert residual(system, [1.0], 0) == pytest.approx(0.8)
 
 
 def test_cell_membership_matches_direct_evaluation():
@@ -320,11 +337,36 @@ def test_membership_consistency_with_residual():
         points = [[rng.random() for _ in range(sys_.n)] for _ in range(12)]
         points.append([rng.randrange(11) / 10 for _ in range(sys_.n)])
         for x in points:
-            strict = is_feasible_point(an, x, eps=0.0)
+            strict = _all_any_feasible(an, x, _exactly_in)
             if strict:
                 assert all(residual(sys_, x, i) <= 1e-9 for i in range(sys_.m))
             if all(residual(sys_, x, i) <= 1e-12 for i in range(sys_.m)):
                 assert is_feasible_point(an, x)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "product",
+        "frank",
+        pytest.param(
+            "dubois_prade", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+        ),
+    ],
+)
+def test_natural_witness_is_feasible(kind):
+    # Natural 60x60 systems, each b_i computed at a float witness x0 in
+    # floats: x0 solves every equation, so the membership test must accept
+    # it on all 40 systems.  No enumeration: only the cell analysis.
+    workloads = bench_workloads()
+    rejected = []
+    for seed in range(40):
+        rng = random.Random(f"nat/{kind}/{seed}")
+        problem, x0 = workloads.natural_system(rng, kind, 60, 60)
+        system, _ = problem_from_dict(problem)
+        if not is_feasible_point(CellAnalysis(system), x0):
+            rejected.append(seed)
+    assert not rejected, f"witness rejected on seeds {rejected}"
 
 
 def test_constructed_feasible_point_is_recognized():
@@ -350,7 +392,7 @@ def test_corollary_consistency_per_equation():
             r = residual(sys_, x, i)
             if r <= 1e-12:
                 assert is_feasible_point(rows[i], x)
-            elif is_feasible_point(rows[i], x, eps=0.0):
+            elif _all_any_feasible(rows[i], x, _exactly_in):
                 assert r <= 1e-9
 
 
