@@ -16,11 +16,14 @@ round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
 click only parses the command line.  A report line is written to
-``sys.stdout`` piece by piece with one ``writelines`` and flushed: the
-text before the ``boxes`` array, each box's text with its separator, and
-the text after it.  The boxes are never joined into one string.  When
-the reader closes the pipe before the last piece, a later write fails and
-the command exits 1, whether or not stdout is buffered.  ``--help`` is
+``sys.stdout`` with one ``writelines`` and flushed.  One function,
+``_region_report``, builds the ``feasible`` and ``solve`` reports as
+pieces: the head (the text before the ``boxes`` array), one piece per box,
+and the tail (the text after the array, with ``solve``'s ``best``).  The
+boxes are never joined into one string.  Every other report is one
+``json.dumps``.  When the reader closes the pipe before the last piece, a
+later write fails and the command exits 1, whether or not stdout is
+buffered.  ``--help`` is
 written to ``sys.stdout`` and an error, one ``error:`` line, to
 ``sys.stderr``, each with one ``write`` and a flush.  click's usage errors (a
 missing or unknown argument, option or command, a bad option type, a
@@ -47,6 +50,7 @@ import click
 
 from . import intervals
 from .optimize import (
+    Candidate,
     MonotoneObjective,
     check_monotone,
     global_optimum,
@@ -141,14 +145,6 @@ def problem_from_dict(
 # -- report building ---------------------------------------------------------
 
 
-def _verdict_dict(result: RegionResult) -> dict:
-    if not result.verdict.ok:
-        return {"status": result.verdict.status, "index": result.verdict.index}
-    if not result.boxes:
-        return {"status": "no_admissible_assignment", "index": None}
-    return {"status": "ok", "index": None}
-
-
 def _reduction_dict(state: ReductionState, explain: bool) -> dict:
     out = {
         "fixed": {str(j): v for j, v in sorted(state.fixed.items())},
@@ -160,13 +156,11 @@ def _reduction_dict(state: ReductionState, explain: bool) -> dict:
     return out
 
 
-class _JSONArray(list):
-    """A top-level report value that is a JSON array, held as the texts of
-    its elements; ``_echo`` writes them one by one."""
-
-
-def _boxes_json(result: RegionResult) -> _JSONArray:
-    """The texts ``json.dumps`` would give each element of ``boxes``.
+def _region_report(result: RegionResult, best: Candidate | None = None) -> list[str]:
+    """The report line of ``feasible``, and of ``solve`` with its ``best``
+    corner, as the pieces ``_echo`` writes: the text before the ``boxes``
+    array, each box's text with a separator piece between two, and the
+    text after the array.
 
     A box differs from the search's root (``root_factors``: the fixed
     singletons and column bounds) only on its witness columns, so the root's
@@ -178,73 +172,57 @@ def _boxes_json(result: RegionResult) -> _JSONArray:
     is encoded once too, and column indices come from a table of their
     texts.
     """
-    boxes = result.boxes
-    if not boxes:
-        return _JSONArray()
-    state = result.reduction
-    root = [json.dumps(f.to_pairs()) for f in root_factors(result.analysis, state)]
-    index = [str(j) for j in range(len(root))]
-    text: dict[int, str] = {}
-    rows = json.dumps(sorted(state.active_rows))
-    parts = _JSONArray()
-    for box in boxes:
-        texts = root.copy()
-        factors = box.factors
-        for j in box.columns:
-            f = factors[j]
-            t = text.get(id(f))
-            if t is None:
-                t = text[id(f)] = json.dumps(f.to_pairs())
-            texts[j] = t
-        parts.append(
-            f'{{"rows": {rows}, '
-            f'"columns": [{", ".join(map(index.__getitem__, box.columns))}], '
-            f'"factors": [{", ".join(texts)}]}}'
-        )
-    return parts
-
-
-def _region_report(result: RegionResult) -> dict:
-    report: dict[str, Any] = {
+    verdict = result.verdict
+    status = verdict.status if result.boxes or not verdict.ok else "no_admissible_assignment"
+    head: dict[str, Any] = {
         "status": "feasible" if result.is_feasible else "infeasible",
-        "verdict": _verdict_dict(result),
+        "verdict": {"status": status, "index": verdict.index},
     }
-    if result.reduction is not None:
-        report["reduction"] = _reduction_dict(result.reduction, explain=False)
-        report["count_bound"] = count_bound(result.analysis, result.reduction)
-    report["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
-    report["boxes"] = _boxes_json(result)
-    return report
+    state = result.reduction
+    if state is not None:
+        head["reduction"] = _reduction_dict(state, explain=False)
+        head["count_bound"] = count_bound(result.analysis, state)
+    head["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
+    pieces = [f'{json.dumps(head)[:-1]}, "boxes": [']
+    if result.boxes:
+        root = [json.dumps(f.to_pairs()) for f in root_factors(result.analysis, state)]
+        index = [str(j) for j in range(len(root))]
+        text: dict[int, str] = {}
+        rows = json.dumps(sorted(state.active_rows))
+        for box in result.boxes:
+            texts = root.copy()
+            factors = box.factors
+            for j in box.columns:
+                f = factors[j]
+                t = text.get(id(f))
+                if t is None:
+                    t = text[id(f)] = json.dumps(f.to_pairs())
+                texts[j] = t
+            pieces += (
+                f'{{"rows": {rows}, '
+                f'"columns": [{", ".join(map(index.__getitem__, box.columns))}], '
+                f'"factors": [{", ".join(texts)}]}}',
+                ", ",
+            )
+        pieces.pop()  # the separator after the last box
+    tail = "]"
+    if best is not None:
+        point = {"columns": list(best.columns), "point": list(best.point), "value": best.value}
+        tail += f', "best": {json.dumps(point)}'
+    pieces.append(f"{tail}}}\n")
+    return pieces
 
 
-def _report_pieces(report: dict):
-    """The text of ``json.dumps(report)`` and a newline, in pieces: each
-    element of a ``_JSONArray`` and each separator between two is a piece
-    of its own, and every other value goes through the C encoder."""
-    text, sep = "{", ""
-    for key, value in report.items():
-        text += f"{sep}{json.dumps(key)}: "
-        sep = ", "
-        if isinstance(value, _JSONArray):
-            yield f"{text}["
-            for k, element in enumerate(value):
-                if k:
-                    yield sep
-                yield element
-            text = "]"
-        else:
-            text += json.dumps(value)
-    yield f"{text}}}\n"
-
-
-def _echo(report: dict) -> None:
-    """Print ``json.dumps(report)``: one line of compact JSON.
-
-    The line is written to ``sys.stdout`` piece by piece, so the boxes are
-    never joined into one string, and flushed here, so a closed pipe raises
-    inside the command, where click turns it into exit 1.
+def _echo(report: dict | list[str]) -> None:
+    """Print a report line: ``json.dumps`` of a dict, or the pieces of a
+    list, each written as it is, so the boxes are never joined into one
+    string.  The flush here makes a closed pipe raise inside the command,
+    where click turns it into exit 1.
     """
-    sys.stdout.writelines(_report_pieces(report))
+    if isinstance(report, dict):
+        sys.stdout.write(f"{json.dumps(report)}\n")
+    else:
+        sys.stdout.writelines(report)
     sys.stdout.flush()
 
 
@@ -290,7 +268,9 @@ def _common_options(fn):
 def _run(
     problem: str,
     tol: float | None,
-    command: Callable[[BipolarSystem, MonotoneObjective | None], tuple[dict, int]],
+    command: Callable[
+        [BipolarSystem, MonotoneObjective | None], tuple[dict | list[str], int]
+    ],
 ) -> NoReturn:
     """Run one pipeline command and exit.
 
@@ -405,13 +385,7 @@ def solve(problem, tol, max_e, no_simplify) -> None:
         if not result.is_feasible:
             return _region_report(result), EXIT_INFEASIBLE
         best, _ = global_optimum(result.analysis, result.reduction, objective, max_e)
-        out = _region_report(result)
-        out["best"] = {
-            "columns": list(best.columns),
-            "point": list(best.point),
-            "value": best.value,
-        }
-        return out, EXIT_OK
+        return _region_report(result, best), EXIT_OK
 
     _run(problem, tol, command)
 

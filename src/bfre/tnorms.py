@@ -24,6 +24,10 @@ l = u = b when a >= e and l = u = e * f_inv(f(b/e) - f(a/e)) otherwise,
 f(0) standing in for f(b/e) when b = 0.  Two universal endpoint rules take
 precedence: l = 0 whenever b = 0, and u = 1 whenever a = b.
 
+A float sum that overflows reads as f(0).  So a parameter under which
+2 f(x/e) overflows at x = 1e-12 is rejected, and the sum then reaches f(0)
+only where phi is below 1e-12.
+
 A bisection fallback exploits continuity and monotonicity of x -> phi(a, x)
 and is used to cross-check the inverse.
 """
@@ -170,6 +174,10 @@ _TABLE: dict[str, tuple] = {
 
 TNORM_KINDS = tuple(_TABLE)
 
+#: Right-hand sides computed as phi(a, x) in floats can drift a few ulps
+#: above a; differences at or below this are treated as a = b.
+_EQ_DRIFT = 1e-12
+
 
 @dataclass(frozen=True)
 class TNormSpec:
@@ -196,9 +204,17 @@ class TNormSpec:
             p = self.param
             if not (type(p) in (int, float) and math.isfinite(p) and check(p)):
                 raise ValueError(f"parameter {p!r} out of range for {self.kind!r} ({legend})")
-        object.__setattr__(
-            self, "_summand", None if summand is None else summand(self.param)
-        )
+        summand = None if summand is None else summand(self.param)
+        # an overflowing f(x/e) + f(y/e) reads as f(0), so phi as 0 (see the
+        # module docstring); with e <= _EQ_DRIFT, phi never exceeds it anyway
+        if summand is not None and summand[0] > _EQ_DRIFT:
+            e, f = summand[:2]
+            if not math.isfinite(2.0 * f(_EQ_DRIFT / e)):
+                raise ValueError(
+                    f"parameter {self.param!r} out of range for {self.kind!r} "
+                    f"(its generator overflows at x = {_EQ_DRIFT:g})"
+                )
+        object.__setattr__(self, "_summand", summand)
 
 
 @dataclass(frozen=True)
@@ -242,10 +258,6 @@ def _solution(l: float, u: float) -> ScalarEqSolution:
     u = min(1.0, max(0.0, u))
     return ScalarEqSolution(min(l, u), u)
 
-
-#: Right-hand sides computed as phi(a, x) in floats can drift a few ulps
-#: above a; differences at or below this are treated as a = b.
-_EQ_DRIFT = 1e-12
 
 _NO_SOLUTION = ScalarEqSolution(None, None)
 

@@ -1,13 +1,14 @@
 """Smoke run of the benchmark: each workload traced end to end, and the
 output checker's self-test."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from conftest import bench_workloads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,12 +18,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
 
 def smoke_problem(workload):
     """The one problem of a smoke run, rebuilt by ``bench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    (record,) = module.build(workload, 1, smoke=True)
+    (record,) = bench_workloads().build(workload, 1, smoke=True)
     return record["problem"]
 
 

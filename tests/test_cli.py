@@ -64,7 +64,11 @@ def test_parse_field_exact():
         (lambda d: d.update(b=[2.0] + d["b"][1:]), "outside"),
         (lambda d: d.update(tnorm={"name": "banana"}), "unknown t-norm"),
         (lambda d: d.update(m=3), "declared"),
-        (lambda d: d.pop("a_minus"), "missing field"),
+        (lambda d: d.__delitem__("a_minus"), "missing field"),
+        # a mutation that returns a value replaces the whole file
+        (lambda d: [1], "top level must be an object"),
+        (lambda d: d.update(tnorm="product"), "tnorm must be an object with a 'name'"),
+        (lambda d: d.update(objective=3), "objective must be an object with a 'name'"),
         (lambda d: d.update(objective={"name": "linear", "params": {}}), "requires parameter"),
         # a parameter the objective does not read is rejected, not ignored
         (lambda d: d.update(objective={"name": "max", "params": {"p": 3}}), "unknown parameter"),
@@ -141,9 +145,9 @@ def test_parse_field_exact():
 def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):
     with open(DATA) as fh:
         data = json.load(fh)
-    mutate(data)
+    replaced = mutate(data)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data if replaced is None else replaced))
     result = invoke(runner, "feasible", str(path))
     assert result.exit_code == 1
     assert fragment in result.output
@@ -222,6 +226,34 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
     # the reduction front end reports the same verdict
     result = invoke(runner, "simplify", str(path))
     assert result.exit_code == 2
+
+
+def test_no_admissible_assignment(tmp_path, runner):
+    # row 0 needs x in [0.8, 1] and row 1 x in [0, 0.5]; the necessary checks
+    # and the reduction pass, and the search finds no box
+    problem = {
+        "m": 2,
+        "n": 1,
+        "a_plus": [[0.8], [0.0]],
+        "a_minus": [[0.0], [0.5]],
+        "b": [0.8, 0.5],
+        "tnorm": {"name": "minimum"},
+        "objective": {"name": "linear", "params": {"c": [1.0]}},
+    }
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps(problem))
+    expected = (
+        '{"status": "infeasible", '
+        '"verdict": {"status": "no_admissible_assignment", "index": null}, '
+        '"reduction": {"fixed": {}, "active_rows": [0, 1], "active_cols": [0]}, '
+        '"count_bound": 1, "column_bounds": [[[0.0, 1.0]]], "boxes": []}\n'
+    )
+    for command in ("feasible", "solve"):
+        result = invoke(runner, command, str(path))
+        assert (result.exit_code, result.output) == (2, expected)
+    result = invoke(runner, "verify", str(path), "--step", "0.25")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["status"] == "verified"
 
 
 @pytest.mark.parametrize(
@@ -322,8 +354,16 @@ def test_in_process_runs_release_their_streams(args):
     assert [ref() for ref in refs] == [None, None]
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_closed_pipe_exits_1(tmp_path, unbuffered):
+@pytest.mark.parametrize(
+    "unbuffered,command",
+    [
+        pytest.param("1", "feasible", id="unbuffered"),
+        pytest.param("", "feasible", id="buffered"),
+        pytest.param("1", "solve", id="unbuffered-solve"),
+        pytest.param("", "solve", id="buffered-solve"),
+    ],
+)
+def test_closed_pipe_exits_1(tmp_path, unbuffered, command):
     # A reader that closes after the first byte of a 0.5 MB report, as
     # `bfre feasible ... | head -c 1` does.  Unbuffered, stdout's binary
     # layer is a raw file, and one write of the whole report would stop
@@ -334,7 +374,7 @@ def test_closed_pipe_exits_1(tmp_path, unbuffered):
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "bfre.cli", "feasible", str(path)],
+        [sys.executable, "-m", "bfre.cli", command, str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

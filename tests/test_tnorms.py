@@ -52,11 +52,30 @@ def test_all_catalog_kinds_constructible():
         ("frank", 1e-17),
         ("frank", 1e-20),
         ("frank", 5e-324),
+        # f(1e-12) overflows, so f(x) + f(y) would read as f(0) and phi as 0
+        ("dombi", 2000.0),
+        ("aczel_alsina", 2000.0),
+        ("schweizer_sklar", -800.0),
+        ("dombi", 25.7),
+        ("aczel_alsina", 213.7),
+        ("schweizer_sklar", -25.7),
+        ("hamacher", 1e297),
     ],
 )
 def test_out_of_range_parameters_rejected(kind, param):
     with pytest.raises(ValueError, match="out of range"):
         TNormSpec(kind, param)
+
+
+@pytest.mark.parametrize(
+    "kind,param", [("dombi", 25.0), ("aczel_alsina", 213.0), ("schweizer_sklar", -25.0)]
+)
+def test_largest_parameters_evaluate_near_zero(kind, param):
+    # phi(x, 0.9) is about x; a generator sum that overflowed would give 0
+    t = TNormSpec(kind, param)
+    for k in range(1, 13):
+        x = 10.0**-k
+        assert tnorm_eval(t, x, 0.9) == pytest.approx(x, rel=1e-6)
 
 
 def test_frank_smallest_parameter_evaluates():
