@@ -85,7 +85,7 @@ def parse_problem(path: str) -> tuple[BipolarSystem, MonotoneObjective | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"{path}: invalid JSON ({exc})") from exc
     return problem_from_dict(data, origin=path)
 
@@ -93,52 +93,41 @@ def parse_problem(path: str) -> tuple[BipolarSystem, MonotoneObjective | None]:
 def problem_from_dict(
     data: dict, origin: str = "<problem>"
 ) -> tuple[BipolarSystem, MonotoneObjective | None]:
-    if not isinstance(data, dict):
-        raise ProblemFormatError(f"{origin}: top level must be an object")
-    for key in ("m", "n", "a_plus", "a_minus", "b", "tnorm"):
-        if key not in data:
-            raise ProblemFormatError(f"{origin}: missing field {key!r}")
-    m, n = data["m"], data["n"]
-    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
-        raise ProblemFormatError(f"{origin}: m and n must be positive integers")
-    tn = data["tnorm"]
-    if not isinstance(tn, dict) or "name" not in tn:
-        raise ProblemFormatError(f"{origin}: tnorm must be an object with a 'name'")
+    """Build the system and objective of a decoded problem file."""
     try:
+        if not isinstance(data, dict):
+            raise ValueError("top level must be an object")
+        for key in ("m", "n", "a_plus", "a_minus", "b", "tnorm"):
+            if key not in data:
+                raise ValueError(f"missing field {key!r}")
+        m, n = data["m"], data["n"]
+        if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
+            raise ValueError("m and n must be positive integers")
+        tn = data["tnorm"]
+        if not isinstance(tn, dict) or "name" not in tn:
+            raise ValueError("tnorm must be an object with a 'name'")
         tnorm = TNormSpec(tn["name"], tn.get("param"))
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{origin}: {exc}") from exc
-    try:
         system = BipolarSystem(
             tuple(tuple(row) for row in data["a_plus"]),
             tuple(tuple(row) for row in data["a_minus"]),
             tuple(data["b"]),
             tnorm,
         )
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{origin}: {exc}") from exc
-    if system.m != m or system.n != n:
-        raise ProblemFormatError(
-            f"{origin}: declared {m}x{n} but matrices are {system.m}x{system.n}"
-        )
-    objective = None
-    if data.get("objective") is not None:
-        spec = data["objective"]
+        if system.m != m or system.n != n:
+            raise ValueError(f"declared {m}x{n} but matrices are {system.m}x{system.n}")
+        spec = data.get("objective")
+        if spec is None:
+            return system, None
         if not isinstance(spec, dict) or "name" not in spec:
-            raise ProblemFormatError(f"{origin}: objective must be an object with a 'name'")
+            raise ValueError("objective must be an object with a 'name'")
         params = spec.get("params")
         if not isinstance(params, (dict, type(None))):
-            raise ProblemFormatError(f"{origin}: objective 'params' must be an object")
-        try:
-            objective = objective_catalog(
-                spec["name"],
-                n,
-                params,
-                j_plus=spec.get("j_plus"),
-                j_minus=spec.get("j_minus"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"{origin}: {exc}") from exc
+            raise ValueError("objective 'params' must be an object")
+        objective = objective_catalog(
+            spec["name"], n, params, j_plus=spec.get("j_plus"), j_minus=spec.get("j_minus")
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"{origin}: {exc}") from exc
     return system, objective
 
 

@@ -440,8 +440,6 @@ def check_monotone(objective: MonotoneObjective, seed: int = 0) -> list[ProbeVio
         j = rng.randrange(n)
         xj = x[j]
         delta = rng.uniform(0.01, 0.5) * (1.0 - xj)
-        if delta <= 0.0:
-            continue
         before = fn(x)
         x[j] = xj + delta
         after = fn(x)

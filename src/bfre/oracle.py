@@ -116,19 +116,6 @@ class _GridColumn(Sequence[float]):
         value = part[i - self._starts[p]]
         return value * self._step if isinstance(part, range) else value
 
-    def __iter__(self):
-        step = self._step
-        for part in self._parts:
-            if isinstance(part, range):
-                yield from (k * step for k in part)
-            else:
-                yield from part
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
     """The sorted ticks ``k * step`` (k = 0 .. last) and 1.0 merged with the

@@ -26,7 +26,9 @@ precedence: l = 0 whenever b = 0, and u = 1 whenever a = b.
 
 A float sum that overflows reads as f(0).  So a parameter under which
 2 f(x/e) overflows at x = 1e-12 is rejected, and the sum then reaches f(0)
-only where phi is below 1e-12.
+only where phi is below 1e-12.  At the other end, a ``yager`` or
+``aczel_alsina`` generator that underflows to f(1) = 0 at x = 1 - 1e-12
+would make phi 1 there, so such a parameter is rejected too.
 
 A bisection fallback exploits continuity and monotonicity of x -> phi(a, x)
 and is used to cross-check the inverse.
@@ -214,6 +216,14 @@ class TNormSpec:
                     f"parameter {self.param!r} out of range for {self.kind!r} "
                     f"(its generator overflows at x = {_EQ_DRIFT:g})"
                 )
+        # an f(1 - 1e-12) that underflows to f(1) = 0 reads as x = 1, so phi
+        # as 1; these two raise a small base to the parameter (frank's zero
+        # there for tiny s comes from cancellation, not underflow)
+        if self.kind in ("yager", "aczel_alsina") and summand[1](1.0 - _EQ_DRIFT) == 0.0:
+            raise ValueError(
+                f"parameter {self.param!r} out of range for {self.kind!r} "
+                f"(its generator underflows at x = 1 - {_EQ_DRIFT:g})"
+            )
         object.__setattr__(self, "_summand", summand)
 
 

@@ -81,6 +81,16 @@ def test_parse_field_exact():
         (lambda d: d.update(tnorm={"name": "frank", "param": "2"}), "bad.json"),
         (lambda d: d.update(objective={"name": "linear", "params": {"c": 5}}), "bad.json"),
         (lambda d: d.update(objective={"name": "p_norm", "params": {"p": None}}), "bad.json"),
+        (lambda d: d.update(a_plus=5), "bad.json: 'int' object is not iterable"),
+        # integers too large for a float
+        (
+            lambda d: d.update(tnorm={"name": "frank", "param": 10**400}),
+            "bad.json: int too large to convert to float",
+        ),
+        (
+            lambda d: d["objective"]["params"].update(c=[10**400] * d["n"]),
+            "bad.json: int too large to convert to float",
+        ),
         # JSON files may carry NaN and Infinity, which no objective accepts
         (
             lambda d: d["objective"]["params"].update(c=[math.nan] * d["n"]),
@@ -153,12 +163,24 @@ def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):
     assert fragment in result.output
 
 
-def test_parse_rejects_invalid_json(tmp_path, runner):
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{nope",
+        b"\xff\xfe\x00bad",  # not UTF-8
+        b"[" * 100000,  # nested past the decoder's recursion limit
+        b'{"m": ' + b"1" * 5000 + b"}",  # an integer over Python's digit limit
+    ],
+    ids=["syntax", "not-utf8", "deep", "long-integer"],
+)
+def test_parse_rejects_invalid_json(tmp_path, runner, content):
     path = tmp_path / "broken.json"
-    path.write_text("{nope")
+    path.write_bytes(content)
     result = invoke(runner, "feasible", str(path))
     assert result.exit_code == 1
-    assert "invalid JSON" in result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {path}: invalid JSON (")
+    assert result.stderr.count("\n") == 1
 
 
 # -- feasible / simplify ---------------------------------------------------------

@@ -33,6 +33,8 @@ def test_tiny_negative_width_collapses_to_singleton():
     u = iu((0.5 + 4e-10, 0.5))
     assert u.is_singleton
     assert abs(u.singleton_value - 0.5) <= 1e-9
+    with pytest.raises(ValueError, match="not a singleton"):
+        iu((0.5, 0.6)).singleton_value
 
 
 def test_canonicalization_idempotent():

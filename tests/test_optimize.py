@@ -67,6 +67,10 @@ def test_catalog_validation():
         objective_catalog("max_eigenvalue", 4)
     with pytest.raises(ValueError):
         objective_catalog("perspective", 1, {"p": 2})
+    with pytest.raises(ValueError, match="p >= 1"):
+        objective_catalog("perspective", 3, {"p": 0.5})
+    with pytest.raises(ValueError, match="alpha must have 3 entries, got 2"):
+        objective_catalog("sum_log", 3, {"alpha": [1.0, 1.0]})
     with pytest.raises(ValueError):
         objective_catalog("max", 3, j_plus=[0, 1, 2])  # one-sided override
 

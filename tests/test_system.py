@@ -51,6 +51,10 @@ def test_validation():
         BipolarSystem([[0.5], [0.2, 0.3]], [[0.1], [0.1]], [0.5, 0.5], t)
     with pytest.raises(ValueError):
         BipolarSystem([], [], [], t)
+    with pytest.raises(ValueError, match="a_minus must have 1 rows, got 2"):
+        BipolarSystem([[0.5]], [[0.1], [0.1]], [0.5], t)
+    with pytest.raises(ValueError, match="at least one variable"):
+        BipolarSystem([[]], [[]], [0.5], t)
 
 
 def test_from_fre():
@@ -284,6 +288,8 @@ def test_residual_examples(example_system, example_analysis):
     for i in range(7):
         assert residual(example_system, best, i) <= 1e-9
     assert residual(example_system, [0.0] * 9, 3) == pytest.approx(0.05)
+    with pytest.raises(ValueError, match="point has 3 coordinates, system has 9"):
+        residual(example_system, [0.0] * 3, 0)
 
 
 @pytest.mark.parametrize("x0", [float("nan"), -3.0, 1.5])

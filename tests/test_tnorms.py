@@ -60,6 +60,10 @@ def test_all_catalog_kinds_constructible():
         ("aczel_alsina", 213.7),
         ("schweizer_sklar", -25.7),
         ("hamacher", 1e297),
+        # f(1 - 1e-12) underflows to f(1) = 0, so phi would read 1 near x = 1
+        ("yager", 1000.0),
+        ("yager", 30.0),
+        ("aczel_alsina", 200.0),
     ],
 )
 def test_out_of_range_parameters_rejected(kind, param):
@@ -68,7 +72,7 @@ def test_out_of_range_parameters_rejected(kind, param):
 
 
 @pytest.mark.parametrize(
-    "kind,param", [("dombi", 25.0), ("aczel_alsina", 213.0), ("schweizer_sklar", -25.0)]
+    "kind,param", [("dombi", 25.0), ("aczel_alsina", 26.9), ("schweizer_sklar", -25.0)]
 )
 def test_largest_parameters_evaluate_near_zero(kind, param):
     # phi(x, 0.9) is about x; a generator sum that overflowed would give 0
@@ -76,6 +80,18 @@ def test_largest_parameters_evaluate_near_zero(kind, param):
     for k in range(1, 13):
         x = 10.0**-k
         assert tnorm_eval(t, x, 0.9) == pytest.approx(x, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["yager", "aczel_alsina"])
+def test_largest_parameters_evaluate_near_one(kind):
+    # the cutoff is about 26.97: below it phi stays below 1 near x = 1; above
+    # it f(1 - 1e-12) underflows to f(1) = 0, which would make phi 1 and l 1
+    t = TNormSpec(kind, 26.9)
+    x = 1.0 - 1e-11
+    assert tnorm_eval(t, x, x) < 1.0
+    assert solve_scalar_eq(t, 0.99, 0.985).l == pytest.approx(0.985, abs=1e-6)
+    with pytest.raises(ValueError, match="underflows"):
+        TNormSpec(kind, 27.0)
 
 
 def test_frank_smallest_parameter_evaluates():
@@ -365,6 +381,9 @@ def test_numeric_examples():
     s = solve_scalar_eq_numeric(TNormSpec("product"), 0.8, 0.4)
     assert s.l == pytest.approx(0.5, abs=1e-9)
     assert solve_scalar_eq_numeric(TNormSpec("yager", 2.0), 1.0, 1.0).u == 1.0
+    # b above a beyond the drift tolerance: no x solves it
+    none = solve_scalar_eq_numeric(TNormSpec("product"), 0.4, 0.4 + 1e-9)
+    assert (none.l, none.u) == (None, None)
 
 
 def test_numeric_stops_when_bracket_stops_shrinking(monkeypatch):
