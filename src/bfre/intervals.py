@@ -78,21 +78,16 @@ class IntervalUnion:
     # -- construction ----------------------------------------------------
 
     @staticmethod
-    def empty() -> "IntervalUnion":
-        return IntervalUnion(())
-
-    @staticmethod
-    def full() -> "IntervalUnion":
-        return IntervalUnion(((0.0, 1.0),))
-
-    @staticmethod
     def interval(lo: float, hi: float) -> "IntervalUnion":
-        """Single closed interval [lo, hi]; empty when hi < lo beyond tolerance."""
-        return IntervalUnion(_canonical([(lo, hi)]))
+        """The one constructor of a single closed interval [lo, hi], a point
+        when lo == hi; empty when hi < lo beyond tolerance.
 
-    @staticmethod
-    def point(x: float) -> "IntervalUnion":
-        return IntervalUnion(_canonical([(x, x)]))
+        A canonical pair, 0 <= lo <= hi <= 1, is kept as given (a -0.0 end
+        becomes 0.0, as the clamp makes it); any other is canonicalized.
+        """
+        if 0.0 <= lo <= hi <= 1.0:
+            return IntervalUnion(((lo + 0.0, hi + 0.0),))
+        return IntervalUnion(_canonical([(lo, hi)]))
 
     @staticmethod
     def from_pairs(pairs: Iterable[Sequence[float]]) -> "IntervalUnion":

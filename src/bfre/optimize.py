@@ -387,7 +387,7 @@ def objective_catalog(
     fn, plus, minus = build(n, params)
     if (j_plus is None) != (j_minus is None):
         raise ValueError("override j_plus and j_minus together or not at all")
-    if j_plus is not None and j_minus is not None:
+    if j_plus is not None:
         plus, minus = frozenset(j_plus), frozenset(j_minus)
     return MonotoneObjective(name, n, plus, minus, fn)
 

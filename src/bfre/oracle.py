@@ -309,12 +309,10 @@ def grid_membership_check(
     in_boxes = [_table(col) for col in grid]
     total, sampled, points = _walk(grid, cap, seed)
     mismatches = []
-    checked = 0
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
     snapped_value = best_value
     for point in points:
-        checked += 1
         covered = 0
         for j, r in enumerate(point):
             mask = witness[j][r]
@@ -354,6 +352,7 @@ def grid_membership_check(
                 snapped_value = value
         if feasible != in_union:
             mismatches.append((tuple(map(getitem, grid, point)), feasible, in_union))
+    checked = cap if sampled else total
     return GridReport(total, checked, sampled, mismatches, best_point, best_value, snapped_value)
 
 

@@ -74,7 +74,7 @@ def root_factors(analysis: CellAnalysis, state: ReductionState) -> list[Interval
     and the column bound elsewhere."""
     fixed = state.fixed
     return [
-        IntervalUnion.point(fixed[j]) if j in fixed else bound
+        IntervalUnion.interval(fixed[j], fixed[j]) if j in fixed else bound
         for j, bound in enumerate(analysis.col_bounds)
     ]
 

@@ -43,7 +43,7 @@ class RuleEvent:
     """One audit-log entry: which rule did what, and why."""
 
     rule: int
-    action: str  # "fix" | "drop_row" | "drop_col"
+    action: str  # "fix" | "drop_row"
     row: int | None = None
     col: int | None = None
     value: float | None = None

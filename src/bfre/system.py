@@ -80,7 +80,7 @@ class BipolarSystem:
         m = len(self.a_plus)
         if m < 1:
             raise ValueError("system needs at least one equation")
-        n = len(self.a_plus[0]) if self.a_plus[0:] else 0
+        n = len(self.a_plus[0])
         if n < 1:
             raise ValueError("system needs at least one variable")
         object.__setattr__(self, "a_plus", _as_matrix(self.a_plus, "a_plus", m, n))
@@ -131,11 +131,11 @@ class FeasibilityVerdict:
 
 
 #: The relaxed set of every cell that no literal reaches.
-_FULL = IntervalUnion.full()
+_FULL = IntervalUnion.interval(0.0, 1.0)
 
 #: The exact set of every cell that no literal reaches, and the restricted
 #: set of every cell whose exact set is empty.
-_EMPTY = IntervalUnion.empty()
+_EMPTY = IntervalUnion()
 
 
 class CellAnalysis:
@@ -168,8 +168,6 @@ class CellAnalysis:
         # Cell (i, j) stays at or below b_i on [lo, hi] = [1 - u-, u+] (0 or 1
         # where a literal never reaches b_i); its exact set is the hit intervals
         # [l+, u+] and [1 - u-, 1 - l-] clipped to it.  Column bound: [max lo, min hi].
-        # Both cuts lie in [0, 1], so a relaxed set with lo <= hi is already
-        # canonical; otherwise canonicalization collapses or drops it.
         self.relaxed, self.exact, self.reached = [], [], []
         lows, highs = [0.0] * n, [1.0] * n
         for a_plus, a_minus, b in zip(system.a_plus, system.a_minus, system.b):
@@ -184,10 +182,7 @@ class CellAnalysis:
                 q = solve_scalar_eq(t, a_minus[j], b) if b - a_minus[j] <= _EQ_DRIFT else None
                 lo = 0.0 if q is None else 1.0 - q.u
                 hi = 1.0 if p is None else p.u
-                if lo <= hi:
-                    relaxed[j] = IntervalUnion(((lo, hi),))
-                else:
-                    relaxed[j] = IntervalUnion.interval(lo, hi)
+                relaxed[j] = IntervalUnion.interval(lo, hi)
                 hits = []
                 if p is not None:
                     hits.append((max(lo, p.l), hi))

@@ -28,7 +28,9 @@ A float sum that overflows reads as f(0).  So a parameter under which
 2 f(x/e) overflows at x = 1e-12 is rejected, and the sum then reaches f(0)
 only where phi is below 1e-12.  At the other end, a ``yager`` or
 ``aczel_alsina`` generator that underflows to f(1) = 0 at x = 1 - 1e-12
-would make phi 1 there, so such a parameter is rejected too.
+would make phi 1 there, so such a parameter is rejected too.  So is any
+nonzero parameter below ``sys.float_info.min`` in magnitude, for every
+family: products such as alpha * (1 - x) / x lose its digits.
 
 A bisection fallback exploits continuity and monotonicity of x -> phi(a, x)
 and is used to cross-check the inverse.
@@ -37,6 +39,7 @@ and is used to cross-check the inverse.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .intervals import IntervalUnion
@@ -109,11 +112,20 @@ def _dombi(lam):
 
 
 def _schweizer_sklar(p):
-    return (
-        (lambda x: (1.0 - _pow(x, p)) / p),
-        (lambda s: _pow(max(0.0, 1.0 - p * s), 1.0 / p)),
-        1.0 / p if p > 0.0 else math.inf,
-    )
+    # (1 - x^p) / p and (1 - p s)^(1/p), written through expm1 and log1p so
+    # that neither cancels for small |p|, where they tend to -ln x and e^-s
+
+    def f(x):
+        try:
+            return -math.expm1(p * math.log(x)) / p
+        except OverflowError:  # p < 0 and a tiny x
+            return math.inf
+
+    def f_inv(s):
+        t = p * s
+        return 0.0 if t >= 1.0 else math.exp(math.log1p(-t) / p)
+
+    return f, f_inv, 1.0 / p if p > 0.0 else math.inf
 
 
 def _sugeno_weber(lam):
@@ -204,7 +216,8 @@ class TNormSpec:
             if self.param is None:
                 raise ValueError(f"t-norm {self.kind!r} requires a parameter ({legend})")
             p = self.param
-            if not (type(p) in (int, float) and math.isfinite(p) and check(p)):
+            valid = type(p) in (int, float) and math.isfinite(p) and check(p)
+            if not valid or 0 < abs(p) < sys.float_info.min:
                 raise ValueError(f"parameter {p!r} out of range for {self.kind!r} ({legend})")
         summand = None if summand is None else summand(self.param)
         # an overflowing f(x/e) + f(y/e) reads as f(0), so phi as 0 (see the
@@ -237,11 +250,11 @@ class ScalarEqSolution:
 
     @property
     def solution_set(self) -> IntervalUnion:
-        return IntervalUnion.empty() if self.u is None else IntervalUnion(((self.l, self.u),))
+        return IntervalUnion() if self.u is None else IntervalUnion.interval(self.l, self.u)
 
     @property
     def relaxed_set(self) -> IntervalUnion:
-        return IntervalUnion.full() if self.u is None else IntervalUnion(((0.0, self.u),))
+        return IntervalUnion.interval(0.0, 1.0 if self.u is None else self.u)
 
 
 def _check_unit(v: float, name: str) -> None:

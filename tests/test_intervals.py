@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfre import intervals
 from bfre.intervals import EPS, IntervalUnion, tolerance
 
 
@@ -53,12 +54,35 @@ def test_endpoints_clamped_to_unit_interval():
     assert iu((-0.5, 1.5)).pieces == ((0.0, 1.0),)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.2, 0.7),  # in range
+        (0.0, 1.0),
+        (0.3, 0.3),  # a point
+        (0.5 + 4e-10, 0.5),  # reversed within EPS
+        (0.6, 0.4),  # reversed beyond EPS
+        (-0.5, 1.5),  # ends outside [0, 1]
+        (-0.5, 0.5),
+        (0.5, 1.5),
+        (1.2, 1.3),
+        (-0.0, 0.5),  # -0.0 ends
+        (-0.0, -0.0),
+        (0.0, -0.0),
+    ],
+)
+def test_interval_matches_canonical_form(lo, hi):
+    # repr tells -0.0 from 0.0, which == does not
+    got = IntervalUnion.interval(lo, hi)
+    assert repr(got) == repr(IntervalUnion(intervals._canonical([(lo, hi)])))
+
+
 # -- queries -------------------------------------------------------------------
 
 
 def test_contains_examples():
     assert iu((0.0, 0.2), (0.8, 1.0)).contains(0.8)
-    assert not IntervalUnion.empty().contains(0.5)
+    assert not IntervalUnion().contains(0.5)
     assert not iu((0.1, 0.3), (0.7, 0.7)).contains(0.5)
 
 
@@ -90,8 +114,8 @@ def test_min_max_elems():
     assert iu((0.8, 1.0)).pieces[0][0] == 0.8
     assert iu((0.8, 1.0), (0.0, 0.2)).pieces[-1][1] == 1.0
     assert iu((0.75, 0.75)).pieces[0][0] == 0.75
-    assert IntervalUnion.empty().is_empty
-    assert IntervalUnion.empty().pieces == ()
+    assert IntervalUnion().is_empty
+    assert IntervalUnion().pieces == ()
 
 
 def test_issubset_and_approx_equals():
@@ -107,7 +131,7 @@ def test_issubset_and_approx_equals():
 def test_intersect_examples():
     assert (iu((0.0, 0.2), (0.8, 1.0)) & iu((0.5, 1.0))).pieces == ((0.8, 1.0),)
     x = iu((0.05, 0.15), (0.3, 0.6))
-    assert (x & IntervalUnion.full()) == x
+    assert (x & IntervalUnion.interval(0.0, 1.0)) == x
     got = iu((0.0, 0.3), (0.7, 0.7)) & iu((0.1, 0.7))
     assert got.pieces == ((0.1, 0.3), (0.7, 0.7))
 
@@ -139,12 +163,12 @@ def test_algebra_commutes_and_associates(a, b, c):
 @given(lattice_unions())
 @settings(max_examples=100, deadline=None)
 def test_universe_identities(a):
-    assert (a & IntervalUnion.full()) == a
-    assert (a & IntervalUnion.empty()).is_empty
+    assert (a & IntervalUnion.interval(0.0, 1.0)) == a
+    assert (a & IntervalUnion()).is_empty
 
 
 def test_serialization_roundtrip():
     u = iu((0.1, 0.3), (0.7, 0.7))
     assert IntervalUnion.from_pairs(u.to_pairs()) == u
     assert str(u) == "[0.1, 0.3] U {0.7}"
-    assert str(IntervalUnion.empty()) == "{}"
+    assert str(IntervalUnion()) == "{}"

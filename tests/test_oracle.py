@@ -364,7 +364,7 @@ def test_memoized_walk_matches_point_by_point_reference(column_kind):
         sys_ = random_system(rng, max_m=4, max_n=4, kind=kind)
         res = feasible_region(sys_)
         boxes = list(res.boxes)
-        full = FeasibleBox(tuple(IntervalUnion.full() for _ in range(sys_.n)), ())
+        full = FeasibleBox(tuple(IntervalUnion.interval(0.0, 1.0) for _ in range(sys_.n)), ())
         variants = [tuple(boxes), (), tuple(reversed(boxes)) + (full,)]
         if boxes:
             variants.append(tuple(rng.sample(boxes, len(boxes) - 1)))
@@ -500,7 +500,7 @@ def test_membership_check_reports_dropped_and_extra_boxes(example_region):
     assert report.mismatches == [(x, True, False) for x in own]
 
     full = FeasibleBox(
-        tuple(IntervalUnion.full() for _ in range(analysis.n)), boxes[0].columns
+        tuple(IntervalUnion.interval(0.0, 1.0) for _ in range(analysis.n)), boxes[0].columns
     )
     report = grid_membership_check(
         analysis, boxes + (full,), breakpoint_grid(analysis, step=0.25), cap=2000

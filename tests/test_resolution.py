@@ -77,7 +77,7 @@ def _reference_factor(an, state, rows_at, j):
     """A box factor derived independently of the DFS: the fixed singleton,
     the joint restricted set of the rows assigned to j, or the column bound."""
     if j in state.fixed:
-        return IntervalUnion.point(state.fixed[j])
+        return IntervalUnion.interval(state.fixed[j], state.fixed[j])
     if rows_at:
         return functools.reduce(operator.and_, (an.restricted[i][j] for i in rows_at))
     return an.col_bounds[j]

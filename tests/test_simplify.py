@@ -64,7 +64,7 @@ def test_all_zero_rhs_leaves_product_of_column_bounds():
     assert len(res.boxes) == 1
     for j in range(2):
         assert res.boxes[0].factors[j] == res.analysis.col_bounds[j]
-        assert res.boxes[0].factors[j] == IntervalUnion.full()
+        assert res.boxes[0].factors[j] == IntervalUnion.interval(0.0, 1.0)
 
 
 # -- rule 2 ---------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_rule5_no_pair_no_change():
     # restricted set {0.5} sits strictly inside the column bound [0, 0.5]
     an = analysis_of([[1.0]], [[0.0]], [0.5])
     assert an.col_bounds[0].approx_equals(IntervalUnion.interval(0.0, 0.5))
-    assert an.restricted[0][0].approx_equals(IntervalUnion.point(0.5))
+    assert an.restricted[0][0].approx_equals(IntervalUnion.interval(0.5, 0.5))
     state = ReductionState.initial(an)
     assert not fires(apply_rule5, state, an)
 

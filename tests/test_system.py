@@ -87,7 +87,7 @@ def test_cell_sets_examples(example_system):
 
     # both coefficients below the target: unconstrained cell, no equality set
     below = CellAnalysis(BipolarSystem([[0.2]], [[0.1]], [0.8], TNormSpec("minimum")))
-    assert below.relaxed[0][0] == IntervalUnion.full()
+    assert below.relaxed[0][0] == IntervalUnion.interval(0.0, 1.0)
     assert below.exact[0][0].is_empty
 
 
@@ -111,13 +111,13 @@ def test_column_bounds_examples(example_analysis):
 
     # a column where no entry reaches the target stays unconstrained
     free = BipolarSystem([[0.1]], [[0.1]], [0.9], TNormSpec("minimum"))
-    assert CellAnalysis(free).col_bounds[0] == IntervalUnion.full()
+    assert CellAnalysis(free).col_bounds[0] == IntervalUnion.interval(0.0, 1.0)
 
 
 def test_column_bounds_equal_relaxed_intersection(example_analysis):
     an = example_analysis
     for j in range(an.n):
-        direct = IntervalUnion.full()
+        direct = IntervalUnion.interval(0.0, 1.0)
         for i in range(an.m):
             direct = direct & an.relaxed[i][j]
         assert an.col_bounds[j].approx_equals(direct), j

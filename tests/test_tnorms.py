@@ -4,6 +4,8 @@ import importlib.util
 import math
 import os
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,11 +66,44 @@ def test_all_catalog_kinds_constructible():
         ("yager", 1000.0),
         ("yager", 30.0),
         ("aczel_alsina", 200.0),
+        # a subnormal parameter loses its digits in the generator
+        ("hamacher", 5e-324),
+        ("hamacher", 1e-320),
+        ("sugeno_weber", 5e-324),
+        ("sugeno_weber", -5e-324),
+        ("sugeno_weber", 1e-315),
+        ("schweizer_sklar", 5e-324),
     ],
 )
 def test_out_of_range_parameters_rejected(kind, param):
     with pytest.raises(ValueError, match="out of range"):
         TNormSpec(kind, param)
+
+
+def _hamacher_exact(alpha, x, y):
+    return x * y / (alpha + (1 - alpha) * (x + y - x * y))
+
+
+def _sugeno_weber_exact(lam, x, y):
+    return max(Fraction(0), (x + y - 1 + lam * x * y) / (1 + lam))
+
+
+@pytest.mark.parametrize(
+    "kind,param,exact",
+    [
+        ("hamacher", sys.float_info.min, _hamacher_exact),
+        ("sugeno_weber", sys.float_info.min, _sugeno_weber_exact),
+        ("sugeno_weber", -sys.float_info.min, _sugeno_weber_exact),
+    ],
+)
+def test_smallest_normal_parameters_evaluate(kind, param, exact):
+    # the rational formula, evaluated exactly from the float inputs
+    t = TNormSpec(kind, param)
+    rng = random.Random(13)
+    for _ in range(2000):
+        x, y = rng.random(), rng.random()
+        want = exact(Fraction(param), Fraction(x), Fraction(y))
+        assert abs(Fraction(tnorm_eval(t, x, y)) - want) <= 1e-15, (x, y)
 
 
 @pytest.mark.parametrize(
@@ -320,6 +355,19 @@ def test_schweizer_sklar_round_trip_cancellation():
     # prints as {0.328} but its endpoint is 4e-9 away from x.
     spec, a, x = TNormSpec("schweizer_sklar", -3.99), 0.00196, 0.328
     assert solve_scalar_eq(spec, a, tnorm_eval(spec, a, x)).solution_set.contains(x)
+
+
+@pytest.mark.parametrize("p", [1e-17, -1e-17, 1e-10])
+def test_schweizer_sklar_small_parameter(p):
+    # phi tends to the product as p -> 0, 1.2e-11 away at p = 1e-10 and
+    # (0.5, 0.5); (1 - x^p) / p and (1 - p s)^(1/p) cancel there
+    spec = TNormSpec("schweizer_sklar", p)
+    grid = [0.01] + [k / 20 for k in range(1, 21)]
+    for a in grid:
+        for x in grid:
+            b = tnorm_eval(spec, a, x)
+            assert abs(b - a * x) <= 1e-9, (a, x)
+            assert solve_scalar_eq(spec, a, b).solution_set.contains(x), (a, x)
 
 
 def _reference_tnorm():
