@@ -15,20 +15,23 @@ JSON, one line of it with the separators of ``json.dumps``; numbers
 round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
 codes: 0 success, 1 error, 2 infeasible problem.
 
-click only parses the command line.  A report line is written to
-``sys.stdout`` with one ``writelines`` and flushed.  One function,
+One ``argparse`` parser, built at import, reads the command line.  A
+report line is written to ``sys.stdout`` with one ``writelines`` and
+flushed.  One function,
 ``_region_report``, builds the ``feasible`` and ``solve`` reports as
 pieces: the head (the text before the ``boxes`` array), one piece per box,
 and the tail (the text after the array, with ``solve``'s ``best``).  The
 boxes are never joined into one string.  Every other report is one
 ``json.dumps``.  When the reader closes the pipe before the last piece, a
 later write fails and the command exits 1, whether or not stdout is
-buffered.  ``--help`` is
-written to ``sys.stdout`` and an error, one ``error:`` line, to
-``sys.stderr``, each with one ``write`` and a flush.  click's usage errors (a
-missing or unknown argument, option or command, a bad option type, a
-PROBLEM path that does not exist) keep click's message on stderr but exit
-1, like every other error.
+buffered; what is still buffered then goes to ``os.devnull``, so the
+flush at exit does not fail again.  ``--help`` is written to ``sys.stdout``
+and flushed, and an error, one ``error:`` line, to ``sys.stderr`` with one
+``write`` and a flush.  argparse's usage errors (a missing or unknown
+argument, option or command, a bad option type, a PROBLEM path that does
+not exist or is a directory) keep argparse's usage and message on stderr
+but exit 1, like every other error.  An interrupt prints ``Aborted!`` and
+exits 1.
 
 The box texts come from one encoder and shared text.  Every box equals
 the search's root (fixed singletons and column bounds) except on its
@@ -41,12 +44,14 @@ optimum search finds, not the corner of every box.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import json
 import math
+import os
+import re
 import sys
-from typing import Any, Callable, NoReturn
-
-import click
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import intervals
 from .optimize import (
@@ -206,7 +211,7 @@ def _echo(report: dict | list[str]) -> None:
     """Print a report line: ``json.dumps`` of a dict, or the pieces of a
     list, each written as it is, so the boxes are never joined into one
     string.  The flush here makes a closed pipe raise inside the command,
-    where click turns it into exit 1.
+    where ``main`` turns it into exit 1.
     """
     if isinstance(report, dict):
         sys.stdout.write(f"{json.dumps(report)}\n")
@@ -227,36 +232,8 @@ def _require(ok: bool, message: str) -> None:
         _fail(message)
 
 
-_tol_option = click.option(
-    "--tol", type=float, default=None, help="Interval comparison tolerance override."
-)
-
-
-def _check_max_e(ctx: click.Context, param: click.Parameter, value: int) -> int:
-    _require(value >= 1, "--max-e must be at least 1")
-    return value
-
-
-def _common_options(fn):
-    fn = _tol_option(fn)
-    fn = click.option(
-        "--max-e",
-        type=int,
-        default=DEFAULT_MAX_ASSIGNMENTS,
-        show_default=True,
-        help="Cap on the enumerated assignments, and on the leaves the optimum "
-        "search compares.",
-        callback=_check_max_e,
-    )(fn)
-    fn = click.option(
-        "--no-simplify", is_flag=True, help="Skip the reduction rules before enumeration."
-    )(fn)
-    return fn
-
-
 def _run(
-    problem: str,
-    tol: float | None,
+    args: argparse.Namespace,
     command: Callable[
         [BipolarSystem, MonotoneObjective | None], tuple[dict | list[str], int]
     ],
@@ -268,9 +245,10 @@ def _run(
     returns.  A ``ProblemFormatError``, from the file or the command, a
     resource cap or a bad --tol prints an ``error:`` line and exits 1.
     """
+    tol = args.tol
     _require(tol is None or 0.0 < tol < math.inf, "--tol must be positive and finite")
     try:
-        system, objective = parse_problem(problem)
+        system, objective = parse_problem(args.problem)
         with intervals.tolerance(intervals.EPS if tol is None else tol):
             out, code = command(system, objective)
     except (ProblemFormatError, ResourceLimitError) as exc:
@@ -279,71 +257,18 @@ def _run(
     sys.exit(code)
 
 
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """click's ``--help`` callback, printing through ``sys.stdout``."""
-    if value and not ctx.resilient_parsing:
-        sys.stdout.write(f"{ctx.get_help()}\n")
-        sys.stdout.flush()
-        ctx.exit()
-
-
-class _Command(click.Command):
-    """A command whose ``--help`` is written like a report: straight to
-    ``sys.stdout`` and flushed, not through ``click.echo``."""
-
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Group(_Command, click.Group):
-    """click's group, with every click error exiting 1: exit 2 means
-    infeasible.  ``--help`` still exits 0."""
-
-    command_class = _Command
-
-    def main(self, *args: Any, **kwargs: Any) -> NoReturn:
-        kwargs["standalone_mode"] = False
-        try:
-            code = super().main(*args, **kwargs)
-        except click.ClickException as exc:
-            exc.show()
-            code = EXIT_ERROR
-        except click.Abort:
-            sys.stderr.write("Aborted!\n")
-            code = EXIT_ERROR
-        sys.exit(code)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Solver for systems of bipolar fuzzy relational equations.
-
-    Resolves the complete feasible region as a union of boxes under any
-    catalog t-norm and globally minimizes coordinate-monotone objectives.
-    """
-
-
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_common_options
-def feasible(problem, tol, max_e, no_simplify) -> None:
+def feasible(args: argparse.Namespace) -> NoReturn:
     """Resolve the feasible region of PROBLEM and report its boxes."""
+    _require(args.max_e >= 1, "--max-e must be at least 1")
 
     def command(system, objective):
-        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
+        result = feasible_region(system, simplify=not args.no_simplify, max_count=args.max_e)
         return _region_report(result), EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
 
-    _run(problem, tol, command)
+    _run(args, command)
 
 
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--explain", is_flag=True, help="Include the rule audit log.")
-@_tol_option
-def simplify(problem, explain, tol) -> None:
+def simplify(args: argparse.Namespace) -> NoReturn:
     """Apply the reduction rules to PROBLEM and report the outcome."""
 
     def command(system, objective):
@@ -353,47 +278,39 @@ def simplify(problem, explain, tol) -> None:
             return {"status": "infeasible", "verdict": out}, EXIT_INFEASIBLE
         return {
             "status": "ok",
-            "reduction": _reduction_dict(state, explain),
+            "reduction": _reduction_dict(state, args.explain),
             "count_bound_before": count_bound(analysis, ReductionState.initial(analysis)),
             "count_bound_after": count_bound(analysis, state),
         }, EXIT_OK
 
-    _run(problem, tol, command)
+    _run(args, command)
 
 
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_common_options
-def solve(problem, tol, max_e, no_simplify) -> None:
+def solve(args: argparse.Namespace) -> NoReturn:
     """Resolve PROBLEM and minimize its objective over the region."""
+    _require(args.max_e >= 1, "--max-e must be at least 1")
 
     def command(system, objective):
         if objective is None:
             raise ProblemFormatError("problem file has no objective; 'solve' needs one")
-        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
+        result = feasible_region(system, simplify=not args.no_simplify, max_count=args.max_e)
         if not result.is_feasible:
             return _region_report(result), EXIT_INFEASIBLE
-        best, _ = global_optimum(result.analysis, result.reduction, objective, max_e)
+        best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
         return _region_report(result, best), EXIT_OK
 
-    _run(problem, tol, command)
+    _run(args, command)
 
 
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--step", type=float, default=0.1, show_default=True, help="Grid step size.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Subsampling seed.")
-@click.option(
-    "--cap", type=int, default=DEFAULT_GRID_CAP, show_default=True, help="Grid point cap."
-)
-@_common_options
-def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
+def verify(args: argparse.Namespace) -> NoReturn:
     """Cross-check the resolved region (and optimum) by brute force."""
+    step, seed, cap, max_e = args.step, args.seed, args.cap, args.max_e
+    _require(max_e >= 1, "--max-e must be at least 1")
     _require(step > 0.0, "--step must be positive")
     _require(cap >= 1, "--cap must be at least 1")
 
     def command(system, objective):
-        result = feasible_region(system, simplify=not no_simplify, max_count=max_e)
+        result = feasible_region(system, simplify=not args.no_simplify, max_count=max_e)
         grid = breakpoint_grid(result.analysis, step)
         membership = grid_membership_check(
             result.analysis, result.boxes, grid, cap=cap, seed=seed, objective=objective
@@ -433,25 +350,15 @@ def verify(problem, step, seed, cap, tol, max_e, no_simplify) -> None:
                     out["status"] = "mismatch"
         return out, EXIT_OK if out["status"] == "verified" else EXIT_ERROR
 
-    _run(problem, tol, command)
+    _run(args, command)
 
 
-@main.command("tnorm-eval")
-@click.argument("kind")
-@click.argument("x", type=float)
-@click.argument("y", type=float)
-@click.option("--param", type=float, default=None, help="Family parameter, if any.")
-@click.option(
-    "--solve",
-    "solve_eq",
-    is_flag=True,
-    help="Treat (X, Y) as (a, b) and solve phi(a, t) = b for t instead.",
-)
-def tnorm_eval_cmd(kind, x, y, param, solve_eq) -> None:
+def tnorm_eval_cmd(args: argparse.Namespace) -> NoReturn:
     """Evaluate phi(X, Y), or solve the scalar equation with --solve."""
+    x, y = args.x, args.y
     try:
-        spec = TNormSpec(kind, param)
-        if solve_eq:
+        spec = TNormSpec(args.kind, args.param)
+        if args.solve:
             sol = solve_scalar_eq(spec, x, y)
             num = solve_scalar_eq_numeric(spec, x, y) if x >= y else sol
             _echo(
@@ -469,6 +376,123 @@ def tnorm_eval_cmd(kind, x, y, param, solve_eq) -> None:
     except ValueError as exc:
         _fail(str(exc))
     sys.exit(EXIT_OK)
+
+
+# -- command line ----------------------------------------------------------------
+
+
+#: What argparse reads as a negative number, not an option: "-0.5", and
+#: "-1e-17" too, which its own pattern takes for an option.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with every usage error exiting 1 (exit 2 means
+    infeasible), no abbreviated options and no ``-h``.  ``--help`` exits 0."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        # so that "--param -1e-17" passes a value
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        # flushed here, a closed pipe fails --help inside ``main``
+        sys.stdout.flush()
+        super().exit(EXIT_ERROR if status else EXIT_OK, message)
+
+
+def _problem_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="bfre",
+        description="Solver for systems of bipolar fuzzy relational equations.  Resolves "
+        "the complete feasible region as a union of boxes under any catalog t-norm and "
+        "globally minimizes coordinate-monotone objectives.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = {}
+    for name, run in (
+        ("feasible", feasible),
+        ("simplify", simplify),
+        ("solve", solve),
+        ("verify", verify),
+        ("tnorm-eval", tnorm_eval_cmd),
+    ):
+        sub[name] = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub[name].set_defaults(run=run)
+    for name in ("feasible", "simplify", "solve", "verify"):
+        sub[name].add_argument("problem", metavar="PROBLEM", type=_problem_file)
+        sub[name].add_argument("--tol", type=float, help="Interval comparison tolerance override.")
+    for name in ("feasible", "solve", "verify"):
+        sub[name].add_argument(
+            "--max-e",
+            type=int,
+            default=DEFAULT_MAX_ASSIGNMENTS,
+            help="Cap on the enumerated assignments, and on the leaves the optimum "
+            "search compares (default: %(default)s).",
+        )
+        sub[name].add_argument(
+            "--no-simplify",
+            action="store_true",
+            help="Skip the reduction rules before enumeration.",
+        )
+    sub["simplify"].add_argument(
+        "--explain", action="store_true", help="Include the rule audit log."
+    )
+    add = sub["verify"].add_argument
+    add("--step", type=float, default=0.1, help="Grid step size (default: %(default)s).")
+    add("--seed", type=int, default=0, help="Subsampling seed (default: %(default)s).")
+    add("--cap", type=int, default=DEFAULT_GRID_CAP, help="Grid point cap (default: %(default)s).")
+    add = sub["tnorm-eval"].add_argument
+    add("kind", metavar="KIND")
+    add("x", metavar="X", type=float)
+    add("y", metavar="Y", type=float)
+    add("--param", type=float, help="Family parameter, if any.")
+    add(
+        "--solve",
+        action="store_true",
+        help="Treat (X, Y) as (a, b) and solve phi(a, t) = b for t instead.",
+    )
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """The ``bfre`` command: parse ``args`` (``sys.argv[1:]`` by default),
+    run the command and exit with its code.
+
+    ``main.main`` is this function too, so callers of the click-style
+    ``main.main(args=..., prog_name=...)`` keep working; usage and help text
+    always name the program ``bfre``, whatever ``prog_name`` says.
+    """
+    try:
+        namespace = _PARSER.parse_args(args)
+        namespace.run(namespace)
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        sys.stderr.flush()
+        sys.exit(EXIT_ERROR)
+    except BrokenPipeError:
+        # The reader left.  What is still buffered goes to os.devnull, so
+        # that the flush at exit neither fails nor turns exit 1 into 120.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(devnull, stream.fileno())
+        sys.exit(EXIT_ERROR)
+
+
+main.main = main  # type: ignore[attr-defined]
 
 
 if __name__ == "__main__":

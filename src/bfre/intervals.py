@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 #: Absolute tolerance for membership, emptiness and equality comparisons,
@@ -65,15 +64,42 @@ def _canonical(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, floa
     return tuple((lo, hi) for lo, hi in merged)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class _Frozen:
+    """Base of the package's immutable classes: an attribute is set once, in
+    ``__init__`` through ``object.__setattr__``, and never assigned again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntervalUnion(_Frozen):
     """An ordered union of pairwise-disjoint closed intervals in [0, 1].
 
     Instances are immutable; all operations return new values, so they are
-    safe to share freely (including across threads).
+    safe to share freely (including across threads).  Equal pieces make
+    equal values, with equal hashes.
     """
 
-    pieces: tuple[tuple[float, float], ...] = ()
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: tuple[tuple[float, float], ...] = ()) -> None:
+        object.__setattr__(self, "pieces", pieces)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IntervalUnion:
+            return NotImplemented
+        return self.pieces == other.pieces
+
+    def __hash__(self) -> int:
+        return hash((self.pieces,))
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion(pieces={self.pieces!r})"
 
     # -- construction ----------------------------------------------------
 

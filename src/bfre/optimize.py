@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import intervals
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, _Frozen
 from .resolution import DEFAULT_MAX_ASSIGNMENTS, ResourceLimitError, walk_admissible
 from .simplify import ReductionState
 from .system import CellAnalysis
@@ -40,36 +39,39 @@ class InfeasibleError(ValueError):
     """Raised when optimization is attempted over an empty region."""
 
 
-@dataclass(frozen=True, eq=False)
-class MonotoneObjective:
+class MonotoneObjective(_Frozen):
     """A total evaluator on [0, 1]^n with a declared monotonicity partition.
 
     j_plus holds the coordinates the evaluator is non-decreasing in, j_minus
     the non-increasing ones; together they cover all n coordinates.  The
     declaration is trusted by the optimizer; ``check_monotone`` probes it.
+    Immutable; two objectives are equal only when they are the same object.
     """
 
-    name: str
-    n: int
-    j_plus: frozenset[int]
-    j_minus: frozenset[int]
-    fn: Callable[[Sequence[float]], float]
+    __slots__ = ("name", "n", "j_plus", "j_minus", "fn")
 
-    def __post_init__(self) -> None:
-        everything = frozenset(range(self.n))
-        if self.j_plus & self.j_minus:
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        j_plus: frozenset[int],
+        j_minus: frozenset[int],
+        fn: Callable[[Sequence[float]], float],
+    ) -> None:
+        if j_plus & j_minus:
             raise ValueError("j_plus and j_minus must be disjoint")
-        if self.j_plus | self.j_minus != everything:
+        if j_plus | j_minus != frozenset(range(n)):
             raise ValueError("j_plus and j_minus must cover all coordinates")
-        if not all(type(j) is int for j in self.j_plus | self.j_minus):
+        if not all(type(j) is int for j in j_plus | j_minus):
             raise ValueError("j_plus and j_minus must hold integers")
+        for field, value in zip(self.__slots__, (name, n, j_plus, j_minus, fn)):
+            object.__setattr__(self, field, value)
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.fn(x)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """The optimal corner of one box, named by the box's witness columns
     (one per active row, in ascending row order), with its objective
     value."""
@@ -212,8 +214,7 @@ def _require(params: dict, key: str, objective: str, many: bool = False):
     return value
 
 
-@dataclass(frozen=True)
-class _Linear:
+class _Linear(NamedTuple):
     """The evaluator x -> sum_j c_j x_j; ``check_monotone`` reads its c."""
 
     c: tuple[float, ...]
@@ -395,8 +396,7 @@ def objective_catalog(
 # -- monotonicity probing ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeViolation:
+class ProbeViolation(NamedTuple):
     """A sampled contradiction of the declared monotonicity."""
 
     index: int

@@ -49,8 +49,8 @@ import bisect
 import itertools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import getitem
+from typing import NamedTuple
 
 from .intervals import IntervalUnion
 from .optimize import MonotoneObjective
@@ -249,8 +249,7 @@ def _factor_index(boxes: Sequence[FeasibleBox], j: int) -> dict[tuple, list]:
     return index
 
 
-@dataclass
-class GridReport:
+class GridReport(NamedTuple):
     """Outcome of a grid sweep comparing two membership definitions.
 
     ``best_point`` and ``best_value`` are the objective's minimum over the

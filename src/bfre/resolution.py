@@ -13,8 +13,7 @@ witness columns alone, in ascending order of the active rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .intervals import IntervalUnion
 from .simplify import ReductionState, simplify_to_fixpoint
@@ -51,8 +50,7 @@ class ResourceLimitError(RuntimeError):
     """Raised when enumeration or grid evaluation would exceed its cap."""
 
 
-@dataclass(frozen=True)
-class FeasibleBox:
+class FeasibleBox(NamedTuple):
     """One product box of the feasible region, named by its witness columns.
 
     factors[j] is the admissible set for x_j: the joint restricted set on
@@ -198,8 +196,7 @@ def solution_box(
     return FeasibleBox(tuple(factors), columns)
 
 
-@dataclass
-class RegionResult:
+class RegionResult(NamedTuple):
     """Full pipeline output: verdict, reduction and boxes.  Each box's
     ``columns`` are the witnesses of ``reduction.active_rows`` in ascending
     row order."""

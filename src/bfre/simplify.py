@@ -22,7 +22,7 @@ exactly when it deletes a row or fixes a column, and both append an event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .system import CellAnalysis
 
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleEvent:
+class RuleEvent(NamedTuple):
     """One audit-log entry: which rule did what, and why."""
 
     rule: int
@@ -51,12 +50,9 @@ class RuleEvent:
 
     def to_dict(self) -> dict:
         """The fields in declaration order, without the unset ones."""
-        return {
-            f.name: v for f in fields(self) if (v := getattr(self, f.name)) not in (None, "")
-        }
+        return {name: v for name, v in zip(self._fields, self) if v not in (None, "")}
 
 
-@dataclass
 class ReductionState:
     """Active row/column index sets, fixed variables and the audit log.
 
@@ -64,14 +60,23 @@ class ReductionState:
     the deleted columns; their keys are disjoint from active_cols.
     """
 
-    active_rows: list[int]
-    active_cols: list[int]
-    fixed: dict[int, float] = field(default_factory=dict)
-    log: list[RuleEvent] = field(default_factory=list)
+    __slots__ = ("active_rows", "active_cols", "fixed", "log")
+
+    def __init__(
+        self,
+        active_rows: list[int],
+        active_cols: list[int],
+        fixed: dict[int, float],
+        log: list[RuleEvent],
+    ) -> None:
+        self.active_rows = active_rows
+        self.active_cols = active_cols
+        self.fixed = fixed
+        self.log = log
 
     @classmethod
     def initial(cls, analysis: CellAnalysis) -> "ReductionState":
-        return cls(list(range(analysis.m)), list(range(analysis.n)))
+        return cls(list(range(analysis.m)), list(range(analysis.n)), {}, [])
 
     def row_candidates(self, analysis: CellAnalysis, i: int) -> list[int]:
         """Active columns that can witness equation i: its support columns

@@ -34,11 +34,10 @@ many times (the ``verify`` grid walk) can ask once and keep the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, _Frozen
 from .tnorms import _EQ_DRIFT, TNormSpec, solve_scalar_eq, tnorm_eval
 
 __all__ = [
@@ -67,30 +66,53 @@ def _as_matrix(rows: Sequence[Sequence[float]], name: str, m: int, n: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BipolarSystem:
-    """Problem data: matrices A+, A-, right-hand side b and the t-norm."""
+class BipolarSystem(_Frozen):
+    """Problem data: matrices A+, A-, right-hand side b and the t-norm.
 
-    a_plus: tuple[tuple[float, ...], ...]
-    a_minus: tuple[tuple[float, ...], ...]
-    b: tuple[float, ...]
-    tnorm: TNormSpec
+    Immutable, with the matrices and b stored as tuples of floats; equal
+    data make equal systems.
+    """
 
-    def __post_init__(self) -> None:
-        m = len(self.a_plus)
+    __slots__ = ("a_plus", "a_minus", "b", "tnorm")
+
+    def __init__(
+        self,
+        a_plus: Sequence[Sequence[float]],
+        a_minus: Sequence[Sequence[float]],
+        b: Sequence[float],
+        tnorm: TNormSpec,
+    ) -> None:
+        m = len(a_plus)
         if m < 1:
             raise ValueError("system needs at least one equation")
-        n = len(self.a_plus[0])
+        n = len(a_plus[0])
         if n < 1:
             raise ValueError("system needs at least one variable")
-        object.__setattr__(self, "a_plus", _as_matrix(self.a_plus, "a_plus", m, n))
-        object.__setattr__(self, "a_minus", _as_matrix(self.a_minus, "a_minus", m, n))
-        if len(self.b) != m:
-            raise ValueError(f"b must have {m} entries, got {len(self.b)}")
-        for i, v in enumerate(self.b):
+        object.__setattr__(self, "a_plus", _as_matrix(a_plus, "a_plus", m, n))
+        object.__setattr__(self, "a_minus", _as_matrix(a_minus, "a_minus", m, n))
+        if len(b) != m:
+            raise ValueError(f"b must have {m} entries, got {len(b)}")
+        for i, v in enumerate(b):
             if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"b[{i}] = {v!r} is no number or outside [0, 1]")
-        object.__setattr__(self, "b", tuple(map(float, self.b)))
+        object.__setattr__(self, "b", tuple(map(float, b)))
+        object.__setattr__(self, "tnorm", tnorm)
+
+    def _key(self) -> tuple:
+        return (self.a_plus, self.a_minus, self.b, self.tnorm)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BipolarSystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "BipolarSystem(a_plus={!r}, a_minus={!r}, b={!r}, tnorm={!r})".format(
+            *self._key()
+        )
 
     @property
     def m(self) -> int:
@@ -113,8 +135,7 @@ class BipolarSystem:
         return cls(tuple(tuple(row) for row in a), zeros, tuple(b), tnorm)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     """Outcome of the necessary feasibility checks.
 
     status is "ok", "empty_column" (some variable has no admissible value) or

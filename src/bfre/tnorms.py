@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, _Frozen
 
 __all__ = [
     "TNORM_KINDS",
@@ -193,55 +193,66 @@ TNORM_KINDS = tuple(_TABLE)
 _EQ_DRIFT = 1e-12
 
 
-@dataclass(frozen=True)
-class TNormSpec:
-    """A continuous t-norm selected from the catalog, with its parameter."""
+class TNormSpec(_Frozen):
+    """A continuous t-norm selected from the catalog, with its parameter.
 
-    kind: str
-    param: float | None = None
-    #: (e, f, f_inv, f(0)) of the family's summand, None for the minimum.
-    _summand: tuple | None = field(init=False, repr=False, compare=False)
+    Immutable; equality and hash read ``kind`` and ``param`` only.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in _TABLE:
+    __slots__ = ("kind", "param", "_summand")
+
+    def __init__(self, kind: str, param: float | None = None) -> None:
+        if kind not in _TABLE:
             raise ValueError(
-                f"unknown t-norm {self.kind!r}; expected one of {', '.join(TNORM_KINDS)}"
+                f"unknown t-norm {kind!r}; expected one of {', '.join(TNORM_KINDS)}"
             )
-        rule, summand = _TABLE[self.kind]
+        rule, summand = _TABLE[kind]
         if rule is None:
-            if self.param is not None:
-                raise ValueError(f"t-norm {self.kind!r} takes no parameter")
+            if param is not None:
+                raise ValueError(f"t-norm {kind!r} takes no parameter")
         else:
             check, legend = rule
-            if self.param is None:
-                raise ValueError(f"t-norm {self.kind!r} requires a parameter ({legend})")
-            p = self.param
-            valid = type(p) in (int, float) and math.isfinite(p) and check(p)
-            if not valid or 0 < abs(p) < sys.float_info.min:
-                raise ValueError(f"parameter {p!r} out of range for {self.kind!r} ({legend})")
-        summand = None if summand is None else summand(self.param)
+            if param is None:
+                raise ValueError(f"t-norm {kind!r} requires a parameter ({legend})")
+            valid = type(param) in (int, float) and math.isfinite(param) and check(param)
+            if not valid or 0 < abs(param) < sys.float_info.min:
+                raise ValueError(f"parameter {param!r} out of range for {kind!r} ({legend})")
+        summand = None if summand is None else summand(param)
         # an overflowing f(x/e) + f(y/e) reads as f(0), so phi as 0 (see the
         # module docstring); with e <= _EQ_DRIFT, phi never exceeds it anyway
         if summand is not None and summand[0] > _EQ_DRIFT:
             e, f = summand[:2]
             if not math.isfinite(2.0 * f(_EQ_DRIFT / e)):
                 raise ValueError(
-                    f"parameter {self.param!r} out of range for {self.kind!r} "
+                    f"parameter {param!r} out of range for {kind!r} "
                     f"(its generator overflows at x = {_EQ_DRIFT:g})"
                 )
         # an f(1 - 1e-12) that underflows to f(1) = 0 reads as x = 1, so phi
         # as 1; these two raise a small base to the parameter (frank's zero
         # there for tiny s comes from cancellation, not underflow)
-        if self.kind in ("yager", "aczel_alsina") and summand[1](1.0 - _EQ_DRIFT) == 0.0:
+        if kind in ("yager", "aczel_alsina") and summand[1](1.0 - _EQ_DRIFT) == 0.0:
             raise ValueError(
-                f"parameter {self.param!r} out of range for {self.kind!r} "
+                f"parameter {param!r} out of range for {kind!r} "
                 f"(its generator underflows at x = 1 - {_EQ_DRIFT:g})"
             )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+        # (e, f, f_inv, f(0)) of the family's summand, None for the minimum
         object.__setattr__(self, "_summand", summand)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TNormSpec:
+            return NotImplemented
+        return (self.kind, self.param) == (other.kind, other.param)
 
-@dataclass(frozen=True)
-class ScalarEqSolution:
+    def __hash__(self) -> int:
+        return hash((self.kind, self.param))
+
+    def __repr__(self) -> str:
+        return f"TNormSpec(kind={self.kind!r}, param={self.param!r})"
+
+
+class ScalarEqSolution(NamedTuple):
     """phi(a, x) = b holds on [l, u] and phi(a, x) <= b on [0, u]; l and u
     are None when a < b, where no x solves it and every x relaxes it."""
 
@@ -268,7 +279,7 @@ def tnorm_eval(t: TNormSpec, x: float, y: float) -> float:
     _check_unit(y, "y")
     summand = t._summand
     if summand is None or x >= summand[0] or y >= summand[0]:
-        return min(x, y)
+        return min(x, y) + 0.0  # a -0.0 argument gives 0.0, as the other paths do
     e, f, f_inv, f0 = summand
     if x == 0.0 or y == 0.0:
         return 0.0

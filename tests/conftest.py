@@ -3,14 +3,18 @@ the benchmark's planted systems."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
+import io
 import os
 import random
+from typing import NamedTuple
 
 import pytest
 
 from bfre import BipolarSystem, CellAnalysis, TNormSpec, tnorm_eval
+from bfre.cli import main
 from bfre.tnorms import TNORM_KINDS
 
 A_PLUS = [
@@ -198,3 +202,29 @@ def in_box(box, x) -> bool:
     """Whether point x lies in the box: every coordinate in its factor.
     The box-membership reference of the tests."""
     return all(f.contains(x[j]) for j, f in enumerate(box.factors))
+
+
+# -- command line --------------------------------------------------------------
+
+
+class CliResult(NamedTuple):
+    """What one ``bfre`` command printed, and its exit code."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """Everything printed: stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def invoke(*args: str) -> CliResult:
+    """Run ``bfre *args`` in-process, with stdout and stderr captured; every
+    command ends in ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(args))
+    return CliResult(exit_info.value.code, out.getvalue(), err.getvalue())

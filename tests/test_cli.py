@@ -12,25 +12,15 @@ import sys
 import weakref
 
 import pytest
-from click.testing import CliRunner
 
 from bfre.cli import main, parse_problem, problem_from_dict
 from bfre.resolution import count_bound, feasible_region
 from bfre.tnorms import TNORM_KINDS
 
-from conftest import dense_square_problem, random_system, reference_optimum
+from conftest import dense_square_problem, invoke, random_system, reference_optimum
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example_problem.json")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -152,13 +142,13 @@ def test_parse_field_exact():
         ),
     ],
 )
-def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):
+def test_parse_rejects_bad_files(tmp_path, mutate, fragment):
     with open(DATA) as fh:
         data = json.load(fh)
     replaced = mutate(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data if replaced is None else replaced))
-    result = invoke(runner, "feasible", str(path))
+    result = invoke("feasible", str(path))
     assert result.exit_code == 1
     assert fragment in result.output
 
@@ -173,10 +163,10 @@ def test_parse_rejects_bad_files(tmp_path, runner, mutate, fragment):
     ],
     ids=["syntax", "not-utf8", "deep", "long-integer"],
 )
-def test_parse_rejects_invalid_json(tmp_path, runner, content):
+def test_parse_rejects_invalid_json(tmp_path, content):
     path = tmp_path / "broken.json"
     path.write_bytes(content)
-    result = invoke(runner, "feasible", str(path))
+    result = invoke("feasible", str(path))
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: {path}: invalid JSON (")
@@ -186,8 +176,8 @@ def test_parse_rejects_invalid_json(tmp_path, runner, content):
 # -- feasible / simplify ---------------------------------------------------------
 
 
-def test_feasible_command(runner):
-    result = invoke(runner, "feasible", DATA)
+def test_feasible_command():
+    result = invoke("feasible", DATA)
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["status"] == "feasible"
@@ -203,8 +193,8 @@ def test_feasible_command(runner):
     assert got == pytest.approx([0.0, 0.2, 0.8, 1.0], abs=1e-9)
 
 
-def test_feasible_no_simplify(runner):
-    result = invoke(runner, "feasible", DATA, "--no-simplify")
+def test_feasible_no_simplify():
+    result = invoke("feasible", DATA, "--no-simplify")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["reduction"]["fixed"] == {}
@@ -212,7 +202,7 @@ def test_feasible_no_simplify(runner):
     assert len(report["boxes"]) >= 4
 
 
-def test_feasible_infeasible_exit_code(tmp_path, runner):
+def test_feasible_infeasible_exit_code(tmp_path):
     problem = {
         "m": 1,
         "n": 2,
@@ -223,14 +213,14 @@ def test_feasible_infeasible_exit_code(tmp_path, runner):
     }
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(problem))
-    result = invoke(runner, "feasible", str(path))
+    result = invoke("feasible", str(path))
     assert result.exit_code == 2
     report = json.loads(result.output)
     assert report["status"] == "infeasible"
     assert report["verdict"] == {"status": "empty_row", "index": 0}
 
 
-def test_feasible_empty_column_exit_code(tmp_path, runner):
+def test_feasible_empty_column_exit_code(tmp_path):
     # a cell demanding both x = 0 and x = 1 empties the column bound
     problem = {
         "m": 1,
@@ -242,15 +232,15 @@ def test_feasible_empty_column_exit_code(tmp_path, runner):
     }
     path = tmp_path / "column.json"
     path.write_text(json.dumps(problem))
-    result = invoke(runner, "feasible", str(path))
+    result = invoke("feasible", str(path))
     assert result.exit_code == 2
     assert json.loads(result.output)["verdict"] == {"status": "empty_column", "index": 0}
     # the reduction front end reports the same verdict
-    result = invoke(runner, "simplify", str(path))
+    result = invoke("simplify", str(path))
     assert result.exit_code == 2
 
 
-def test_no_admissible_assignment(tmp_path, runner):
+def test_no_admissible_assignment(tmp_path):
     # row 0 needs x in [0.8, 1] and row 1 x in [0, 0.5]; the necessary checks
     # and the reduction pass, and the search finds no box
     problem = {
@@ -271,9 +261,9 @@ def test_no_admissible_assignment(tmp_path, runner):
         '"count_bound": 1, "column_bounds": [[[0.0, 1.0]]], "boxes": []}\n'
     )
     for command in ("feasible", "solve"):
-        result = invoke(runner, command, str(path))
+        result = invoke(command, str(path))
         assert (result.exit_code, result.output) == (2, expected)
-    result = invoke(runner, "verify", str(path), "--step", "0.25")
+    result = invoke("verify", str(path), "--step", "0.25")
     assert result.exit_code == 0
     assert json.loads(result.output)["status"] == "verified"
 
@@ -301,9 +291,9 @@ def test_no_admissible_assignment(tmp_path, runner):
         pytest.param(["verify", "--tol", "nan"], "--tol", id="tol-nan"),
     ],
 )
-def test_bad_option_values(runner, args, fragment):
+def test_bad_option_values(args, fragment):
     command, *options = args
-    result = invoke(runner, command, DATA, *options)
+    result = invoke(command, DATA, *options)
     assert result.exit_code == 1
     assert result.stdout == ""
     assert fragment in result.output
@@ -325,27 +315,27 @@ def test_bad_option_values(runner, args, fragment):
         pytest.param([], id="no-command"),
     ],
 )
-def test_usage_errors_exit_1(tmp_path, runner, args):
+def test_usage_errors_exit_1(tmp_path, args):
     # exit 2 means infeasible, so a script must not read a usage error as one
-    result = invoke(runner, *(a.format(tmp=tmp_path) for a in args))
+    result = invoke(*(a.format(tmp=tmp_path) for a in args))
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert "Usage:" in result.stderr
+    assert "usage:" in result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]], ids=["main", "solve"])
-def test_help_exits_0(runner, args):
-    result = invoke(runner, *args)
+def test_help_exits_0(args):
+    result = invoke(*args)
     assert result.exit_code == 0
-    assert result.stdout.startswith("Usage: ")
+    assert result.stdout.startswith("usage: ")
 
 
-def test_interrupt_exits_1(runner, monkeypatch):
+def test_interrupt_exits_1(monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr("bfre.cli.feasible_region", interrupted)
-    result = invoke(runner, "feasible", DATA)
+    result = invoke("feasible", DATA)
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr.endswith("Aborted!\n")
@@ -409,9 +399,9 @@ def test_closed_pipe_exits_1(tmp_path, unbuffered, command):
     assert b"Traceback" not in err
 
 
-def test_report_determinism(runner):
-    first = invoke(runner, "feasible", DATA)
-    second = invoke(runner, "feasible", DATA)
+def test_report_determinism():
+    first = invoke("feasible", DATA)
+    second = invoke("feasible", DATA)
     assert first.output == second.output
 
 
@@ -470,7 +460,7 @@ def test_report_determinism(runner):
         ),
     ],
 )
-def test_golden_output(runner, problem, args, expected, code):
+def test_golden_output(problem, args, expected, code):
     # Minimum-t-norm systems: arithmetic only, so no libm rounding can move
     # a digit.  problem.json is 3x3: rules 3 and 4 fire, the reduced run
     # keeps 2 of the unreduced run's 4 boxes, and the linear objective has a
@@ -481,13 +471,13 @@ def test_golden_output(runner, problem, args, expected, code):
     # literals reach their b_i, so its verify grid skips most cells.  The
     # sampled verify cases pin the seeded draws, one over list columns and
     # one over lazy columns.
-    result = invoke(runner, args[0], os.path.join(GOLDEN, problem), *args[1:])
+    result = invoke(args[0], os.path.join(GOLDEN, problem), *args[1:])
     with open(os.path.join(GOLDEN, expected), encoding="utf-8") as fh:
         assert result.stdout == fh.read()
     assert result.exit_code == code
 
 
-def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem, simplify=True):
+def _assert_reports_encode_like_json_dumps(tmp_path, problem, simplify=True):
     """``feasible`` and ``solve`` print exactly ``json.dumps`` of the report
     built from the library's results, each box's factors read from
     ``box.factors``, and ``solve``'s ``best`` is the exhaustive scan's
@@ -521,7 +511,7 @@ def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem, simplify=T
     flags = [] if simplify else ["--no-simplify"]
     outputs = []
     for command, report in (("feasible", expected), ("solve", {**expected, "best": best})):
-        out = invoke(runner, command, str(path), *flags).stdout
+        out = invoke(command, str(path), *flags).stdout
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == report
         assert out == json.dumps(report) + "\n"  # same key order as well
@@ -529,7 +519,7 @@ def _assert_reports_encode_like_json_dumps(tmp_path, runner, problem, simplify=T
     return result, best, outputs
 
 
-def test_report_is_one_line_of_plain_json(tmp_path, runner):
+def test_report_is_one_line_of_plain_json(tmp_path):
     # 4x6 product system whose 35 boxes share factor objects, several
     # distinct ones per column, so a report must encode each box's own
     # factors
@@ -537,7 +527,7 @@ def test_report_is_one_line_of_plain_json(tmp_path, runner):
     system = random_system(rng, 5, 6, kind="product", force_feasible=True)
     c = [1.0, -2.0, 0.5, -1.0, 3.0, -0.5]
     problem = _problem_dict(system, {"name": "linear", "params": {"c": c}})
-    result, _, _ = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
+    result, _, _ = _assert_reports_encode_like_json_dumps(tmp_path, problem)
     assert len(result.boxes) >= 20
 
 
@@ -553,7 +543,7 @@ def _problem_dict(system, objective):
     }
 
 
-def test_reports_encode_like_json_dumps_over_all_families(tmp_path, runner):
+def test_reports_encode_like_json_dumps_over_all_families(tmp_path):
     # Seeded systems built around a witness, in every t-norm family, reduced
     # and unreduced.  The encoder writes the root's factors once and patches
     # a box's witness columns, so the sweep must meet fixed columns (whose
@@ -567,15 +557,13 @@ def test_reports_encode_like_json_dumps_over_all_families(tmp_path, runner):
             c = [rng.uniform(-2.0, 2.0) for _ in range(system.n)]
             problem = _problem_dict(system, {"name": "linear", "params": {"c": c}})
             for simplify in (True, False):
-                result, _, _ = _assert_reports_encode_like_json_dumps(
-                    tmp_path, runner, problem, simplify
-                )
+                result, _, _ = _assert_reports_encode_like_json_dumps(tmp_path, problem, simplify)
                 fixed += bool(result.reduction.fixed)
                 shared += any(len(set(b.columns)) < len(b.columns) for b in result.boxes)
     assert fixed and shared
 
 
-def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
+def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path):
     # Rows 0 and 1 fix x0 = x1 = 0.5, so every box has singleton factors
     # there.  Row 2 has two witnesses, x2 = 4/9 or x3 = 0.  Perspective
     # takes the high end of x3: 1.0 in the first box, 0.0 in the second,
@@ -589,7 +577,7 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
         "tnorm": {"name": "product"},
         "objective": {"name": "perspective", "params": {"p": 2}},
     }
-    result, best, _ = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
+    result, best, _ = _assert_reports_encode_like_json_dumps(tmp_path, problem)
     assert result.reduction.fixed == {0: 0.5, 1: 0.5}
     assert best["columns"] == [2]
     assert best["point"][3] == 1.0
@@ -602,7 +590,7 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
         a_minus=problem["a_minus"] + [[0, 0, 0, 0]],
         b=problem["b"] + [0.0],
     )
-    _, best, (_, solved) = _assert_reports_encode_like_json_dumps(tmp_path, runner, problem)
+    _, best, (_, solved) = _assert_reports_encode_like_json_dumps(tmp_path, problem)
     assert best["point"][3] == 0.0
     assert best["value"] == math.inf
     assert '"value": Infinity}' in solved
@@ -619,13 +607,13 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path, runner):
     ],
     ids=lambda args: args[0],
 )
-def test_every_command_prints_compact_json(runner, args):
-    out = invoke(runner, *args).stdout
+def test_every_command_prints_compact_json(args):
+    out = invoke(*args).stdout
     assert out == json.dumps(json.loads(out)) + "\n"
 
 
-def test_simplify_command(runner):
-    result = invoke(runner, "simplify", DATA, "--explain")
+def test_simplify_command():
+    result = invoke("simplify", DATA, "--explain")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["count_bound_before"] == 192
@@ -635,20 +623,20 @@ def test_simplify_command(runner):
     assert any(e["action"] == "fix" for e in report["reduction"]["log"])
 
 
-def test_simplify_without_explain_omits_log(runner):
-    report = json.loads(invoke(runner, "simplify", DATA).output)
+def test_simplify_without_explain_omits_log():
+    report = json.loads(invoke("simplify", DATA).output)
     assert "log" not in report["reduction"]
 
 
 # -- solve -----------------------------------------------------------------------
 
 
-def test_solve_command(runner):
+def test_solve_command():
     # solve reports the exhaustive scan's optimum, reduced and unreduced,
     # and no per-box candidates
     system, objective = parse_problem(DATA)
     for args, simplify in (((), True), (("--no-simplify",), False)):
-        result = invoke(runner, "solve", DATA, *args)
+        result = invoke("solve", DATA, *args)
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert "candidates" not in report
@@ -666,13 +654,13 @@ def test_solve_command(runner):
             assert values == pytest.approx([-0.9, -3.6, -1.3, -3.3], abs=1e-9)
 
 
-def test_solve_requires_objective(tmp_path, runner):
+def test_solve_requires_objective(tmp_path):
     with open(DATA) as fh:
         data = json.load(fh)
     del data["objective"]
     path = tmp_path / "noobj.json"
     path.write_text(json.dumps(data))
-    result = invoke(runner, "solve", str(path))
+    result = invoke("solve", str(path))
     assert result.exit_code == 1
     assert "no objective" in result.output
 
@@ -680,7 +668,7 @@ def test_solve_requires_objective(tmp_path, runner):
 # -- verify ----------------------------------------------------------------------
 
 
-def test_verify_small_exhaustive(tmp_path, runner):
+def test_verify_small_exhaustive(tmp_path):
     problem = {
         "m": 1,
         "n": 2,
@@ -692,7 +680,7 @@ def test_verify_small_exhaustive(tmp_path, runner):
     }
     path = tmp_path / "small.json"
     path.write_text(json.dumps(problem))
-    result = invoke(runner, "verify", str(path), "--step", "0.25")
+    result = invoke("verify", str(path), "--step", "0.25")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["status"] == "verified"
@@ -725,13 +713,13 @@ def _one_cell_problem(value, c):
     ],
     ids=["tol", "default-tol"],
 )
-def test_verify_objective_check_honours_the_tolerance(tmp_path, runner, problem, args, brute_force):
+def test_verify_objective_check_honours_the_tolerance(tmp_path, problem, args, brute_force):
     # A grid point within the tolerance outside the optimal box is feasible
     # and scores below the box corner; snapped into its box it scores the
     # corner, so a correct region verifies.  The reported point is unsnapped.
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(problem))
-    result = invoke(runner, "verify", str(path), *args)
+    result = invoke("verify", str(path), *args)
     report = json.loads(result.output)
     assert report["status"] == "verified", report
     assert result.exit_code == 0
@@ -744,7 +732,7 @@ def test_verify_objective_check_honours_the_tolerance(tmp_path, runner, problem,
 @pytest.mark.parametrize(
     "args,check", [((), "exact"), (("--cap", "10"), "lower_bound")], ids=["exact", "sampled"]
 )
-def test_verify_flags_a_wrong_optimum(tmp_path, runner, args, check):
+def test_verify_flags_a_wrong_optimum(tmp_path, args, check):
     # test_verify_small_exhaustive's problem with x_0 declared non-increasing
     # and x_1 non-decreasing, the reverse of c: the corner search then
     # misses the optimum, and the objective check, sampled or not, must say so.
@@ -764,7 +752,7 @@ def test_verify_flags_a_wrong_optimum(tmp_path, runner, args, check):
     }
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps(problem))
-    result = invoke(runner, "verify", str(path), "--step", "0.25", *args)
+    result = invoke("verify", str(path), "--step", "0.25", *args)
     assert result.exit_code == 1
     report = json.loads(result.output)
     assert report["status"] == "mismatch"
@@ -774,13 +762,13 @@ def test_verify_flags_a_wrong_optimum(tmp_path, runner, args, check):
     assert report["brute_force"]["value"] < report["pipeline_value"] - 1e-9
 
 
-def test_verify_without_objective(tmp_path, runner):
+def test_verify_without_objective(tmp_path):
     with open(DATA) as fh:
         problem = json.load(fh)
     del problem["objective"]
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(problem))
-    result = invoke(runner, "verify", str(path), "--step", "0.5", "--cap", "3000")
+    result = invoke("verify", str(path), "--step", "0.5", "--cap", "3000")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["status"] == "verified"
@@ -788,8 +776,8 @@ def test_verify_without_objective(tmp_path, runner):
     assert "objective_check" not in report
 
 
-def test_verify_sampled_example(runner):
-    result = invoke(runner, "verify", DATA, "--step", "0.5", "--cap", "3000", "--seed", "7")
+def test_verify_sampled_example():
+    result = invoke("verify", DATA, "--step", "0.5", "--cap", "3000", "--seed", "7")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["status"] == "verified"
@@ -800,29 +788,57 @@ def test_verify_sampled_example(runner):
 # -- tnorm-eval ---------------------------------------------------------------------
 
 
-def test_tnorm_eval_command(runner):
-    result = invoke(runner, "tnorm-eval", "dubois_prade", "0.8", "0.7", "--param", "0.5")
+def test_tnorm_eval_command():
+    result = invoke("tnorm-eval", "dubois_prade", "0.8", "0.7", "--param", "0.5")
     assert result.exit_code == 0
     assert json.loads(result.output)["value"] == pytest.approx(0.7, abs=1e-12)
 
 
-def test_tnorm_eval_solve(runner):
-    result = invoke(
-        runner, "tnorm-eval", "product", "0.8", "0.4", "--solve"
-    )
+def test_tnorm_eval_solve():
+    result = invoke("tnorm-eval", "product", "0.8", "0.4", "--solve")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["l"] == pytest.approx(0.5)
     assert report["l_bisect"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_tnorm_eval_rejects_bad_kind(runner):
-    result = invoke(runner, "tnorm-eval", "banana", "0.5", "0.5")
+def test_tnorm_eval_rejects_bad_kind():
+    result = invoke("tnorm-eval", "banana", "0.5", "0.5")
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "x,code,stdout,stderr",
+    [
+        ("-0.0", 0, '{"value": 0.0}\n', ""),
+        ("-0.5", 1, "", "error: x = -0.5 outside [0, 1]\n"),
+    ],
+    ids=["signed-zero", "negative"],
+)
+def test_tnorm_eval_negative_arguments(x, code, stdout, stderr):
+    # a negative X is read as a number, not as an option, and range-checked
+    for kind in ("minimum", "product", "dubois_prade"):
+        param = ["--param", "0.5"] if kind == "dubois_prade" else []
+        assert invoke("tnorm-eval", kind, x, "0.5", *param) == (code, stdout, stderr)
+
+
+def test_import_loads_no_click_dataclasses_or_inspect():
+    # every `bfre` call is a fresh interpreter that imports bfre.cli first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import bfre.cli; "
+        "print(sorted({'click', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("param", [1e-17, 1e-20])
-def test_frank_parameter_below_range_is_an_error(tmp_path, runner, param):
+def test_frank_parameter_below_range_is_an_error(tmp_path, param):
     with open(DATA) as fh:
         data = json.load(fh)
     data["tnorm"] = {"name": "frank", "param": param}
@@ -832,7 +848,7 @@ def test_frank_parameter_below_range_is_an_error(tmp_path, runner, param):
         ["feasible", str(path)],
         ["tnorm-eval", "frank", "0.85", "0.9", "--param", str(param)],
     ):
-        result = invoke(runner, *args)
+        result = invoke(*args)
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
@@ -840,7 +856,7 @@ def test_frank_parameter_below_range_is_an_error(tmp_path, runner, param):
         assert result.stderr.count("\n") == 1
 
 
-def test_tol_flag(tmp_path, runner):
+def test_tol_flag(tmp_path):
     # x = 0.5 solves equation 0 and x = 0.50000001 equation 1: one system is
     # infeasible at the default tolerance 1e-9 and feasible at 1e-7
     problem = {
@@ -853,7 +869,7 @@ def test_tol_flag(tmp_path, runner):
     }
     path = tmp_path / "near.json"
     path.write_text(json.dumps(problem))
-    assert invoke(runner, "feasible", str(path)).exit_code == 2
-    assert invoke(runner, "feasible", str(path), "--tol", "1e-7").exit_code == 0
+    assert invoke("feasible", str(path)).exit_code == 2
+    assert invoke("feasible", str(path), "--tol", "1e-7").exit_code == 0
     # the wider tolerance ended with its command
-    assert invoke(runner, "feasible", str(path)).exit_code == 2
+    assert invoke("feasible", str(path)).exit_code == 2

@@ -168,6 +168,15 @@ def test_eval_examples():
             assert tnorm_eval(spec, x, 1.0) == pytest.approx(x, abs=1e-12)
 
 
+def test_eval_signed_zero_gives_zero():
+    # -0.0 passes the range check; min(-0.0, y) would hand it back
+    specs = [*AXIOM_SPECS, TNormSpec("dubois_prade", 0.0), TNormSpec("mayor_torrence", 0.0)]
+    for spec in specs:
+        for y in (-0.0, 0.0, 0.5, 1.0):
+            for args in ((-0.0, y), (y, -0.0)):
+                assert math.copysign(1.0, tnorm_eval(spec, *args)) == 1.0, (spec, args)
+
+
 def test_eval_domain_errors():
     with pytest.raises(ValueError):
         tnorm_eval(TNormSpec("product"), 1.2, 0.5)
