@@ -12,8 +12,11 @@ Problem files are JSON with the fields
 
 All indices in files and reports are 0-based.  Reports are deterministic
 JSON, one line of it with the separators of ``json.dumps``; numbers
-round-trip exactly.  ``python -m json.tool`` pretty-prints a report.  Exit
-codes: 0 success, 1 error, 2 infeasible problem.
+round-trip exactly, and an objective value that is not finite (the
+``perspective`` objective where its last coordinate is 0) prints as
+``null``, since JSON has no ``Infinity``.  ``python -m json.tool``
+pretty-prints a report.  Exit codes: 0 success, 1 error, 2 infeasible
+problem.
 
 One ``argparse`` parser, built at import, reads the command line.  A
 report line is written to ``sys.stdout`` with one ``writelines`` and
@@ -201,10 +204,20 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
         pieces.pop()  # the separator after the last box
     tail = "]"
     if best is not None:
-        point = {"columns": list(best.columns), "point": list(best.point), "value": best.value}
+        point = {
+            "columns": list(best.columns),
+            "point": list(best.point),
+            "value": _value(best.value),
+        }
         tail += f', "best": {json.dumps(point)}'
     pieces.append(f"{tail}}}\n")
     return pieces
+
+
+def _value(value: float | None) -> float | None:
+    """An objective value as a report prints it: ``None`` (``null``) when
+    it is not finite, since JSON has no ``Infinity``."""
+    return value if value is None or math.isfinite(value) else None
 
 
 def _echo(report: dict | list[str]) -> None:
@@ -333,13 +346,13 @@ def verify(args: argparse.Namespace) -> NoReturn:
             point, value = membership.best_point, membership.best_value
             out["brute_force"] = {
                 "point": None if point is None else list(point),
-                "value": value,
+                "value": _value(value),
             }
             if result.is_feasible:
                 best, _ = global_optimum(
                     result.analysis, result.reduction, objective, max_e
                 )
-                out["pipeline_value"] = best.value
+                out["pipeline_value"] = _value(best.value)
                 # a sample certifies only the lower test, which reads snapped points
                 out["objective_check"] = "lower_bound" if membership.sampled else "exact"
                 agree = value is None or membership.snapped_value >= best.value - 1e-9

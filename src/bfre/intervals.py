@@ -65,10 +65,17 @@ def _canonical(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, floa
 
 
 class _Frozen:
-    """Base of the package's immutable classes: an attribute is set once, in
-    ``__init__`` through ``object.__setattr__``, and never assigned again."""
+    """Base of the package's immutable classes.  ``__init__`` sets every
+    field once, through ``_init`` (``IntervalUnion``, built on every
+    intersection, sets its one field directly); no field is assigned or
+    deleted after.  Equality is identity, unless the class is a ``_Record``."""
 
     __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        """Set the fields named in ``__slots__`` to ``values``, in order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,29 +84,44 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class IntervalUnion(_Frozen):
+class _Record(_Frozen):
+    """A frozen class with value semantics: equality, hash and repr read the
+    fields named in ``_fields``.  Records of different classes are never
+    equal, and the hash is the hash of the tuple of field values."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class IntervalUnion(_Record):
     """An ordered union of pairwise-disjoint closed intervals in [0, 1].
 
     Instances are immutable; all operations return new values, so they are
-    safe to share freely (including across threads).  Equal pieces make
-    equal values, with equal hashes.
+    safe to share freely (including across threads).  A record over
+    ``pieces``: equal pieces make equal values, with equal hashes.
     """
 
     __slots__ = ("pieces",)
+    _fields = ("pieces",)
 
     def __init__(self, pieces: tuple[tuple[float, float], ...] = ()) -> None:
+        # set directly, not through ``_init``: every intersection builds one
         object.__setattr__(self, "pieces", pieces)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not IntervalUnion:
-            return NotImplemented
-        return self.pieces == other.pieces
-
-    def __hash__(self) -> int:
-        return hash((self.pieces,))
-
-    def __repr__(self) -> str:
-        return f"IntervalUnion(pieces={self.pieces!r})"
 
     # -- construction ----------------------------------------------------
 

@@ -64,8 +64,7 @@ class MonotoneObjective(_Frozen):
             raise ValueError("j_plus and j_minus must cover all coordinates")
         if not all(type(j) is int for j in j_plus | j_minus):
             raise ValueError("j_plus and j_minus must hold integers")
-        for field, value in zip(self.__slots__, (name, n, j_plus, j_minus, fn)):
-            object.__setattr__(self, field, value)
+        self._init(name, n, j_plus, j_minus, fn)
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.fn(x)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .intervals import IntervalUnion, _Frozen
+from .intervals import IntervalUnion, _Record
 from .tnorms import _EQ_DRIFT, TNormSpec, solve_scalar_eq, tnorm_eval
 
 __all__ = [
@@ -66,14 +66,16 @@ def _as_matrix(rows: Sequence[Sequence[float]], name: str, m: int, n: int):
     return tuple(out)
 
 
-class BipolarSystem(_Frozen):
+class BipolarSystem(_Record):
     """Problem data: matrices A+, A-, right-hand side b and the t-norm.
 
-    Immutable, with the matrices and b stored as tuples of floats; equal
-    data make equal systems.
+    Immutable, with the matrices and b stored as tuples of floats.  A
+    record over all four fields: equal data make equal systems, with equal
+    hashes, whatever sequences they were built from.
     """
 
     __slots__ = ("a_plus", "a_minus", "b", "tnorm")
+    _fields = __slots__
 
     def __init__(
         self,
@@ -88,31 +90,14 @@ class BipolarSystem(_Frozen):
         n = len(a_plus[0])
         if n < 1:
             raise ValueError("system needs at least one variable")
-        object.__setattr__(self, "a_plus", _as_matrix(a_plus, "a_plus", m, n))
-        object.__setattr__(self, "a_minus", _as_matrix(a_minus, "a_minus", m, n))
+        plus = _as_matrix(a_plus, "a_plus", m, n)
+        minus = _as_matrix(a_minus, "a_minus", m, n)
         if len(b) != m:
             raise ValueError(f"b must have {m} entries, got {len(b)}")
         for i, v in enumerate(b):
             if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"b[{i}] = {v!r} is no number or outside [0, 1]")
-        object.__setattr__(self, "b", tuple(map(float, b)))
-        object.__setattr__(self, "tnorm", tnorm)
-
-    def _key(self) -> tuple:
-        return (self.a_plus, self.a_minus, self.b, self.tnorm)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not BipolarSystem:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "BipolarSystem(a_plus={!r}, a_minus={!r}, b={!r}, tnorm={!r})".format(
-            *self._key()
-        )
+        self._init(plus, minus, tuple(map(float, b)), tnorm)
 
     @property
     def m(self) -> int:

@@ -42,7 +42,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .intervals import IntervalUnion, _Frozen
+from .intervals import IntervalUnion, _Record
 
 __all__ = [
     "TNORM_KINDS",
@@ -193,13 +193,15 @@ TNORM_KINDS = tuple(_TABLE)
 _EQ_DRIFT = 1e-12
 
 
-class TNormSpec(_Frozen):
+class TNormSpec(_Record):
     """A continuous t-norm selected from the catalog, with its parameter.
 
-    Immutable; equality and hash read ``kind`` and ``param`` only.
+    Immutable.  A record over ``kind`` and ``param``: equality, hash and
+    repr read those two, never the ``_summand`` derived from them.
     """
 
     __slots__ = ("kind", "param", "_summand")
+    _fields = ("kind", "param")
 
     def __init__(self, kind: str, param: float | None = None) -> None:
         if kind not in _TABLE:
@@ -235,21 +237,9 @@ class TNormSpec(_Frozen):
                 f"parameter {param!r} out of range for {kind!r} "
                 f"(its generator underflows at x = 1 - {_EQ_DRIFT:g})"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
-        # (e, f, f_inv, f(0)) of the family's summand, None for the minimum
-        object.__setattr__(self, "_summand", summand)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TNormSpec:
-            return NotImplemented
-        return (self.kind, self.param) == (other.kind, other.param)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.param))
-
-    def __repr__(self) -> str:
-        return f"TNormSpec(kind={self.kind!r}, param={self.param!r})"
+        # _summand is (e, f, f_inv, f(0)) of the family's summand, None for
+        # the minimum
+        self._init(kind, param, summand)
 
 
 class ScalarEqSolution(NamedTuple):

@@ -481,7 +481,8 @@ def _assert_reports_encode_like_json_dumps(tmp_path, problem, simplify=True):
     """``feasible`` and ``solve`` print exactly ``json.dumps`` of the report
     built from the library's results, each box's factors read from
     ``box.factors``, and ``solve``'s ``best`` is the exhaustive scan's
-    optimum, bit for bit."""
+    optimum, bit for bit, with a value that is not finite printed as
+    ``null``.  The returned ``best`` holds the scan's float value."""
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
     system, objective = parse_problem(str(path))
@@ -508,9 +509,10 @@ def _assert_reports_encode_like_json_dumps(tmp_path, problem, simplify=True):
     }
     (value, point, columns), _ = reference_optimum(result.boxes, objective)
     best = {"columns": list(columns), "point": list(point), "value": value}
+    printed = {**best, "value": value if math.isfinite(value) else None}
     flags = [] if simplify else ["--no-simplify"]
     outputs = []
-    for command, report in (("feasible", expected), ("solve", {**expected, "best": best})):
+    for command, report in (("feasible", expected), ("solve", {**expected, "best": printed})):
         out = invoke(command, str(path), *flags).stdout
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == report
@@ -583,7 +585,7 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path):
     assert best["point"][3] == 1.0
     assert best["value"] == pytest.approx(0.6975308641975309)
     # Row 3 (right-hand side 0) pins x3 to 0, so every corner is infinite
-    # and the best one prints as Infinity.
+    # and the best one prints as null, since JSON has no Infinity.
     problem.update(
         m=4,
         a_plus=problem["a_plus"] + [[0, 0, 0, 1.0]],
@@ -593,7 +595,7 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path):
     _, best, (_, solved) = _assert_reports_encode_like_json_dumps(tmp_path, problem)
     assert best["point"][3] == 0.0
     assert best["value"] == math.inf
-    assert '"value": Infinity}' in solved
+    assert '"value": null}' in solved
 
 
 @pytest.mark.parametrize(
@@ -666,6 +668,28 @@ def test_solve_requires_objective(tmp_path):
 
 
 # -- verify ----------------------------------------------------------------------
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_infinite_objective_value_prints_as_null():
+    # The region is the single point (0.5, 0), where perspective divides by
+    # 0.  A strict parser rejects Infinity, which JSON does not have.
+    path = os.path.join(os.path.dirname(DATA), "infinite_value.json")
+    solved = invoke("solve", path)
+    assert solved.exit_code == 0
+    best = json.loads(solved.stdout, parse_constant=_no_constant)["best"]
+    assert best == {"columns": [], "point": [0.5, 0.0], "value": None}
+    verified = invoke("verify", path, "--step", "0.25")
+    assert verified.exit_code == 0
+    report = json.loads(verified.stdout, parse_constant=_no_constant)
+    assert report["status"] == "verified"
+    # a grid point was found, so a null value is not "no feasible point"
+    assert report["brute_force"] == {"point": [0.5, 0.0], "value": None}
+    assert report["pipeline_value"] is None
+    assert report["objective_agreement"] is True
 
 
 def test_verify_small_exhaustive(tmp_path):

@@ -18,10 +18,11 @@ from bfre import (
     feasible_region,
     is_feasible_point,
 )
+from bfre.cli import problem_from_dict
 from bfre.resolution import ResourceLimitError, root_factors
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import necessary_feasibility
-from conftest import in_box, make_example_system, random_system
+from conftest import bench_workloads, in_box, make_example_system, random_system
 
 
 def iu(pairs):
@@ -327,3 +328,24 @@ def test_box_vertices_are_feasible():
             axes = [f.endpoints() for f in box.factors]
             for vertex in itertools.islice(itertools.product(*axes), 1024):
                 assert is_feasible_point(res.analysis, vertex), (sys_, vertex)
+
+
+@pytest.mark.parametrize("workload", ["catalog-small", "dense-square", "tall-reduction"])
+def test_swapping_the_matrices_mirrors_the_region(workload):
+    # phi(a+, x) and phi(a-, 1 - x) trade places under x -> 1 - x, so
+    # swapping A+ and A- maps the region through it: the same verdict and
+    # the same boxes with the same witness columns, in the same order, each
+    # factor mirrored.  On the benchmark's seed-1 files.
+    for record in bench_workloads().build(workload, 1):
+        system, _ = problem_from_dict(record["problem"])
+        swapped = BipolarSystem(system.a_minus, system.a_plus, system.b, system.tnorm)
+        region, mirror = feasible_region(system), feasible_region(swapped)
+        name = record["file"]
+        assert mirror.verdict == region.verdict, name
+        assert [b.columns for b in mirror.boxes] == [b.columns for b in region.boxes], name
+        for box, mirrored in zip(region.boxes, mirror.boxes):
+            for f, g in zip(box.factors, mirrored.factors):
+                flipped = [(1.0 - hi, 1.0 - lo) for lo, hi in reversed(f.pieces)]
+                assert len(g.pieces) == len(flipped), (name, f, g)
+                for (lo, hi), (want_lo, want_hi) in zip(g.pieces, flipped):
+                    assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12, (name, f, g)

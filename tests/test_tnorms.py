@@ -19,6 +19,7 @@ from bfre.tnorms import (
 )
 
 from conftest import AXIOM_SPECS, check_tnorm_axioms, random_tnorm
+from exact import RATIONAL_KINDS, exact_tnorm
 
 
 # -- construction --------------------------------------------------------------
@@ -402,6 +403,36 @@ def test_eval_matches_independent_reference(kind):
         x, y = rng.random(), rng.random()
         want = reference(kind, spec.param, x, y)
         assert abs(tnorm_eval(spec, x, y) - want) <= 1e-11, (spec, x, y)
+
+
+#: The benchmark's parameters for the rational families that take one.
+_RATIONAL_PARAMS = {
+    "hamacher": 0.5,
+    "sugeno_weber": 1.0,
+    "dubois_prade": 0.5,
+    "mayor_torrence": 0.4,
+}
+
+
+@pytest.mark.parametrize("kind", RATIONAL_KINDS)
+def test_rational_families_match_the_exact_reference(kind):
+    # Exact, not float, comparisons: phi(a, x) is within 1e-15 of its exact
+    # value, and so is phi at each endpoint of the solution set of
+    # phi(a, t) = b, for b = phi(a, x) as the float evaluation gives it.
+    # In ulps the error is large where phi is near 0 (sugeno_weber,
+    # mayor_torrence), so the bound is absolute.
+    param = _RATIONAL_PARAMS.get(kind)
+    spec = TNormSpec(kind, param)
+    bound = Fraction(1e-15)
+    rng = random.Random(1)
+    for _ in range(20000):
+        a, x = rng.random(), rng.random()
+        b = tnorm_eval(spec, a, x)
+        exact_b = Fraction(b)
+        assert abs(exact_b - exact_tnorm(kind, param, a, x)) <= bound, (a, x)
+        solution = solve_scalar_eq(spec, a, b)
+        for end in {solution.l, solution.u}:
+            assert abs(exact_tnorm(kind, param, a, end) - exact_b) <= bound, (a, b, end)
 
 
 # -- bisection fallback ----------------------------------------------------------
