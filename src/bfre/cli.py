@@ -18,23 +18,32 @@ round-trip exactly, and an objective value that is not finite (the
 pretty-prints a report.  Exit codes: 0 success, 1 error, 2 infeasible
 problem.
 
-One ``argparse`` parser, built at import, reads the command line.  A
-report line is written to ``sys.stdout`` with one ``writelines`` and
-flushed.  One function,
-``_region_report``, builds the ``feasible`` and ``solve`` reports as
-pieces: the head (the text before the ``boxes`` array), one piece per box,
-and the tail (the text after the array, with ``solve``'s ``best``).  The
-boxes are never joined into one string.  Every other report is one
-``json.dumps``.  When the reader closes the pipe before the last piece, a
-later write fails and the command exits 1, whether or not stdout is
-buffered; what is still buffered then goes to ``os.devnull``, so the
-flush at exit does not fail again.  ``--help`` is written to ``sys.stdout``
-and flushed, and an error, one ``error:`` line, to ``sys.stderr`` with one
-``write`` and a flush.  argparse's usage errors (a missing or unknown
-argument, option or command, a bad option type, a PROBLEM path that does
-not exist or is a directory) keep argparse's usage and message on stderr
-but exit 1, like every other error.  An interrupt prints ``Aborted!`` and
-exits 1.
+One ``argparse`` parser, built at import, reads the command line, and
+``_run`` takes each of ``feasible``, ``simplify``, ``solve`` and ``verify``
+from there to the report: it parses PROBLEM, calls the command, a plain
+function ``(args, system, objective) -> (report, exit code)``, and prints
+what it returns.  One rule sorts the errors.  A value that the parser can
+judge is a usage error: a missing or unknown argument, option or command, a
+non-number, an out-of-range option value (``--max-e`` or ``--cap`` below 1,
+a ``--step`` that is not positive, a ``--tol`` that is not positive and
+finite), or a PROBLEM path that does not exist or is a directory.  It
+prints argparse's usage and message on stderr and exits 1, like every other
+error, since 2 means infeasible.  What the run finds is one ``error:``
+line: a malformed file, a resource cap, or a ``--step`` finer than
+1/2,000,000.
+
+A report line is written to ``sys.stdout`` with one ``writelines`` and
+flushed.  One function, ``_region_report``, builds the ``feasible`` and
+``solve`` reports as pieces: the head (the text before the ``boxes``
+array), one piece per box, and the tail (the text after the array, with
+``solve``'s ``best``).  The boxes are never joined into one string.
+Every other report is one ``json.dumps``.  When the reader closes the
+pipe before the last piece, a later write fails and the command exits 1,
+whether or not stdout is buffered; what is still buffered then goes to
+``os.devnull``, so the flush at exit does not fail again.  ``--help`` is
+written to ``sys.stdout`` and flushed, and an error, one ``error:``
+line, to ``sys.stderr`` with one ``write`` and a flush.  An interrupt
+prints ``Aborted!`` and exits 1.
 
 The box texts come from one encoder and shared text.  Every box equals
 the search's root (fixed singletons and column bounds) except on its
@@ -179,10 +188,10 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
     if state is not None:
         head["reduction"] = _reduction_dict(state, explain=False)
         head["count_bound"] = count_bound(result.analysis, state)
-    head["column_bounds"] = [c.to_pairs() for c in result.analysis.col_bounds]
+    head["column_bounds"] = [c.pieces for c in result.analysis.col_bounds]
     pieces = [f'{json.dumps(head)[:-1]}, "boxes": [']
     if result.boxes:
-        root = [json.dumps(f.to_pairs()) for f in root_factors(result.analysis, state)]
+        root = [json.dumps(f.pieces) for f in root_factors(result.analysis, state)]
         index = [str(j) for j in range(len(root))]
         text: dict[int, str] = {}
         rows = json.dumps(sorted(state.active_rows))
@@ -193,7 +202,7 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
                 f = factors[j]
                 t = text.get(id(f))
                 if t is None:
-                    t = text[id(f)] = json.dumps(f.to_pairs())
+                    t = text[id(f)] = json.dumps(f.pieces)
                 texts[j] = t
             pieces += (
                 f'{{"rows": {rows}, '
@@ -239,131 +248,107 @@ def _fail(message: str) -> NoReturn:
     sys.exit(EXIT_ERROR)
 
 
-def _require(ok: bool, message: str) -> None:
-    """Reject a bad option value with exit 1 (exit 2 means infeasible)."""
-    if not ok:
-        _fail(message)
-
-
-def _run(
-    args: argparse.Namespace,
-    command: Callable[
-        [BipolarSystem, MonotoneObjective | None], tuple[dict | list[str], int]
-    ],
-) -> NoReturn:
+def _run(args: argparse.Namespace) -> NoReturn:
     """Run one pipeline command and exit.
 
-    Parses PROBLEM and runs ``command(system, objective)`` with --tol in effect
-    for this command only, then prints the report and exits with the code it
-    returns.  A ``ProblemFormatError``, from the file or the command, a
-    resource cap or a bad --tol prints an ``error:`` line and exits 1.
+    Parses PROBLEM and runs ``args.command(args, system, objective)`` with
+    --tol in effect for this command only, then prints the report and exits
+    with the code it returns.  A ``ProblemFormatError``, from the file or the
+    command, or a resource cap prints an ``error:`` line and exits 1.
     """
     tol = args.tol
-    _require(tol is None or 0.0 < tol < math.inf, "--tol must be positive and finite")
     try:
         system, objective = parse_problem(args.problem)
         with intervals.tolerance(intervals.EPS if tol is None else tol):
-            out, code = command(system, objective)
+            out, code = args.command(args, system, objective)
     except (ProblemFormatError, ResourceLimitError) as exc:
         _fail(str(exc))
     _echo(out)
     sys.exit(code)
 
 
-def feasible(args: argparse.Namespace) -> NoReturn:
+def _region(args: argparse.Namespace, system: BipolarSystem) -> RegionResult:
+    return feasible_region(system, simplify=not args.no_simplify, max_count=args.max_e)
+
+
+def feasible(
+    args: argparse.Namespace, system: BipolarSystem, objective: MonotoneObjective | None
+) -> tuple[list[str], int]:
     """Resolve the feasible region of PROBLEM and report its boxes."""
-    _require(args.max_e >= 1, "--max-e must be at least 1")
-
-    def command(system, objective):
-        result = feasible_region(system, simplify=not args.no_simplify, max_count=args.max_e)
-        return _region_report(result), EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
-
-    _run(args, command)
+    result = _region(args, system)
+    return _region_report(result), EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
 
 
-def simplify(args: argparse.Namespace) -> NoReturn:
+def simplify(
+    args: argparse.Namespace, system: BipolarSystem, objective: MonotoneObjective | None
+) -> tuple[dict, int]:
     """Apply the reduction rules to PROBLEM and report the outcome."""
-
-    def command(system, objective):
-        analysis, verdict, state = reduce_system(system)
-        if not verdict.ok:
-            out = {"status": verdict.status, "index": verdict.index}
-            return {"status": "infeasible", "verdict": out}, EXIT_INFEASIBLE
-        return {
-            "status": "ok",
-            "reduction": _reduction_dict(state, args.explain),
-            "count_bound_before": count_bound(analysis, ReductionState.initial(analysis)),
-            "count_bound_after": count_bound(analysis, state),
-        }, EXIT_OK
-
-    _run(args, command)
+    analysis, verdict, state = reduce_system(system)
+    if not verdict.ok:
+        out = {"status": verdict.status, "index": verdict.index}
+        return {"status": "infeasible", "verdict": out}, EXIT_INFEASIBLE
+    return {
+        "status": "ok",
+        "reduction": _reduction_dict(state, args.explain),
+        "count_bound_before": count_bound(analysis, ReductionState.initial(analysis)),
+        "count_bound_after": count_bound(analysis, state),
+    }, EXIT_OK
 
 
-def solve(args: argparse.Namespace) -> NoReturn:
+def solve(
+    args: argparse.Namespace, system: BipolarSystem, objective: MonotoneObjective | None
+) -> tuple[list[str], int]:
     """Resolve PROBLEM and minimize its objective over the region."""
-    _require(args.max_e >= 1, "--max-e must be at least 1")
-
-    def command(system, objective):
-        if objective is None:
-            raise ProblemFormatError("problem file has no objective; 'solve' needs one")
-        result = feasible_region(system, simplify=not args.no_simplify, max_count=args.max_e)
-        if not result.is_feasible:
-            return _region_report(result), EXIT_INFEASIBLE
-        best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
-        return _region_report(result, best), EXIT_OK
-
-    _run(args, command)
+    if objective is None:
+        raise ProblemFormatError("problem file has no objective; 'solve' needs one")
+    result = _region(args, system)
+    if not result.is_feasible:
+        return _region_report(result), EXIT_INFEASIBLE
+    best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
+    return _region_report(result, best), EXIT_OK
 
 
-def verify(args: argparse.Namespace) -> NoReturn:
+def verify(
+    args: argparse.Namespace, system: BipolarSystem, objective: MonotoneObjective | None
+) -> tuple[dict, int]:
     """Cross-check the resolved region (and optimum) by brute force."""
-    step, seed, cap, max_e = args.step, args.seed, args.cap, args.max_e
-    _require(max_e >= 1, "--max-e must be at least 1")
-    _require(step > 0.0, "--step must be positive")
-    _require(cap >= 1, "--cap must be at least 1")
-
-    def command(system, objective):
-        result = feasible_region(system, simplify=not args.no_simplify, max_count=max_e)
-        grid = breakpoint_grid(result.analysis, step)
-        membership = grid_membership_check(
-            result.analysis, result.boxes, grid, cap=cap, seed=seed, objective=objective
-        )
-        out: dict[str, Any] = {
-            "status": "verified" if membership.ok else "mismatch",
-            "grid": {
-                "total_points": membership.total_points,
-                "checked": membership.checked,
-                "sampled": membership.sampled,
-            },
-            "membership_mismatches": [
-                {"point": list(x), "feasible": f, "in_boxes": b}
-                for x, f, b in membership.mismatches[:50]
-            ],
+    result = _region(args, system)
+    grid = breakpoint_grid(result.analysis, args.step)
+    membership = grid_membership_check(
+        result.analysis, result.boxes, grid, cap=args.cap, seed=args.seed, objective=objective
+    )
+    out: dict[str, Any] = {
+        "status": "verified" if membership.ok else "mismatch",
+        "grid": {
+            "total_points": membership.total_points,
+            "checked": membership.checked,
+            "sampled": membership.sampled,
+        },
+        "membership_mismatches": [
+            {"point": list(x), "feasible": f, "in_boxes": b}
+            for x, f, b in membership.mismatches[:50]
+        ],
+    }
+    if objective is not None:
+        probe = check_monotone(objective, seed=args.seed)
+        out["monotonicity_violations"] = len(probe)
+        point, value = membership.best_point, membership.best_value
+        out["brute_force"] = {
+            "point": None if point is None else list(point),
+            "value": _value(value),
         }
-        if objective is not None:
-            probe = check_monotone(objective, seed=seed)
-            out["monotonicity_violations"] = len(probe)
-            point, value = membership.best_point, membership.best_value
-            out["brute_force"] = {
-                "point": None if point is None else list(point),
-                "value": _value(value),
-            }
-            if result.is_feasible:
-                best, _ = global_optimum(
-                    result.analysis, result.reduction, objective, max_e
-                )
-                out["pipeline_value"] = _value(best.value)
-                # a sample certifies only the lower test, which reads snapped points
-                out["objective_check"] = "lower_bound" if membership.sampled else "exact"
-                agree = value is None or membership.snapped_value >= best.value - 1e-9
-                if not membership.sampled:
-                    agree = agree and value is not None and value <= best.value + 1e-9
-                out["objective_agreement"] = agree
-                if not agree:
-                    out["status"] = "mismatch"
-        return out, EXIT_OK if out["status"] == "verified" else EXIT_ERROR
-
-    _run(args, command)
+        if result.is_feasible:
+            best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
+            out["pipeline_value"] = _value(best.value)
+            # a sample certifies only the lower test, which reads snapped points
+            out["objective_check"] = "lower_bound" if membership.sampled else "exact"
+            agree = value is None or membership.snapped_value >= best.value - 1e-9
+            if not membership.sampled:
+                agree = agree and value is not None and value <= best.value + 1e-9
+            out["objective_agreement"] = agree
+            if not agree:
+                out["status"] = "mismatch"
+    return out, EXIT_OK if out["status"] == "verified" else EXIT_ERROR
 
 
 def tnorm_eval_cmd(args: argparse.Namespace) -> NoReturn:
@@ -376,8 +361,8 @@ def tnorm_eval_cmd(args: argparse.Namespace) -> NoReturn:
             num = solve_scalar_eq_numeric(spec, x, y) if x >= y else sol
             _echo(
                 {
-                    "solution_set": sol.solution_set.to_pairs(),
-                    "relaxed_set": sol.relaxed_set.to_pairs(),
+                    "solution_set": sol.solution_set.pieces,
+                    "relaxed_set": sol.relaxed_set.pieces,
                     "l": sol.l,
                     "u": sol.u,
                     "l_bisect": num.l,
@@ -423,6 +408,26 @@ def _problem_file(path: str) -> str:
     return path
 
 
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable:
+    """An option type: ``convert`` the text, then reject a value that is not
+    ``ok`` with a usage error.  It keeps ``convert``'s name, so that a
+    non-number still reads ``invalid int value: 'x'``."""
+
+    def check(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
+        return value
+
+    check.__name__ = convert.__name__
+    return check
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+_STEP = _checked(float, lambda v: v > 0.0, "positive")
+_TOL = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+
+
 def _parser() -> _Parser:
     parser = _Parser(
         prog="bfre",
@@ -432,22 +437,23 @@ def _parser() -> _Parser:
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     sub = {}
-    for name, run in (
+    for name, func in (
         ("feasible", feasible),
         ("simplify", simplify),
         ("solve", solve),
         ("verify", verify),
         ("tnorm-eval", tnorm_eval_cmd),
     ):
-        sub[name] = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
-        sub[name].set_defaults(run=run)
+        sub[name] = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+        sub[name].set_defaults(run=_run, command=func)
+    sub["tnorm-eval"].set_defaults(run=tnorm_eval_cmd)
     for name in ("feasible", "simplify", "solve", "verify"):
         sub[name].add_argument("problem", metavar="PROBLEM", type=_problem_file)
-        sub[name].add_argument("--tol", type=float, help="Interval comparison tolerance override.")
+        sub[name].add_argument("--tol", type=_TOL, help="Interval comparison tolerance override.")
     for name in ("feasible", "solve", "verify"):
         sub[name].add_argument(
             "--max-e",
-            type=int,
+            type=_COUNT,
             default=DEFAULT_MAX_ASSIGNMENTS,
             help="Cap on the enumerated assignments, and on the leaves the optimum "
             "search compares (default: %(default)s).",
@@ -461,9 +467,9 @@ def _parser() -> _Parser:
         "--explain", action="store_true", help="Include the rule audit log."
     )
     add = sub["verify"].add_argument
-    add("--step", type=float, default=0.1, help="Grid step size (default: %(default)s).")
+    add("--step", type=_STEP, default=0.1, help="Grid step size (default: %(default)s).")
     add("--seed", type=int, default=0, help="Subsampling seed (default: %(default)s).")
-    add("--cap", type=int, default=DEFAULT_GRID_CAP, help="Grid point cap (default: %(default)s).")
+    add("--cap", type=_COUNT, default=DEFAULT_GRID_CAP, help="Grid point cap (default: %(default)s).")
     add = sub["tnorm-eval"].add_argument
     add("kind", metavar="KIND")
     add("x", metavar="X", type=float)

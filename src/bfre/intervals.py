@@ -201,9 +201,6 @@ class IntervalUnion(_Record):
 
     # -- serialization ----------------------------------------------------
 
-    def to_pairs(self) -> list[list[float]]:
-        return [[lo, hi] for lo, hi in self.pieces]
-
     def __str__(self) -> str:
         if not self.pieces:
             return "{}"

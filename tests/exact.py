@@ -51,8 +51,10 @@ _DEFINITIONS = {
 RATIONAL_KINDS = tuple(_DEFINITIONS)
 
 
-def exact_tnorm(kind: str, param: float | None, x: float, y: float) -> Fraction:
+def exact_tnorm(
+    kind: str, param: float | None, x: float | Fraction, y: float | Fraction
+) -> Fraction:
     """phi(x, y) of the family ``kind`` with ``param``, exactly, for floats
-    x and y in [0, 1]."""
+    or fractions x and y in [0, 1]."""
     p = None if param is None else Fraction(param)
     return _DEFINITIONS[kind](p, Fraction(x), Fraction(y))

@@ -169,6 +169,6 @@ def test_universe_identities(a):
 
 def test_serialization_roundtrip():
     u = iu((0.1, 0.3), (0.7, 0.7))
-    assert IntervalUnion.from_pairs(u.to_pairs()) == u
+    assert IntervalUnion.from_pairs(u.pieces) == u
     assert str(u) == "[0.1, 0.3] U {0.7}"
     assert str(IntervalUnion()) == "{}"

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from bfre import (
 from bfre.cli import problem_from_dict
 from bfre.tnorms import TNORM_KINDS
 from conftest import bench_workloads, random_system
+from exact import exact_tnorm
 
 
 def iu(pairs):
@@ -373,6 +375,29 @@ def test_natural_witness_is_feasible(kind):
         if not is_feasible_point(CellAnalysis(system), x0):
             rejected.append(seed)
     assert not rejected, f"witness rejected on seeds {rejected}"
+
+
+@pytest.mark.parametrize("kind", ["dubois_prade", "product"])
+def test_natural_witness_solves_every_equation_exactly(kind):
+    # The same 40 systems, checked without bfre: the float witness x0 solves
+    # every equation exactly within 2^-52.  So where the membership test
+    # rejects x0 (dubois_prade above), the fault is in the closed forms.
+    workloads = bench_workloads()
+    for seed in range(40):
+        rng = random.Random(f"nat/{kind}/{seed}")
+        problem, x0 = workloads.natural_system(rng, kind, 60, 60)
+        param = problem["tnorm"].get("param")
+        negated = [1 - Fraction(x) for x in x0]
+        for i, b in enumerate(problem["b"]):
+            # phi(a, x) <= a, so a literal whose a is below b_i cannot reach it
+            values = [
+                exact_tnorm(kind, param, a, x)
+                for row, xs in ((problem["a_plus"][i], x0), (problem["a_minus"][i], negated))
+                for a, x in zip(row, xs)
+                if b - a <= 1e-12
+            ]
+            miss = abs(max(values, default=Fraction(0)) - Fraction(b))
+            assert miss <= Fraction(2) ** -52, (seed, i, float(miss))
 
 
 def test_constructed_feasible_point_is_recognized():
