@@ -29,8 +29,8 @@ a ``--step`` that is not positive, a ``--tol`` that is not positive and
 finite), or a PROBLEM path that does not exist or is a directory.  It
 prints argparse's usage and message on stderr and exits 1, like every other
 error, since 2 means infeasible.  What the run finds is one ``error:``
-line: a malformed file, a resource cap, or a ``--step`` finer than
-1/2,000,000.
+line: a malformed file, a PROBLEM that cannot be read, a resource cap, or a
+``--step`` finer than 1/2,000,000.
 
 A report line is written to ``sys.stdout`` with one ``writelines`` and
 flushed.  One function, ``_region_report``, builds the ``feasible`` and
@@ -254,7 +254,8 @@ def _run(args: argparse.Namespace) -> NoReturn:
     Parses PROBLEM and runs ``args.command(args, system, objective)`` with
     --tol in effect for this command only, then prints the report and exits
     with the code it returns.  A ``ProblemFormatError``, from the file or the
-    command, or a resource cap prints an ``error:`` line and exits 1.
+    command, a resource cap or a PROBLEM that cannot be read prints an
+    ``error:`` line and exits 1.
     """
     tol = args.tol
     try:
@@ -263,6 +264,8 @@ def _run(args: argparse.Namespace) -> NoReturn:
             out, code = args.command(args, system, objective)
     except (ProblemFormatError, ResourceLimitError) as exc:
         _fail(str(exc))
+    except OSError as exc:  # reading PROBLEM is the only I/O before ``_echo``
+        _fail(f"{args.problem}: cannot read ({exc.strerror})")
     _echo(out)
     sys.exit(code)
 

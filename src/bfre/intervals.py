@@ -112,8 +112,10 @@ class IntervalUnion(_Record):
     """An ordered union of pairwise-disjoint closed intervals in [0, 1].
 
     Instances are immutable; all operations return new values, so they are
-    safe to share freely (including across threads).  A record over
-    ``pieces``: equal pieces make equal values, with equal hashes.
+    safe to share freely (including across threads).  Their comparisons
+    read the module's one ``EPS``, which ``tolerance()`` sets for the whole
+    process, not per thread.  A record over ``pieces``: equal pieces make
+    equal values, with equal hashes.
     """
 
     __slots__ = ("pieces",)

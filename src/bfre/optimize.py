@@ -199,7 +199,7 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> tuple[float, ...]:
 # -- objective catalog -------------------------------------------------------
 
 
-def _require(params: dict, key: str, objective: str, many: bool = False):
+def _require(params: dict, key: str, objective: str, many: bool):
     """Parameter ``key`` of ``objective``: a finite number, or a list of them."""
     if key not in params:
         raise ValueError(f"objective {objective!r} requires parameter {key!r}")
@@ -222,24 +222,23 @@ class _Linear(NamedTuple):
         return sum(map(operator.mul, self.c, x))
 
 
-def _build_linear(n: int, params: dict):
-    c = tuple(float(v) for v in _require(params, "c", "linear", many=True))
+def _build_linear(n: int, c: list):
+    c = tuple(float(v) for v in c)
     if len(c) != n:
         raise ValueError(f"coefficient vector must have {n} entries, got {len(c)}")
-    j_plus = frozenset(j for j, cj in enumerate(c) if cj >= 0.0)
-    return _Linear(c), j_plus, frozenset(range(n)) - j_plus
+    return _Linear(c), frozenset(j for j, cj in enumerate(c) if cj < 0.0)
 
 
-def _build_simplex_support(n: int, params: dict):
+def _build_simplex_support(n: int):
     # Support function of {y >= 0, sum y <= 1}: sup x.y = max(0, max_j x_j).
     def fn(x):
         return max(0.0, max(x))
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_perspective(n: int, params: dict):
-    p = float(_require(params, "p", "perspective"))
+def _build_perspective(n: int, p: float):
+    p = float(p)
     if p < 1.0:
         raise ValueError("perspective requires p >= 1")
     if n < 2:
@@ -252,66 +251,59 @@ def _build_perspective(n: int, params: dict):
             return 0.0 if num == 0.0 else math.inf
         return num / den
 
-    return fn, frozenset(range(n - 1)), frozenset({n - 1})
+    return fn, frozenset({n - 1})
 
 
-def _build_max(n: int, params: dict):
-    def fn(x):
-        return max(x)
-
-    return fn, frozenset(range(n)), frozenset()
-
-
-def _build_geometric_mean(n: int, params: dict):
+def _build_geometric_mean(n: int):
     def fn(x):
         prod = 1.0
         for xj in x:
             prod *= xj
         return prod ** (1.0 / n)
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_log_sum_exp(n: int, params: dict):
+def _build_log_sum_exp(n: int):
     def fn(x):
         return math.log(sum(math.exp(xj) for xj in x))
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_p_norm(n: int, params: dict):
-    p = float(_require(params, "p", "p_norm"))
+def _build_p_norm(n: int, p: float):
+    p = float(p)
     if p < 1.0:
         raise ValueError("p_norm requires p >= 1")
 
     def fn(x):
         return sum(abs(xj) ** p for xj in x) ** (1.0 / p)
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_frobenius(n: int, params: dict):
+def _build_frobenius(n: int):
     if n != 9:
         raise ValueError("frobenius reshapes x into 3x3 and requires n = 9")
 
     def fn(x):
         return math.sqrt(sum(xj * xj for xj in x))
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_sum_largest(n: int, params: dict):
-    r = int(_require(params, "r", "sum_largest"))
-    if r != params["r"] or not 1 <= r <= n:
+def _build_sum_largest(n: int, value: float):
+    r = int(value)
+    if r != value or not 1 <= r <= n:
         raise ValueError(f"sum_largest requires an integer r with 1 <= r <= {n}")
 
     def fn(x):
         return sum(sorted(x, reverse=True)[:r])
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_max_eigenvalue(n: int, params: dict):
+def _build_max_eigenvalue(n: int):
     if n != 9:
         raise ValueError("max_eigenvalue embeds x into a symmetric 3x3 and requires n = 9")
 
@@ -323,11 +315,11 @@ def _build_max_eigenvalue(n: int, params: dict):
         ]
         return jacobi_eigenvalues(m)[-1]
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-def _build_sum_log(n: int, params: dict):
-    alpha = [float(v) for v in _require(params, "alpha", "sum_log", many=True)]
+def _build_sum_log(n: int, alpha: list):
+    alpha = [float(v) for v in alpha]
     if len(alpha) != n:
         raise ValueError(f"alpha must have {n} entries, got {len(alpha)}")
     if any(a <= 0.0 for a in alpha):
@@ -336,25 +328,28 @@ def _build_sum_log(n: int, params: dict):
     def fn(x):
         return sum(math.log(aj + xj) for aj, xj in zip(alpha, x))
 
-    return fn, frozenset(range(n)), frozenset()
+    return fn, frozenset()
 
 
-#: Each objective's builder and the parameter names it reads.
-_BUILDERS = {
-    "linear": (_build_linear, ("c",)),
+#: Each objective's builder and the parameters it reads, as (key, is_list).
+#: ``objective_catalog`` reads them in this order and passes their values to
+#: the builder after n; the builder returns the evaluator and the
+#: coordinates it is non-increasing in.
+_OBJECTIVES = {
+    "linear": (_build_linear, (("c", True),)),
     "simplex_support": (_build_simplex_support, ()),
-    "perspective": (_build_perspective, ("p",)),
-    "max": (_build_max, ()),
+    "perspective": (_build_perspective, (("p", False),)),
+    "max": (lambda n: (max, frozenset()), ()),
     "geometric_mean": (_build_geometric_mean, ()),
     "log_sum_exp": (_build_log_sum_exp, ()),
-    "p_norm": (_build_p_norm, ("p",)),
+    "p_norm": (_build_p_norm, (("p", False),)),
     "frobenius": (_build_frobenius, ()),
-    "sum_largest": (_build_sum_largest, ("r",)),
+    "sum_largest": (_build_sum_largest, (("r", False),)),
     "max_eigenvalue": (_build_max_eigenvalue, ()),
-    "sum_log": (_build_sum_log, ("alpha",)),
+    "sum_log": (_build_sum_log, (("alpha", True),)),
 }
 
-OBJECTIVE_NAMES = tuple(sorted(_BUILDERS))
+OBJECTIVE_NAMES = tuple(sorted(_OBJECTIVES))
 
 
 def objective_catalog(
@@ -371,11 +366,12 @@ def objective_catalog(
     the objective does not read is rejected, so a misspelt or misplaced key
     cannot pass silently.
     """
-    if name not in _BUILDERS:
+    if name not in _OBJECTIVES:
         raise ValueError(
             f"unknown objective {name!r}; expected one of {', '.join(OBJECTIVE_NAMES)}"
         )
-    build, keys = _BUILDERS[name]
+    build, declared = _OBJECTIVES[name]
+    keys = [key for key, _ in declared]
     params = params or {}
     unknown = [key for key in params if key not in keys]
     if unknown:
@@ -384,7 +380,8 @@ def objective_catalog(
             f"objective {name!r} takes {takes}; unknown parameter(s) "
             f"{', '.join(map(repr, unknown))}"
         )
-    fn, plus, minus = build(n, params)
+    fn, minus = build(n, *(_require(params, key, name, many) for key, many in declared))
+    plus = frozenset(range(n)) - minus
     if (j_plus is None) != (j_minus is None):
         raise ValueError("override j_plus and j_minus together or not at all")
     if j_plus is not None:

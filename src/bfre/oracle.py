@@ -72,18 +72,9 @@ DEFAULT_GRID_CAP = 2_000_000
 #: A grid value at most this far above the previous kept one is dropped.
 _MERGE_TOL = 1e-12
 
-#: Columns with at most this many ticks are built as sorted lists, which
-#: are cheaper to build and to index, and which the walk tabulates per
-#: index; finer columns are lazy.
+#: Columns with at most this many ticks are lists, which are cheaper to
+#: index and which the walk tabulates per index; finer columns are lazy.
 _LIST_MAX = 4096
-
-
-def _dedup_sorted(values: list[float]) -> list[float]:
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > _MERGE_TOL:
-            out.append(v)
-    return out
 
 
 class _GridColumn(Sequence[float]):
@@ -122,16 +113,15 @@ def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
     endpoints, all clipped to [0, 1]; a value within _MERGE_TOL above the
     previous kept one is dropped.
 
-    With more than _LIST_MAX ticks the column is a lazy ``_GridColumn``.
-    Ticks below ``last`` lie in [0, 1) and more than _MERGE_TOL apart, so
-    between two explicit values they form one run, of which only the first
-    can fall within the tolerance.  Tick ``last`` and 1.0 are clipped and
-    may coincide, so they join the explicit values.
+    The merge builds the column's parts.  Ticks below ``last`` lie in
+    [0, 1) and more than _MERGE_TOL apart, so between two explicit values
+    they form one run, of which only the first can fall within the
+    tolerance.  Tick ``last`` and 1.0 are clipped and may coincide, so they
+    join the explicit values.  With more than _LIST_MAX ticks the column is
+    a lazy ``_GridColumn`` over the parts, else the list of their values.
     """
     explicit = [min(1.0, max(0.0, v)) for v in endpoints]
     explicit += [min(1.0, max(0.0, last * step)), 1.0]
-    if last <= _LIST_MAX:
-        return _dedup_sorted(explicit + [k * step for k in range(last)])
     ticks = range(last)
     parts: list[range | tuple[float, ...]] = []
     kept: float | None = None
@@ -148,7 +138,9 @@ def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
         if kept is None or v - kept > _MERGE_TOL:
             parts.append((v,))
             kept = v
-    return _GridColumn(step, parts)
+    if last > _LIST_MAX:
+        return _GridColumn(step, parts)
+    return [v * step if isinstance(part, range) else v for part in parts for v in part]
 
 
 def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]]:

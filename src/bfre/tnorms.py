@@ -6,10 +6,11 @@ continuous, strictly decreasing map from [0, 1] onto [0, f(0)] with
 f(1) = 0, nilpotent when f(0) is finite and strict when it is infinite
 (Mostert & Shields, Ann. Math. 65, 1957; Klement, Mesiar & Pap,
 Triangular Norms, 2000, ch. 3 and 5).  Each of the thirteen catalog
-families is at most one summand on [0, e]^2, so one table maps every
-family to its parameter rule and to (e, f, f_inv, f(0)):
+families is one summand on [0, e]^2, so one table maps every family to
+its parameter rule and to (e, f, f_inv, f(0)):
 
-- ``minimum`` has no summand;
+- ``minimum`` is the product summand with e = 0: the square [0, 0]^2 is
+  empty, so phi is min everywhere (it is ``dubois_prade`` at gamma 0);
 - ``dubois_prade`` is the product summand on [0, gamma]^2;
 - ``mayor_torrence`` is the Lukasiewicz summand on [0, lambda]^2;
 - the other ten are one summand with e = 1, under their textbook
@@ -149,9 +150,9 @@ def _aczel_alsina(lam):
 
 #: kind -> (parameter rule, summand).  The rule is None for a family without
 #: a parameter, else (check, legend).  The summand maps the parameter to
-#: (e, f, f_inv, f(0)), or is None for the minimum.
+#: (e, f, f_inv, f(0)).
 _TABLE: dict[str, tuple] = {
-    "minimum": (None, None),
+    "minimum": (None, lambda _: (0.0, *_product())),
     "product": (None, lambda _: (1.0, *_product())),
     "einstein_product": (None, lambda _: (1.0, *_hamacher(2.0))),
     "lukasiewicz": (None, lambda _: (1.0, *_lukasiewicz())),
@@ -219,10 +220,10 @@ class TNormSpec(_Record):
             valid = type(param) in (int, float) and math.isfinite(param) and check(param)
             if not valid or 0 < abs(param) < sys.float_info.min:
                 raise ValueError(f"parameter {param!r} out of range for {kind!r} ({legend})")
-        summand = None if summand is None else summand(param)
+        summand = summand(param)
         # an overflowing f(x/e) + f(y/e) reads as f(0), so phi as 0 (see the
         # module docstring); with e <= _EQ_DRIFT, phi never exceeds it anyway
-        if summand is not None and summand[0] > _EQ_DRIFT:
+        if summand[0] > _EQ_DRIFT:
             e, f = summand[:2]
             if not math.isfinite(2.0 * f(_EQ_DRIFT / e)):
                 raise ValueError(
@@ -237,8 +238,7 @@ class TNormSpec(_Record):
                 f"parameter {param!r} out of range for {kind!r} "
                 f"(its generator underflows at x = 1 - {_EQ_DRIFT:g})"
             )
-        # _summand is (e, f, f_inv, f(0)) of the family's summand, None for
-        # the minimum
+        # _summand is (e, f, f_inv, f(0)) of the family's summand
         self._init(kind, param, summand)
 
 
@@ -268,7 +268,7 @@ def tnorm_eval(t: TNormSpec, x: float, y: float) -> float:
     _check_unit(x, "x")
     _check_unit(y, "y")
     summand = t._summand
-    if summand is None or x >= summand[0] or y >= summand[0]:
+    if x >= summand[0] or y >= summand[0]:
         return min(x, y) + 0.0  # a -0.0 argument gives 0.0, as the other paths do
     e, f, f_inv, f0 = summand
     if x == 0.0 or y == 0.0:
@@ -304,7 +304,7 @@ def solve_scalar_eq(t: TNormSpec, a: float, b: float) -> ScalarEqSolution:
     b = _drift_clamped(a, b)
     if b is None:
         return _NO_SOLUTION
-    if t._summand is None or a >= t._summand[0]:
+    if a >= t._summand[0]:
         x = b
     elif a == 0.0:  # then b = 0 too, and both universal rules apply
         x = 0.0

@@ -326,6 +326,28 @@ def test_usage_errors_exit_1(tmp_path, args, named):
     assert named in result.stderr.splitlines()[-1]
 
 
+@pytest.mark.parametrize("case", ["proc-mem", "mode-000"])
+def test_unreadable_problem_is_one_error_line(tmp_path, case):
+    # the path exists and is no directory, so argparse takes it; the read
+    # then fails, with EIO on /proc/self/mem and EACCES on a mode-000 file
+    if case == "proc-mem":
+        path = "/proc/self/mem"
+        if not os.path.exists(path):
+            pytest.skip("no /proc/self/mem")
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root reads a mode-000 file")
+        path = str(tmp_path / "locked.json")
+        with open(path, "w") as fh:
+            fh.write("{}")
+        os.chmod(path, 0)
+    result = invoke("feasible", path)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {path}: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]], ids=["main", "solve"])
 def test_help_exits_0(args):
     result = invoke(*args)

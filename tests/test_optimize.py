@@ -94,6 +94,11 @@ def test_catalog_rejects_parameters_the_objective_does_not_read():
     }
     for name, params in declared.items():
         assert objective_catalog(name, 2, params).name == name
+        # and each is required: dropping it names the objective and the key
+        for key in params:
+            rest = {k: v for k, v in params.items() if k != key}
+            with pytest.raises(ValueError, match=rf"^objective '{name}' requires parameter '{key}'$"):
+                objective_catalog(name, 2, rest)
 
 
 def test_linear_partition_follows_signs():

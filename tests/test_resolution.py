@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from bfre.resolution import ResourceLimitError, root_factors
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import necessary_feasibility
 from conftest import bench_workloads, in_box, make_example_system, random_system
+from exact import RATIONAL_KINDS, exact_tnorm
 
 
 def iu(pairs):
@@ -349,3 +351,37 @@ def test_swapping_the_matrices_mirrors_the_region(workload):
                 assert len(g.pieces) == len(flipped), (name, f, g)
                 for (lo, hi), (want_lo, want_hi) in zip(g.pieces, flipped):
                     assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12, (name, f, g)
+
+
+def test_box_points_solve_every_equation_exactly():
+    # Every box point must satisfy the equations.  On the benchmark's seed-1
+    # files of the families with an exact reference, known faults included:
+    # up to 4 seeded boxes of each region, and in each box the low corner,
+    # the high corner and a seeded point of each factor.  Every row's
+    # left-hand side, taken exactly in fractions, lies within 2^-50 of b_i.
+    points = 0
+    for workload in ("catalog-small", "dense-square", "tall-reduction"):
+        for record in bench_workloads().build(workload, 1, False):
+            problem = record["problem"]
+            kind, param = problem["tnorm"]["name"], problem["tnorm"].get("param")
+            if kind not in RATIONAL_KINDS:
+                continue
+            system, _ = problem_from_dict(problem)
+            boxes = feasible_region(system).boxes
+            rng = random.Random(f"{workload}/{record['file']}")
+            for box in rng.sample(boxes, min(4, len(boxes))):
+                inner = [rng.uniform(*rng.choice(f.pieces)) for f in box.factors]
+                low = [f.pieces[0][0] for f in box.factors]
+                high = [f.pieces[-1][1] for f in box.factors]
+                for x in (low, high, inner):
+                    points += 1
+                    x = [Fraction(v) for v in x]
+                    for i, b in enumerate(system.b):
+                        lhs = max(
+                            max(exact_tnorm(kind, param, ap, xj), exact_tnorm(kind, param, am, 1 - xj))
+                            for ap, am, xj in zip(system.a_plus[i], system.a_minus[i], x)
+                        )
+                        assert abs(lhs - Fraction(b)) <= Fraction(2) ** -50, (
+                            workload, record["file"], i, float(lhs - Fraction(b))
+                        )
+    assert points

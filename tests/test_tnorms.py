@@ -202,6 +202,17 @@ def test_dubois_prade_reduces_to_minimum_and_product():
         )
 
 
+def test_minimum_is_dubois_prade_at_gamma_zero():
+    # the minimum is the product summand on the empty square [0, 0]^2, so
+    # it evaluates and solves as dubois_prade at gamma 0, to the last bit
+    minimum, dp0 = TNormSpec("minimum"), TNormSpec("dubois_prade", 0.0)
+    values = [0.0, -0.0, 1e-300, 0.25, 0.5, 1.0 - 2.0**-53, 1.0]
+    for x in values:
+        for y in values:
+            assert repr(tnorm_eval(minimum, x, y)) == repr(tnorm_eval(dp0, x, y)), (x, y)
+            assert repr(solve_scalar_eq(minimum, x, y)) == repr(solve_scalar_eq(dp0, x, y)), (x, y)
+
+
 # -- closed-form scalar solves ---------------------------------------------------
 
 
