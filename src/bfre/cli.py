@@ -11,12 +11,13 @@ Problem files are JSON with the fields
                             "j_plus": [...], "j_minus": [...]}
 
 All indices in files and reports are 0-based.  Reports are deterministic
-JSON, one line of it with the separators of ``json.dumps``; numbers
-round-trip exactly, and an objective value that is not finite (the
-``perspective`` objective where its last coordinate is 0) prints as
-``null``, since JSON has no ``Infinity``.  ``python -m json.tool``
-pretty-prints a report.  Exit codes: 0 success, 1 error, 2 infeasible
-problem.
+JSON for a given Python version, one line of it with the separators of
+``json.dumps``; from 3.12 on ``sum`` compensates rounding, which can move
+the last digits of an objective value.  Numbers round-trip exactly, and
+an objective value that is not finite (the ``perspective`` objective where
+its last coordinate is 0) prints as ``null``, since JSON has no
+``Infinity``.  ``python -m json.tool`` pretty-prints a report.  Exit
+codes: 0 success, 1 error, 2 infeasible problem.
 
 One ``argparse`` parser, built at import, reads the command line, and
 ``_run`` takes each of ``feasible``, ``simplify``, ``solve`` and ``verify``
@@ -178,11 +179,9 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
     is encoded once too, and column indices come from a table of their
     texts.
     """
-    verdict = result.verdict
-    status = verdict.status if result.boxes or not verdict.ok else "no_admissible_assignment"
     head: dict[str, Any] = {
         "status": "feasible" if result.is_feasible else "infeasible",
-        "verdict": {"status": status, "index": verdict.index},
+        "verdict": result.verdict._asdict(),
     }
     state = result.reduction
     if state is not None:
@@ -288,8 +287,7 @@ def simplify(
     """Apply the reduction rules to PROBLEM and report the outcome."""
     analysis, verdict, state = reduce_system(system)
     if not verdict.ok:
-        out = {"status": verdict.status, "index": verdict.index}
-        return {"status": "infeasible", "verdict": out}, EXIT_INFEASIBLE
+        return {"status": "infeasible", "verdict": verdict._asdict()}, EXIT_INFEASIBLE
     return {
         "status": "ok",
         "reduction": _reduction_dict(state, args.explain),
@@ -305,10 +303,10 @@ def solve(
     if objective is None:
         raise ProblemFormatError("problem file has no objective; 'solve' needs one")
     result = _region(args, system)
-    if not result.is_feasible:
-        return _region_report(result), EXIT_INFEASIBLE
-    best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
-    return _region_report(result, best), EXIT_OK
+    best = None
+    if result.is_feasible:
+        best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
+    return _region_report(result, best), EXIT_INFEASIBLE if best is None else EXIT_OK
 
 
 def verify(
@@ -329,7 +327,7 @@ def verify(
         },
         "membership_mismatches": [
             {"point": list(x), "feasible": f, "in_boxes": b}
-            for x, f, b in membership.mismatches[:50]
+            for x, f, b in membership.mismatches
         ],
     }
     if objective is not None:

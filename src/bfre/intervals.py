@@ -152,17 +152,13 @@ class IntervalUnion(_Record):
     def __bool__(self) -> bool:
         return bool(self.pieces)
 
-    @property
-    def is_singleton(self) -> bool:
-        """True when the set is a single point up to tolerance."""
-        return len(self.pieces) == 1 and self.pieces[0][1] - self.pieces[0][0] <= EPS
-
-    @property
-    def singleton_value(self) -> float:
-        if not self.is_singleton:
-            raise ValueError(f"{self} is not a singleton")
+    def singleton(self) -> float | None:
+        """The point when the set is a single point up to tolerance (the
+        midpoint of its one piece), else None."""
+        if len(self.pieces) != 1:
+            return None
         lo, hi = self.pieces[0]
-        return 0.5 * (lo + hi)
+        return 0.5 * (lo + hi) if hi - lo <= EPS else None
 
     def contains(self, x: float) -> bool:
         return any(lo - EPS <= x <= hi + EPS for lo, hi in self.pieces)

@@ -72,6 +72,10 @@ DEFAULT_GRID_CAP = 2_000_000
 #: A grid value at most this far above the previous kept one is dropped.
 _MERGE_TOL = 1e-12
 
+#: A walk keeps the first this many mismatching points it meets, and
+#: counts them all.
+_KEPT_MISMATCHES = 50
+
 #: Columns with at most this many ticks are lists, which are cheaper to
 #: index and which the walk tabulates per index; finer columns are lazy.
 _LIST_MAX = 4096
@@ -248,11 +252,15 @@ class GridReport(NamedTuple):
     feasible points of the sweep, as ``brute_force_min`` finds it; both are
     None without an objective or without a feasible point.  ``snapped_value``
     is that minimum over the points snapped into a box, as the walk does it.
+    ``mismatch_count`` counts the points whose two memberships differ, and
+    ``mismatches`` keeps the first 50 of them in walk order, as
+    ``(point, feasible, in_boxes)``.
     """
 
     total_points: int
     checked: int
     sampled: bool
+    mismatch_count: int
     mismatches: list[tuple[tuple[float, ...], bool, bool]]
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
@@ -260,7 +268,7 @@ class GridReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return not self.mismatch_count
 
 
 def grid_membership_check(
@@ -273,7 +281,9 @@ def grid_membership_check(
 ) -> GridReport:
     """Compare direct point feasibility against box-union membership on every
     grid point (a seeded sample of ``cap`` points when the grid is larger).
-    A correct resolution produces zero mismatches.
+    A correct resolution produces zero mismatches.  All of them are
+    counted, but only the first 50 are kept, so a failing walk holds no
+    more than that whatever ``cap`` is.
 
     Given an objective, the same walk also takes its minimum over the
     feasible points, by ``brute_force_min``'s rule: the first strictly
@@ -299,7 +309,7 @@ def grid_membership_check(
     witness = [_table(col) for col in grid]
     in_boxes = [_table(col) for col in grid]
     total, sampled, points = _walk(grid, cap, seed)
-    mismatches = []
+    mismatches, mismatch_count = [], 0
     best_point: tuple[float, ...] | None = None
     best_value: float | None = None
     snapped_value = best_value
@@ -342,9 +352,13 @@ def grid_membership_check(
             if snapped_value is None or value < snapped_value:
                 snapped_value = value
         if feasible != in_union:
-            mismatches.append((tuple(map(getitem, grid, point)), feasible, in_union))
+            mismatch_count += 1
+            if mismatch_count <= _KEPT_MISMATCHES:
+                mismatches.append((tuple(map(getitem, grid, point)), feasible, in_union))
     checked = cap if sampled else total
-    return GridReport(total, checked, sampled, mismatches, best_point, best_value, snapped_value)
+    return GridReport(
+        total, checked, sampled, mismatch_count, mismatches, best_point, best_value, snapped_value
+    )
 
 
 def _nearest(factor: IntervalUnion, v: float) -> float:

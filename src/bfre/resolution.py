@@ -208,7 +208,7 @@ class RegionResult(NamedTuple):
 
     @property
     def is_feasible(self) -> bool:
-        return self.verdict.ok and bool(self.boxes)
+        return self.verdict.ok
 
 
 def reduce_system(
@@ -238,12 +238,14 @@ def feasible_region(
     """Resolve the feasible region of a system end to end.
 
     The first half (``reduce_system``), then assignment enumeration and box
-    assembly.  Infeasibility found by the necessary checks is reported in
-    the verdict; an empty assignment set (possible for systems passing the
-    necessary checks) yields no boxes, which also means infeasible.
+    assembly.  The verdict decides: a failed necessary check, or
+    "no_admissible_assignment" when the checks pass but the search finds no
+    box (possible, since they are necessary only); "ok" means at least one
+    box.
     """
     analysis, verdict, state = reduce_system(system, simplify=simplify)
     if state is None:
         return RegionResult(verdict, analysis, None, ())
     boxes = tuple(enumerate_admissible(analysis, state, max_count))
+    verdict = verdict if boxes else FeasibilityVerdict("no_admissible_assignment")
     return RegionResult(verdict, analysis, state, boxes)

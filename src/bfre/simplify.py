@@ -116,10 +116,9 @@ def apply_rule2(state: ReductionState, analysis: CellAnalysis) -> None:
     at j contains k is already satisfied and can be deleted.
     """
     for j in list(state.active_cols):
-        col = analysis.col_bounds[j]
-        if not col.is_singleton:
+        k = analysis.col_bounds[j].singleton()
+        if k is None:
             continue
-        k = col.singleton_value
         state.fix_col(
             analysis, j, k, 2, f"column bound {j} is the single point {k:.12g}"
         )
@@ -190,10 +189,9 @@ def apply_rule4(state: ReductionState, analysis: CellAnalysis) -> None:
         if len(candidates) != 1:
             continue
         j0 = candidates[0]
-        cell = analysis.restricted[i0][j0]
-        if not cell.is_singleton:
+        k = analysis.restricted[i0][j0].singleton()
+        if k is None:
             continue
-        k = cell.singleton_value
         state.fix_col(
             analysis, j0, k, 4, f"equation {i0} forces x[{j0}] = {k:.12g} (only witness)"
         )

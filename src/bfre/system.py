@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 
+def _unit_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
+    """``values`` as floats, each checked to be a number in [0, 1];
+    ``name`` is what an error calls the sequence (``a_plus[i]``, ``b``)."""
+    for j, v in enumerate(values):
+        # exact types: a bool is an int in Python, and float() reads strings
+        if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name}[{j}] = {v!r} is no number or outside [0, 1]")
+    return tuple(map(float, values))
+
+
 def _as_matrix(rows: Sequence[Sequence[float]], name: str, m: int, n: int):
     if len(rows) != m:
         raise ValueError(f"{name} must have {m} rows, got {len(rows)}")
@@ -58,11 +68,7 @@ def _as_matrix(rows: Sequence[Sequence[float]], name: str, m: int, n: int):
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"{name} row {i} must have {n} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            # exact types: a bool is an int in Python, and float() reads strings
-            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}[{i}][{j}] = {v!r} is no number or outside [0, 1]")
-        out.append(tuple(map(float, row)))
+        out.append(_unit_floats(row, f"{name}[{i}]"))
     return tuple(out)
 
 
@@ -94,10 +100,7 @@ class BipolarSystem(_Record):
         minus = _as_matrix(a_minus, "a_minus", m, n)
         if len(b) != m:
             raise ValueError(f"b must have {m} entries, got {len(b)}")
-        for i, v in enumerate(b):
-            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"b[{i}] = {v!r} is no number or outside [0, 1]")
-        self._init(plus, minus, tuple(map(float, b)), tnorm)
+        self._init(plus, minus, _unit_floats(b, "b"), tnorm)
 
     @property
     def m(self) -> int:
@@ -121,11 +124,15 @@ class BipolarSystem(_Record):
 
 
 class FeasibilityVerdict(NamedTuple):
-    """Outcome of the necessary feasibility checks.
+    """Outcome of the feasibility checks, with the column or row it names.
 
-    status is "ok", "empty_column" (some variable has no admissible value) or
-    "empty_row" (some equation has no witness column).  "ok" does NOT certify
-    feasibility; the conditions are necessary only.
+    status is "ok", "empty_column" (some variable has no admissible value),
+    "empty_row" (some equation has no witness column) or
+    "no_admissible_assignment" (the necessary checks pass, but the search
+    finds no admissible assignment, so the region has no box).  The first
+    three come from ``necessary_feasibility``, whose "ok" does NOT certify
+    feasibility: the conditions are necessary only.  The verdict of a
+    ``RegionResult`` is "ok" exactly when the region has at least one box.
     """
 
     status: str
@@ -255,6 +262,11 @@ def witness_mask(analysis: CellAnalysis, j: int, v: float) -> int:
     return mask
 
 
+def _check_length(x: Sequence[float], n: int) -> None:
+    if len(x) != n:
+        raise ValueError(f"point has {len(x)} coordinates, system has {n}")
+
+
 def is_feasible_point(analysis: CellAnalysis, x: Sequence[float]) -> bool:
     """Exact membership test: x solves every equation of the system iff
 
@@ -263,8 +275,7 @@ def is_feasible_point(analysis: CellAnalysis, x: Sequence[float]) -> bool:
 
     that is, iff no ``witness_mask`` of x is -1 and their OR covers every row.
     """
-    if len(x) != analysis.n:
-        raise ValueError(f"point has {len(x)} coordinates, system has {analysis.n}")
+    _check_length(x, analysis.n)
     covered = 0
     for j, v in enumerate(x):
         mask = witness_mask(analysis, j, v)
@@ -276,8 +287,7 @@ def is_feasible_point(analysis: CellAnalysis, x: Sequence[float]) -> bool:
 
 def residual(system: BipolarSystem, x: Sequence[float], i: int) -> float:
     """Absolute deviation of equation i's left-hand side from b_i at x in [0, 1]^n."""
-    if len(x) != system.n:
-        raise ValueError(f"point has {len(x)} coordinates, system has {system.n}")
+    _check_length(x, system.n)
     t = system.tnorm
     lhs = 0.0
     for j, xj in enumerate(x):

@@ -32,10 +32,24 @@ def test_negative_width_beyond_tolerance_dropped():
 
 def test_tiny_negative_width_collapses_to_singleton():
     u = iu((0.5 + 4e-10, 0.5))
-    assert u.is_singleton
-    assert abs(u.singleton_value - 0.5) <= 1e-9
-    with pytest.raises(ValueError, match="not a singleton"):
-        iu((0.5, 0.6)).singleton_value
+    assert abs(u.singleton() - 0.5) <= 1e-9
+    assert iu((0.5, 0.6)).singleton() is None
+
+
+@pytest.mark.parametrize(
+    "pairs,expected",
+    [
+        pytest.param([(0.3, 0.3)], 0.3, id="point"),
+        # widths that are powers of 2, so every sum is exact
+        pytest.param([(0.25, 0.25 + 2**-31)], 0.25 + 2**-32, id="within-eps"),
+        pytest.param([(0.25, 0.25 + 2**-29)], None, id="wider"),
+        pytest.param([(0.1, 0.1), (0.6, 0.6)], None, id="two-pieces"),
+        pytest.param([], None, id="empty"),
+    ],
+)
+def test_singleton(pairs, expected):
+    # the midpoint of the one piece when it is a point within EPS, else None
+    assert iu(*pairs).singleton() == expected
 
 
 def test_canonicalization_idempotent():

@@ -267,6 +267,20 @@ def test_membership_check_on_an_all_feasible_grid():
     assert (report.best_point, report.best_value) == ((0.0, 1.0), -1.0)
 
 
+def test_membership_check_counts_every_mismatch_and_keeps_50():
+    # every point is feasible and no box is left, so each point drawn is a
+    # mismatch; the walk counts them all and keeps only the first 50
+    sys_ = BipolarSystem([[0.0, 0.0]], [[0.0, 0.0]], [0.0], TNormSpec("minimum"))
+    res = feasible_region(sys_)
+    grid = breakpoint_grid(res.analysis, 1e-3)
+    report = grid_membership_check(res.analysis, (), grid, cap=2_000)
+    assert report.sampled
+    assert report.mismatch_count == report.checked == 2_000
+    assert len(report.mismatches) == 50
+    assert all(f and not b for _, f, b in report.mismatches)
+    assert not report.ok
+
+
 def test_membership_check_infeasible_system():
     sys_ = BipolarSystem([[0.0]], [[0.0]], [1.0], TNormSpec("minimum"))
     res = feasible_region(sys_)
@@ -308,7 +322,10 @@ def test_membership_index_matches_box_scan():
             report = grid_membership_check(res.analysis, variant, grid)
             assert not report.sampled
             expected = _box_scan_mismatches(res.analysis, variant, grid)
-            assert report.mismatches == expected, (res.analysis.system, variant)
+            assert (report.mismatch_count, report.mismatches) == (
+                len(expected),
+                expected[:50],
+            ), (res.analysis.system, variant)
             lossy += bool(expected) and len(variant) > 0
     assert lossy > 0
 
@@ -326,7 +343,8 @@ def _reference_report(analysis, boxes, grid, cap, seed, objective):
     draws of ``random.Random(seed).choice`` per column; per point,
     ``is_feasible_point``, the first strictly smaller objective value and a
     scan of every box.  The snapped value moves a feasible point into the
-    first box that holds it, if any, before the objective reads it."""
+    first box that holds it, if any, before the objective reads it.  Every
+    mismatch is counted, and the first 50 are kept."""
     total = 1
     for col in grid:
         total *= len(col)
@@ -349,7 +367,14 @@ def _reference_report(analysis, boxes, grid, cap, seed, objective):
         if feasible != in_union:
             mismatches.append((x, feasible, in_union))
     return GridReport(
-        total, checked, sampled, mismatches, best_point, best_value, snapped_value
+        total,
+        checked,
+        sampled,
+        len(mismatches),
+        mismatches[:50],
+        best_point,
+        best_value,
+        snapped_value,
     )
 
 
@@ -497,7 +522,8 @@ def test_membership_check_reports_dropped_and_extra_boxes(example_region):
     assert own
     assert grid_membership_check(analysis, boxes, sub).ok
     report = grid_membership_check(analysis, others, sub)
-    assert report.mismatches == [(x, True, False) for x in own]
+    expected = [(x, True, False) for x in own]
+    assert (report.mismatch_count, report.mismatches) == (len(expected), expected[:50])
 
     full = FeasibleBox(
         tuple(IntervalUnion.interval(0.0, 1.0) for _ in range(analysis.n)), boxes[0].columns

@@ -22,7 +22,7 @@ from bfre import (
 from bfre.cli import problem_from_dict
 from bfre.resolution import ResourceLimitError, root_factors
 from bfre.simplify import ReductionState, simplify_to_fixpoint
-from bfre.system import necessary_feasibility
+from bfre.system import FeasibilityVerdict, necessary_feasibility
 from conftest import bench_workloads, in_box, make_example_system, random_system
 from exact import RATIONAL_KINDS, exact_tnorm
 
@@ -266,12 +266,12 @@ def test_feasible_region_infeasible_by_enumeration():
         [0.7, 0.5, 0.7],
         TNormSpec("minimum"),
     )
-    res = feasible_region(sys_)
-    assert res.verdict.ok
-    assert res.boxes == ()
-    assert not res.is_feasible
-    # the unsimplified route reaches the same conclusion
-    assert not feasible_region(sys_, simplify=False).is_feasible
+    for simplify in (True, False):
+        res = feasible_region(sys_, simplify=simplify)
+        assert necessary_feasibility(res.analysis).ok
+        assert res.verdict == FeasibilityVerdict("no_admissible_assignment")
+        assert res.boxes == ()
+        assert not res.is_feasible
 
 
 def test_fre_embedding_region():

@@ -87,7 +87,7 @@ def test_rule2_keeps_rows_not_witnessed():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
         [0.5, 0.5, 0.6],
     )
-    assert an.col_bounds[0].is_singleton
+    assert an.col_bounds[0].singleton() is not None
     state = ReductionState.initial(an)
     assert fires(apply_rule2, state, an)
     assert state.fixed.keys() == {0}

@@ -108,8 +108,7 @@ def test_full_grids_match_reference(example_analysis):
 
 def test_column_bounds_examples(example_analysis):
     assert example_analysis.col_bounds[2].approx_equals(iu([[0.1, 0.7]]))
-    assert example_analysis.col_bounds[6].is_singleton
-    assert example_analysis.col_bounds[6].singleton_value == pytest.approx(0.1)
+    assert example_analysis.col_bounds[6].singleton() == pytest.approx(0.1)
 
     # a column where no entry reaches the target stays unconstrained
     free = BipolarSystem([[0.1]], [[0.1]], [0.9], TNormSpec("minimum"))
