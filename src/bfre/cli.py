@@ -83,7 +83,6 @@ from .resolution import (
     count_bound,
     feasible_region,
     reduce_system,
-    root_factors,
 )
 from .simplify import ReductionState
 from .system import BipolarSystem
@@ -169,12 +168,12 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
     array, each box's text with a separator piece between two, and the
     text after the array.
 
-    A box differs from the search's root (``root_factors``: the fixed
+    A box differs from the search's root (``result.dag.base``: the fixed
     singletons and column bounds) only on its witness columns, so the root's
     n factor texts are encoded once per report, and each box copies that
     list and patches only the factors on its ``columns``.  Those factors are
-    shared by many boxes, so each distinct object is encoded once; ``result``
-    holds every box while this runs, so ``id`` tells them apart.  The
+    shared by many boxes, so each distinct object is encoded once; the boxes
+    expanded here hold them while this runs, so ``id`` tells them apart.  The
     ``rows`` list, the region's active rows, is the same for every box and
     is encoded once too, and column indices come from a table of their
     texts.
@@ -189,19 +188,20 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
         head["count_bound"] = count_bound(result.analysis, state)
     head["column_bounds"] = [c.pieces for c in result.analysis.col_bounds]
     pieces = [f'{json.dumps(head)[:-1]}, "boxes": [']
-    if result.boxes:
-        root = [json.dumps(f.pieces) for f in root_factors(result.analysis, state)]
+    boxes = result.boxes
+    if boxes:
+        root = [_pieces_text(f.pieces) for f in result.dag.base]
         index = [str(j) for j in range(len(root))]
         text: dict[int, str] = {}
         rows = json.dumps(sorted(state.active_rows))
-        for box in result.boxes:
+        for box in boxes:
             texts = root.copy()
             factors = box.factors
             for j in box.columns:
                 f = factors[j]
                 t = text.get(id(f))
                 if t is None:
-                    t = text[id(f)] = json.dumps(f.pieces)
+                    t = text[id(f)] = _pieces_text(f.pieces)
                 texts[j] = t
             pieces += (
                 f'{{"rows": {rows}, '
@@ -220,6 +220,13 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
         tail += f', "best": {json.dumps(point)}'
     pieces.append(f"{tail}}}\n")
     return pieces
+
+
+def _pieces_text(pieces: tuple[tuple[float, float], ...]) -> str:
+    """``json.dumps(pieces)`` for a factor's pieces, without its per-call
+    set-up: JSON writes a finite float as its ``repr``, and every end lies
+    in [0, 1]."""
+    return f"[{', '.join([f'[{lo!r}, {hi!r}]' for lo, hi in pieces])}]"
 
 
 def _value(value: float | None) -> float | None:
@@ -305,7 +312,9 @@ def solve(
     result = _region(args, system)
     best = None
     if result.is_feasible:
-        best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
+        best, _ = global_optimum(
+            result.analysis, result.reduction, objective, args.max_e, dag=result.dag
+        )
     return _region_report(result, best), EXIT_INFEASIBLE if best is None else EXIT_OK
 
 
@@ -316,7 +325,7 @@ def verify(
     result = _region(args, system)
     grid = breakpoint_grid(result.analysis, args.step)
     membership = grid_membership_check(
-        result.analysis, result.boxes, grid, cap=args.cap, seed=args.seed, objective=objective
+        result, grid, cap=args.cap, seed=args.seed, objective=objective
     )
     out: dict[str, Any] = {
         "status": "verified" if membership.ok else "mismatch",
@@ -339,7 +348,9 @@ def verify(
             "value": _value(value),
         }
         if result.is_feasible:
-            best, _ = global_optimum(result.analysis, result.reduction, objective, args.max_e)
+            best, _ = global_optimum(
+                result.analysis, result.reduction, objective, args.max_e, dag=result.dag
+            )
             out["pipeline_value"] = _value(best.value)
             # a sample certifies only the lower test, which reads snapped points
             out["objective_check"] = "lower_bound" if membership.sampled else "exact"

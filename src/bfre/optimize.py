@@ -19,7 +19,13 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import intervals
 from .intervals import IntervalUnion, _Frozen
-from .resolution import DEFAULT_MAX_ASSIGNMENTS, ResourceLimitError, walk_admissible
+from .resolution import (
+    DEFAULT_MAX_ASSIGNMENTS,
+    ResourceLimitError,
+    SearchDag,
+    search_dag,
+    walk_admissible,
+)
 from .simplify import ReductionState
 from .system import CellAnalysis
 
@@ -95,10 +101,14 @@ def global_optimum(
     state: ReductionState,
     objective: MonotoneObjective,
     max_count: int = DEFAULT_MAX_ASSIGNMENTS,
+    *,
+    dag: SearchDag | None = None,
 ) -> tuple[Candidate, list[Candidate]]:
     """The best corner over the region of the (reduced) problem, and every
     leaf corner the search compared, in the order it compared them.
 
+    The search walks ``dag``, the region's search DAG, which it builds with
+    ``search_dag(analysis, state)`` when none is given.
     ``walk_admissible`` visits the assignments in lexicographic order and
     scores each leaf it reaches by its box's corner, which is optimal on
     that box.  The corner of a partial box bounds every box below it from
@@ -150,7 +160,7 @@ def global_optimum(
                 f"{best.value!r}; raise the cap"
             )
 
-    walk_admissible(analysis, state, leaf, prune)
+    walk_admissible(search_dag(analysis, state) if dag is None else dag, leaf, prune)
     if best is None:
         raise InfeasibleError("no admissible assignment: the region is empty")
     return best, compared

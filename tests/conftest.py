@@ -13,8 +13,10 @@ from typing import NamedTuple
 
 import pytest
 
-from bfre import BipolarSystem, CellAnalysis, TNormSpec, tnorm_eval
+from bfre import BipolarSystem, CellAnalysis, RegionResult, TNormSpec, tnorm_eval
 from bfre.cli import main
+from bfre.resolution import DagNode, SearchDag
+from bfre.system import FeasibilityVerdict
 from bfre.tnorms import TNORM_KINDS
 
 A_PLUS = [
@@ -202,6 +204,24 @@ def in_box(box, x) -> bool:
     """Whether point x lies in the box: every coordinate in its factor.
     The box-membership reference of the tests."""
     return all(f.contains(x[j]) for j, f in enumerate(box.factors))
+
+
+def region_of(analysis, boxes) -> RegionResult:
+    """A region whose boxes are exactly ``boxes``, in their order, for
+    dropping, adding and reordering boxes behind the oracle's back.
+
+    Its search DAG takes column k at depth k, one chain of nodes per box,
+    so the box of rank r is ``boxes[r]``.  It has no reduction, so its
+    ``boxes`` read as empty; the oracle reads only the DAG."""
+    n = analysis.n
+    edges = []
+    for box in boxes:
+        child = DagNode((), 1)
+        for k in reversed(range(1, n)):
+            child = DagNode(((k, box.factors[k], child),), 1)
+        edges.append((0, box.factors[0], child))
+    dag = SearchDag(DagNode(tuple(edges), len(boxes)), tuple(analysis.col_bounds), tuple(range(n)), n)
+    return RegionResult(FeasibilityVerdict("ok"), analysis, None, dag)
 
 
 # -- command line --------------------------------------------------------------

@@ -291,6 +291,44 @@ def test_bad_option_values(args, fragment):
     assert fragment in result.output
 
 
+def test_factor_text_is_its_json():
+    # The report encodes a factor's pieces without json.dumps; the text
+    # must be json.dumps's, for every end a factor can hold in [0, 1].
+    from bfre.cli import _pieces_text
+
+    rng = random.Random(71)
+    ends = [0.0, 1.0, 5e-324, 1e-17, 1 / 3, 0.1, 1.0 - 2.0**-53]
+    ends += [rng.random() for _ in range(200)] + [rng.randrange(11) / 10 for _ in range(20)]
+    samples = [()]
+    for _ in range(300):
+        chosen = sorted(rng.sample(ends, 2 * rng.randint(1, 3)))
+        samples.append(tuple(zip(chosen[::2], chosen[1::2])))
+    system, _ = parse_problem(DATA)
+    for box in feasible_region(system, simplify=False).boxes:
+        samples += [f.pieces for f in box.factors]
+    for pieces in samples:
+        assert _pieces_text(pieces) == json.dumps(pieces), pieces
+
+
+@pytest.mark.parametrize("command", ["feasible", "solve", "verify"])
+@pytest.mark.parametrize("simplify", [[], ["--no-simplify"]], ids=["simplify", "no-simplify"])
+def test_max_e_below_the_box_count(command, simplify):
+    # The cap is judged on the exact count of boxes before any is listed,
+    # verify's included, which lists none: one error: line that says the
+    # system is feasible, and exit 1.  A cap equal to the count passes.
+    count = feasible_region(parse_problem(DATA)[0], simplify=not simplify).dag.count
+    assert count > 3
+    options = [*simplify, *(["--step", "0.5", "--cap", "100"] if command == "verify" else [])]
+    for cap in sorted({1, 3, count - 1}):
+        result = invoke(command, DATA, *options, "--max-e", str(cap))
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"error: more than {cap} admissible assignments; {cap} boxes found, "
+            "so the system is feasible; raise the cap\n"
+        )
+    assert invoke(command, DATA, *options, "--max-e", str(count)).exit_code == 0
+
+
 @pytest.mark.parametrize(
     "args,named",
     [

@@ -25,7 +25,7 @@ from bfre import oracle
 from bfre.cli import problem_from_dict
 from bfre.oracle import DEFAULT_GRID_CAP, GridReport
 from bfre.tnorms import TNORM_KINDS
-from conftest import LINEAR_C, dense_square_problem, in_box, random_system
+from conftest import LINEAR_C, dense_square_problem, in_box, random_system, region_of
 
 
 @pytest.fixture(scope="module")
@@ -223,8 +223,8 @@ def test_sampled_walk_draws_the_same_points_from_lazy_columns():
     assert all(isinstance(col, oracle._GridColumn) for col in grid)
     lists = [list(col) for col in grid]
     for cap in (50, 30_000):
-        lazy = grid_membership_check(res.analysis, res.boxes, grid, cap, 4, obj)
-        eager = grid_membership_check(res.analysis, res.boxes, lists, cap, 4, obj)
+        lazy = grid_membership_check(res, grid, cap, 4, obj)
+        eager = grid_membership_check(res, lists, cap, 4, obj)
         assert lazy.sampled and lazy.checked == cap
         assert lazy == eager
         # the region is three segments: the small sample misses them
@@ -239,7 +239,7 @@ def test_membership_check_exhaustive_small():
     sys_ = BipolarSystem.from_fre([[1.0]], [0.5], TNormSpec("product"))
     res = feasible_region(sys_)
     grid = breakpoint_grid(res.analysis, step=0.1)
-    report = grid_membership_check(res.analysis, res.boxes, grid)
+    report = grid_membership_check(res, grid)
     assert not report.sampled
     assert report.ok
     assert report.checked == report.total_points
@@ -247,9 +247,7 @@ def test_membership_check_exhaustive_small():
 
 def test_membership_check_sampled(example_region):
     grid = breakpoint_grid(example_region.analysis, step=0.25)
-    report = grid_membership_check(
-        example_region.analysis, example_region.boxes, grid, cap=4000, seed=3
-    )
+    report = grid_membership_check(example_region, grid, cap=4000, seed=3)
     assert report.sampled
     assert report.checked == 4000
     assert report.ok
@@ -261,7 +259,7 @@ def test_membership_check_on_an_all_feasible_grid():
     res = feasible_region(sys_)
     obj = objective_catalog("linear", 2, {"c": [1.0, -1.0]})
     grid = breakpoint_grid(res.analysis, step=0.25)
-    report = grid_membership_check(res.analysis, res.boxes, grid, objective=obj)
+    report = grid_membership_check(res, grid, objective=obj)
     assert report.checked == report.total_points == 25
     assert report.mismatches == []
     assert (report.best_point, report.best_value) == ((0.0, 1.0), -1.0)
@@ -273,7 +271,7 @@ def test_membership_check_counts_every_mismatch_and_keeps_50():
     sys_ = BipolarSystem([[0.0, 0.0]], [[0.0, 0.0]], [0.0], TNormSpec("minimum"))
     res = feasible_region(sys_)
     grid = breakpoint_grid(res.analysis, 1e-3)
-    report = grid_membership_check(res.analysis, (), grid, cap=2_000)
+    report = grid_membership_check(region_of(res.analysis, ()), grid, cap=2_000)
     assert report.sampled
     assert report.mismatch_count == report.checked == 2_000
     assert len(report.mismatches) == 50
@@ -285,7 +283,7 @@ def test_membership_check_infeasible_system():
     sys_ = BipolarSystem([[0.0]], [[0.0]], [1.0], TNormSpec("minimum"))
     res = feasible_region(sys_)
     grid = breakpoint_grid(res.analysis, step=0.2)
-    report = grid_membership_check(res.analysis, res.boxes, grid)
+    report = grid_membership_check(res, grid)
     assert report.ok  # both sides empty everywhere
 
 
@@ -319,7 +317,7 @@ def test_membership_index_matches_box_scan():
         for _ in range(3):
             variants.append(tuple(rng.sample(boxes, rng.randint(1, len(boxes)))))
         for variant in variants:
-            report = grid_membership_check(res.analysis, variant, grid)
+            report = grid_membership_check(region_of(res.analysis, variant), grid)
             assert not report.sampled
             expected = _box_scan_mismatches(res.analysis, variant, grid)
             assert (report.mismatch_count, report.mismatches) == (
@@ -403,7 +401,7 @@ def test_memoized_walk_matches_point_by_point_reference(column_kind):
             grid = breakpoint_grid(res.analysis, step)
             for variant in variants:
                 report = grid_membership_check(
-                    res.analysis, variant, grid, cap, trial, objective
+                    region_of(res.analysis, variant), grid, cap, trial, objective
                 )
                 expected = _reference_report(
                     res.analysis, variant, grid, cap, trial, objective
@@ -449,7 +447,7 @@ def test_lazy_index_matches_reference_on_large_regions(large_regions):
         for variant in variants:
             for walk_grid, cap in ((full, 60), (grid, DEFAULT_GRID_CAP)):
                 report = grid_membership_check(
-                    res.analysis, variant, walk_grid, cap, 5, objective
+                    region_of(res.analysis, variant), walk_grid, cap, 5, objective
                 )
                 expected = _reference_report(
                     res.analysis, variant, walk_grid, cap, 5, objective
@@ -461,6 +459,28 @@ def test_lazy_index_matches_reference_on_large_regions(large_regions):
     assert min(seen.values()) >= 3, seen
 
 
+def test_region_and_its_listed_boxes_give_one_report(large_regions):
+    # The union test on the region's merged DAG, ranked by path counts, and
+    # on a chain per listed box must agree on every field of the report,
+    # the snapped minimum too, which reads the first box left by rank.
+    rng = random.Random(47)
+    snapped = 0
+    for res in large_regions:
+        boxes = res.boxes
+        chains = region_of(res.analysis, boxes)
+        corner = [f.pieces[0][0] for f in rng.choice(boxes).factors]
+        full = breakpoint_grid(res.analysis, 0.25)
+        grid = [[v] for v in corner]
+        for j in rng.sample(sorted({j for box in boxes for j in box.columns}), 4):
+            grid[j] = sorted({corner[j], *rng.sample(list(full[j]), 2)})
+        objective = objective_catalog("linear", res.analysis.n, {"c": [1.0] * res.analysis.n})
+        for walk_grid, cap in ((full, 60), (grid, DEFAULT_GRID_CAP)):
+            report = grid_membership_check(res, walk_grid, cap, 3, objective)
+            assert report == grid_membership_check(chains, walk_grid, cap, 3, objective)
+            snapped += report.snapped_value is not None
+    assert snapped >= 3
+
+
 def test_union_test_indexes_only_the_columns_it_reaches(large_regions, monkeypatch):
     # A column's factor index is built the first time the union test
     # reaches the column, once, and a sampled grid whose points leave the
@@ -468,16 +488,19 @@ def test_union_test_indexes_only_the_columns_it_reaches(large_regions, monkeypat
     built = []
     build = oracle._factor_index
     monkeypatch.setattr(
-        oracle, "_factor_index", lambda boxes, j: built.append(j) or build(boxes, j)
+        oracle,
+        "_factor_index",
+        lambda dag, levels, j: built.append(j) or build(dag, levels, j),
     )
     for res in large_regions:
         built.clear()
         grid = breakpoint_grid(res.analysis, 0.25)
-        report = grid_membership_check(res.analysis, res.boxes, grid, cap=40, seed=0)
+        report = grid_membership_check(res, grid, cap=40, seed=0)
         assert report.sampled
+        boxes = res.boxes
         reached = set()
         for x in _choice_points(grid, 40, 0):
-            alive = res.boxes
+            alive = boxes
             for j, v in enumerate(x):
                 if not alive:
                     break
@@ -490,13 +513,13 @@ def test_union_test_indexes_only_the_columns_it_reaches(large_regions, monkeypat
 def test_lazy_columns_get_no_table(example_region):
     # A table per index of a lazy column would hold up to cap entries; at
     # step 5.1e-7 each column has about two million values.
-    analysis, boxes = example_region.analysis, example_region.boxes
+    analysis = example_region.analysis
     grid = breakpoint_grid(analysis, step=5.1e-7)
     assert all(oracle._table(col) is oracle._NO_TABLE for col in grid)
     assert oracle._table([0.0, 0.5, 1.0]) == [None] * 3
     tracemalloc.start()
     try:
-        report = grid_membership_check(analysis, boxes, grid, cap=5_000, seed=1)
+        report = grid_membership_check(example_region, grid, cap=5_000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,8 +543,9 @@ def test_membership_check_reports_dropped_and_extra_boxes(example_region):
         if own:
             break
     assert own
-    assert grid_membership_check(analysis, boxes, sub).ok
-    report = grid_membership_check(analysis, others, sub)
+    assert grid_membership_check(example_region, sub).ok
+    assert grid_membership_check(region_of(analysis, boxes), sub).ok
+    report = grid_membership_check(region_of(analysis, others), sub)
     expected = [(x, True, False) for x in own]
     assert (report.mismatch_count, report.mismatches) == (len(expected), expected[:50])
 
@@ -529,7 +553,7 @@ def test_membership_check_reports_dropped_and_extra_boxes(example_region):
         tuple(IntervalUnion.interval(0.0, 1.0) for _ in range(analysis.n)), boxes[0].columns
     )
     report = grid_membership_check(
-        analysis, boxes + (full,), breakpoint_grid(analysis, step=0.25), cap=2000
+        region_of(analysis, boxes + (full,)), breakpoint_grid(analysis, step=0.25), cap=2000
     )
     assert report.sampled
     assert report.mismatches
@@ -566,9 +590,7 @@ def test_brute_force_reproduces_reference_optima(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
     point, value = brute_force_min(example_region.analysis, obj, grid, cap=total)
     assert value == pytest.approx(-3.6, abs=1e-9)
-    report = grid_membership_check(
-        example_region.analysis, example_region.boxes, grid, cap=total, objective=obj
-    )
+    report = grid_membership_check(example_region, grid, cap=total, objective=obj)
     assert not report.sampled
     assert (report.best_point, report.best_value) == (point, value)
 
@@ -600,13 +622,13 @@ def test_brute_force_matches_pipeline_on_random_instances():
 
 
 def test_folded_minimum_on_sampled_example(example_region):
-    analysis, boxes = example_region.analysis, example_region.boxes
+    analysis = example_region.analysis
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
     grid = breakpoint_grid(analysis, step=0.25)
     # seed 3 draws no feasible point, seed 0 draws one
     for seed, found in ((3, False), (0, True)):
         report = grid_membership_check(
-            analysis, boxes, grid, cap=4000, seed=seed, objective=obj
+            example_region, grid, cap=4000, seed=seed, objective=obj
         )
         assert report.sampled and report.ok
         expected = brute_force_min(analysis, obj, grid, cap=4000, seed=seed)
@@ -630,7 +652,7 @@ def test_folded_minimum_matches_brute_force_min():
         grid = breakpoint_grid(res.analysis, step=0.5)
         for cap in (DEFAULT_GRID_CAP, 6):
             report = grid_membership_check(
-                res.analysis, res.boxes, grid, cap=cap, seed=trial, objective=obj
+                res, grid, cap=cap, seed=trial, objective=obj
             )
             expected = brute_force_min(res.analysis, obj, grid, cap=cap, seed=trial)
             assert (report.best_point, report.best_value) == expected, sys_

@@ -20,7 +20,7 @@ from bfre import (
     is_feasible_point,
 )
 from bfre.cli import problem_from_dict
-from bfre.resolution import ResourceLimitError, root_factors
+from bfre.resolution import ResourceLimitError, root_factors, search_dag
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import FeasibilityVerdict, necessary_feasibility
 from conftest import bench_workloads, in_box, make_example_system, random_system
@@ -122,6 +122,99 @@ def test_enumeration_completeness_vs_brute_force():
                     rows_at = [i for i, c in zip(rows, box.columns) if c == j]
                     expected = _reference_factor(an, state, rows_at, j)
                     assert box.factors[j].approx_equals(expected), (sys_, box.columns, j)
+
+
+def _reference_boxes(analysis, state):
+    """The admissible assignments and their boxes without the search DAG:
+    the product of the active rows' candidates in lexicographic order, an
+    assignment kept when every running intersection is non-empty.  An
+    assignment's running intersections are those of its prefixes, so the
+    product is cut at the first empty one; each intersection is computed
+    afresh.  Each box is ``(columns, factor pieces)``."""
+    rows = sorted(state.active_rows)
+    candidates = [state.row_candidates(analysis, i) for i in rows]
+    out = []
+
+    def extend(columns, factors):
+        k = len(columns)
+        if k == len(rows):
+            out.append((tuple(columns), tuple(f.pieces for f in factors)))
+            return
+        for j in candidates[k]:
+            cell = analysis.restricted[rows[k]][j]
+            running = factors[j] & cell if j in columns else cell
+            if running.is_empty:
+                continue
+            extend(columns + [j], factors[:j] + [running] + factors[j + 1:])
+
+    extend([], root_factors(analysis, state))
+    return out
+
+
+def _reference_cases():
+    """The benchmark's seed-1 files, and 30 natural 16x16 systems, six in
+    each of five families."""
+    workloads = bench_workloads()
+    for workload in ("catalog-small", "dense-square", "tall-reduction"):
+        for record in workloads.build(workload, 1):
+            yield f"{workload}/{record['file']}", record["problem"]
+    for kind in ("product", "frank", "dubois_prade", "lukasiewicz", "minimum"):
+        for seed in range(6):
+            problem, _ = workloads.natural_system(random.Random(f"nat16/{kind}/{seed}"), kind, 16, 16)
+            yield f"natural-16x16/{kind}/{seed}", problem
+
+
+def test_dag_expansion_matches_the_reference_product():
+    # The DAG expands to the reference's boxes, with the same columns,
+    # factor pieces and order, and its root counts them exactly; with the
+    # reduction rules and without them.
+    cases = boxes = merged = 0
+    for name, problem in _reference_cases():
+        analysis = CellAnalysis(problem_from_dict(problem)[0])
+        if not necessary_feasibility(analysis).ok:
+            continue
+        for state in (simplify_to_fixpoint(analysis), ReductionState.initial(analysis)):
+            dag = search_dag(analysis, state)
+            expected = _reference_boxes(analysis, state)
+            got = [
+                (box.columns, tuple(f.pieces for f in box.factors))
+                for box in enumerate_admissible(analysis, state, dag=dag)
+            ]
+            assert got == expected, name
+            assert dag.count == len(expected), name
+            cases += 1
+            boxes += len(expected)
+            merged += _nodes(dag) < len(expected)
+    assert cases >= 2 * 170 and boxes > 10_000 and merged > 50, (cases, boxes, merged)
+
+
+def _nodes(dag):
+    """The number of nodes of a DAG, the sink included."""
+    seen = {id(dag.root): dag.root}
+    stack = [dag.root]
+    while stack:
+        for _, _, child in stack.pop().edges:
+            if id(child) not in seen:
+                seen[id(child)] = child
+                stack.append(child)
+    return len(seen)
+
+
+def test_dag_counts_and_ranks_its_paths(example_analysis):
+    # Every node's count is the number of its paths, and the factors of
+    # the box of each rank, found by descending the counts, are that box's.
+    for state in (ReductionState.initial(example_analysis), simplify_to_fixpoint(example_analysis)):
+        dag = search_dag(example_analysis, state)
+        boxes = enumerate_admissible(example_analysis, state, dag=dag)
+        assert dag.count == len(boxes) > 1
+        for rank, box in enumerate(boxes):
+            assert tuple(dag.factors_at(rank)) == box.factors
+        stack = [dag.root]
+        while stack:
+            node = stack.pop()
+            assert node.count == (sum(c.count for _, _, c in node.edges) if node.edges else 1)
+            assert all(c.count for _, _, c in node.edges)
+            stack.extend(c for _, _, c in node.edges)
 
 
 # -- count bound -------------------------------------------------------------------
