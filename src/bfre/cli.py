@@ -46,13 +46,14 @@ written to ``sys.stdout`` and flushed, and an error, one ``error:``
 line, to ``sys.stderr`` with one ``write`` and a flush.  An interrupt
 prints ``Aborted!`` and exits 1.
 
-The box texts come from one encoder and shared text.  Every box equals
-the search's root (fixed singletons and column bounds) except on its
-witness columns, so the root's factor texts are encoded once per report,
-and a box costs a copy of that list plus one patch per witness column,
-each distinct witness factor being encoded once.  The region's ``rows``
-list is encoded once too.  ``solve`` reports the best corner that the
-optimum search finds, not the corner of every box.
+The boxes are written straight off the region's search DAG, and never
+listed.  The DAG is mapped once to the same DAG over factor texts, each
+distinct factor being encoded once, and the one depth-first walk,
+``resolution.walk_admissible``, runs over that: it patches one column's
+text per edge, so each leaf holds its box's texts, and a box costs one
+join.  The region's ``rows`` list is encoded once too.  ``solve`` reports
+the best corner that the optimum search finds, not the corner of every
+box.
 """
 
 from __future__ import annotations
@@ -78,11 +79,14 @@ from .oracle import DEFAULT_GRID_CAP, breakpoint_grid, grid_membership_check
 from .oracle import brute_force_min  # noqa: F401  bench/layers.py patches this name
 from .resolution import (
     DEFAULT_MAX_ASSIGNMENTS,
+    DagNode,
     RegionResult,
     ResourceLimitError,
+    SearchDag,
     count_bound,
     feasible_region,
     reduce_system,
+    walk_admissible,
 )
 from .simplify import ReductionState
 from .system import BipolarSystem
@@ -168,15 +172,12 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
     array, each box's text with a separator piece between two, and the
     text after the array.
 
-    A box differs from the search's root (``result.dag.base``: the fixed
-    singletons and column bounds) only on its witness columns, so the root's
-    n factor texts are encoded once per report, and each box copies that
-    list and patches only the factors on its ``columns``.  Those factors are
-    shared by many boxes, so each distinct object is encoded once; the boxes
-    expanded here hold them while this runs, so ``id`` tells them apart.  The
-    ``rows`` list, the region's active rows, is the same for every box and
-    is encoded once too, and column indices come from a table of their
-    texts.
+    The boxes are written straight off the region's DAG, and never listed.
+    ``_text_dag`` maps it once to the same DAG over factor texts, and
+    ``walk_admissible`` walks that, so a leaf's ``factors`` are its box's
+    texts and the box is one join of them.  The ``rows`` list, the region's
+    active rows, is the same for every box and is encoded once, and column
+    indices come from a table of their texts.
     """
     head: dict[str, Any] = {
         "status": "feasible" if result.is_feasible else "infeasible",
@@ -188,27 +189,19 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
         head["count_bound"] = count_bound(result.analysis, state)
     head["column_bounds"] = [c.pieces for c in result.analysis.col_bounds]
     pieces = [f'{json.dumps(head)[:-1]}, "boxes": [']
-    boxes = result.boxes
-    if boxes:
-        root = [_pieces_text(f.pieces) for f in result.dag.base]
-        index = [str(j) for j in range(len(root))]
-        text: dict[int, str] = {}
+    if result.dag.count:
+        index = [str(j) for j in range(len(result.dag.base))]
         rows = json.dumps(sorted(state.active_rows))
-        for box in boxes:
-            texts = root.copy()
-            factors = box.factors
-            for j in box.columns:
-                f = factors[j]
-                t = text.get(id(f))
-                if t is None:
-                    t = text[id(f)] = _pieces_text(f.pieces)
-                texts[j] = t
-            pieces += (
+
+        def leaf(columns: tuple[int, ...], texts: list[str]) -> None:
+            pieces.extend((
                 f'{{"rows": {rows}, '
-                f'"columns": [{", ".join(map(index.__getitem__, box.columns))}], '
+                f'"columns": [{", ".join(map(index.__getitem__, columns))}], '
                 f'"factors": [{", ".join(texts)}]}}',
                 ", ",
-            )
+            ))
+
+        walk_admissible(_text_dag(result.dag), leaf)
         pieces.pop()  # the separator after the last box
     tail = "]"
     if best is not None:
@@ -220,6 +213,30 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
         tail += f', "best": {json.dumps(point)}'
     pieces.append(f"{tail}}}\n")
     return pieces
+
+
+def _text_dag(dag: SearchDag) -> SearchDag:
+    """The DAG with every factor replaced by its JSON text: the same
+    columns, children and counts.  The DAG shares its factor objects, and
+    each distinct one is encoded once; each node is mapped once.  The DAG
+    holds both while this runs, so ``id`` tells them apart."""
+    texts: dict[int, str] = {}
+    nodes: dict[int, DagNode] = {}
+
+    def text(factor: intervals.IntervalUnion) -> str:
+        t = texts.get(id(factor))
+        if t is None:
+            t = texts[id(factor)] = _pieces_text(factor.pieces)
+        return t
+
+    def node_text(node: DagNode) -> DagNode:
+        mapped = nodes.get(id(node))
+        if mapped is None:
+            edges = tuple([(j, text(joint), node_text(child)) for j, joint, child in node.edges])
+            mapped = nodes[id(node)] = DagNode(edges, node.count)
+        return mapped
+
+    return dag._replace(root=node_text(dag.root), base=tuple(map(text, dag.base)))
 
 
 def _pieces_text(pieces: tuple[tuple[float, float], ...]) -> str:

@@ -27,7 +27,7 @@ and the root's count is the exact number of admissible functions.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .intervals import IntervalUnion
 from .simplify import ReductionState, simplify_to_fixpoint
@@ -151,7 +151,9 @@ def root_factors(analysis: CellAnalysis, state: ReductionState) -> list[Interval
     ]
 
 
-def search_dag(analysis: CellAnalysis, state: ReductionState) -> SearchDag:
+def search_dag(
+    analysis: CellAnalysis, state: ReductionState, max_count: int | None = None
+) -> SearchDag:
     """The depth-first search over the admissible functions of the (reduced)
     problem, built whole as a DAG.
 
@@ -170,6 +172,11 @@ def search_dag(analysis: CellAnalysis, state: ReductionState) -> SearchDag:
     A node at depth k is built once per ``(k, ids of the factors on the
     frontier)``.  The ids are stable: every factor stays alive in the
     analysis, in ``base`` or as a value of the intersection memo.
+
+    With ``max_count``, the build raises ``ResourceLimitError`` as soon as
+    a node's count so far exceeds it.  Every path below a kept node is a
+    path below the root, so this happens exactly when the root's count
+    would exceed ``max_count``, and the build stops there.
     """
     rows = sorted(state.active_rows)
     cells = [analysis.restricted[i] for i in rows]
@@ -227,10 +234,14 @@ def search_dag(analysis: CellAnalysis, state: ReductionState) -> SearchDag:
                     continue
             edges.append((j, joint, child))
             count += child.count
+            if max_count is not None and count > max_count:
+                _raise_cap(max_count)
         node = nodes[k][key] = _new(DagNode, (tuple(edges), count))
         return node
 
     root = build(0) if depth else _SINK
+    if max_count is not None and root.count > max_count:  # no row: one path
+        _raise_cap(max_count)
     return _new(SearchDag, (root, tuple(base), tuple(last), depth))
 
 
@@ -240,8 +251,10 @@ def walk_admissible(
     prune: Callable[[int, list[IntervalUnion]], bool] | None = None,
 ) -> None:
     """Walk the paths of the DAG depth first, edges in order, so leaves come
-    in lexicographic order of their assignments; enumeration and the
-    optimum search share it.
+    in lexicographic order of their assignments; enumeration, the optimum
+    search and the CLI's box report share it.  The walk only moves the
+    edges' factors into place, so the CLI walks the same DAG with each
+    factor replaced by its text.
 
     ``leaf(columns, factors)`` runs at each leaf with its witness columns,
     one per active row in ascending row order, and the partial box as it
@@ -274,14 +287,14 @@ def walk_admissible(
         leaf((), factors)
 
 
-def _check_cap(dag: SearchDag, max_count: int) -> None:
-    """Raise ``ResourceLimitError`` when the DAG has more than ``max_count``
-    paths.  Any path proves the system feasible, so the message says so."""
-    if dag.count > max_count:
-        raise ResourceLimitError(
-            f"more than {max_count} admissible assignments; {max_count} boxes "
-            "found, so the system is feasible; raise the cap"
-        )
+def _raise_cap(max_count: int) -> NoReturn:
+    """Raise the ``ResourceLimitError`` of a region with more than
+    ``max_count`` paths.  Any path proves the system feasible, so the
+    message says so."""
+    raise ResourceLimitError(
+        f"more than {max_count} admissible assignments; {max_count} boxes "
+        "found, so the system is feasible; raise the cap"
+    )
 
 
 def enumerate_admissible(
@@ -295,13 +308,15 @@ def enumerate_admissible(
     lexicographic order of their witness ``columns``.
 
     ``walk_admissible`` without pruning on ``dag``, by default
-    ``search_dag(analysis, state)``; each leaf's box is its partial box as
-    it stands.  More than ``max_count`` boxes raises ``ResourceLimitError``,
-    decided from the DAG's count before any box is listed.
+    ``search_dag(analysis, state, max_count)``; each leaf's box is its
+    partial box as it stands.  More than ``max_count`` boxes raises
+    ``ResourceLimitError`` before any box is listed: while the DAG is built,
+    or from the count of the DAG given.
     """
     if dag is None:
-        dag = search_dag(analysis, state)
-    _check_cap(dag, max_count)
+        dag = search_dag(analysis, state, max_count)
+    elif dag.count > max_count:
+        _raise_cap(max_count)
     out: list[FeasibleBox] = []
     walk_admissible(dag, lambda columns, factors: out.append(solution_box(columns, factors)))
     return out
@@ -344,10 +359,13 @@ class RegionResult(NamedTuple):
 
     @property
     def boxes(self) -> tuple[FeasibleBox, ...]:
-        """The boxes, expanded from the DAG on each read, in lexicographic
-        order of their ``columns``: the witnesses of
-        ``reduction.active_rows`` in ascending row order.  The cap was
-        judged when the region was resolved."""
+        """The boxes, for library callers and tests, in lexicographic order
+        of their ``columns``: the witnesses of ``reduction.active_rows`` in
+        ascending row order.  Each read expands the DAG again, so a caller
+        that needs them more than once keeps the tuple.  The CLI never reads
+        them: ``feasible`` and ``solve`` write the boxes straight off the
+        DAG, and ``verify`` tests membership on it.  The cap was judged when
+        the region was resolved."""
         if self.reduction is None:
             return ()
         dag = self.dag
@@ -384,12 +402,12 @@ def feasible_region(
     decides: a failed necessary check, or "no_admissible_assignment" when
     the checks pass but the DAG has no path (possible, since they are
     necessary only); "ok" means at least one box.  More than ``max_count``
-    boxes raises ``ResourceLimitError``, decided from the DAG's count.
+    boxes raises ``ResourceLimitError`` as soon as the DAG's build counts
+    more paths than that.
     """
     analysis, verdict, state = reduce_system(system, simplify=simplify)
     if state is None:
         return RegionResult(verdict, analysis, None, _EMPTY)
-    dag = search_dag(analysis, state)
-    _check_cap(dag, max_count)
+    dag = search_dag(analysis, state, max_count)
     verdict = verdict if dag.count else FeasibilityVerdict("no_admissible_assignment")
     return RegionResult(verdict, analysis, state, dag)

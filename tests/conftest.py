@@ -180,15 +180,18 @@ def reference_optimum(boxes, objective):
 
 
 @functools.cache
-def bench_workloads():
-    """``bench/workloads.py``, which builds the benchmark's planted systems."""
+def bench_module(name: str):
+    """The benchmark's module ``bench/<name>.py``, loaded from its file."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", os.path.join(path, "workloads.py")
-    )
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(path, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_workloads():
+    """``bench/workloads.py``, which builds the benchmark's planted systems."""
+    return bench_module("workloads")
 
 
 def dense_square_problem(kind: str, stream: str) -> dict:

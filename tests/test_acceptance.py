@@ -233,9 +233,10 @@ def test_criterion_6c_region_equivalence(random_corpus):
         mismatches = 0
         checked = 0
         for sys_, res, points in random_corpus:
+            boxes = res.boxes
             for x in points:
                 direct = is_feasible_point(res.analysis, x)
-                in_union = any(in_box(box, x) for box in res.boxes)
+                in_union = any(in_box(box, x) for box in boxes)
                 if direct != in_union:
                     mismatches += 1
                 checked += 1
@@ -251,9 +252,10 @@ def test_criterion_6d_simplification_soundness(random_corpus):
         for sys_, res, points in random_corpus:
             if res.reduction is None:
                 continue  # rejected by the necessary checks before reduction
+            boxes = res.boxes
             unreduced = feasible_region(sys_, simplify=False).boxes
             for x in points:
-                reduced = any(in_box(box, x) for box in res.boxes)
+                reduced = any(in_box(box, x) for box in boxes)
                 if reduced != any(in_box(box, x) for box in unreduced):
                     mismatches += 1
         assert mismatches == 0

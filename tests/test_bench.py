@@ -1,5 +1,6 @@
-"""Smoke run of the benchmark: each workload traced end to end, and the
-output checker's self-test."""
+"""Smoke run of the benchmark: each workload traced end to end, the
+tracer's box hooks on a library read of the boxes, and the output
+checker's self-test."""
 
 import json
 import os
@@ -8,7 +9,9 @@ import sys
 
 import pytest
 
-from conftest import bench_workloads
+from bfre.cli import problem_from_dict
+from bfre.resolution import feasible_region
+from conftest import bench_module, bench_workloads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,9 +54,29 @@ def test_traced_smoke_run(workload):
         for a in a_plus + a_minus
     )
     assert value["tnorms.calls"] * m * n == value["system.cells"] * reaching > 0
-    assert value["resolution.boxes"] == value["resolution.assignments"] > 0
+    # feasible and solve write their boxes straight off the search DAG, so
+    # the CLI lists no box; test_tracer_counts_listed_boxes keeps both hooks
+    # checked
+    assert value["resolution.boxes"] == value["resolution.assignments"] == 0
     assert value["optimize.candidates"] > 0
     assert value["oracle.points"] > 0
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_tracer_counts_listed_boxes(workload):
+    # A library caller that reads region.boxes goes through
+    # enumerate_admissible and solution_box, whose hooks count every box.
+    system, _ = problem_from_dict(smoke_problem(workload))
+    tracer = bench_module("layers").Tracer()
+    tracer.install()
+    try:
+        region = feasible_region(system)
+        listed = region.boxes
+    finally:
+        tracer.uninstall()
+    _, counts = tracer.take()
+    assert counts["resolution.boxes"] == counts["resolution.assignments"] == len(listed)
+    assert len(listed) == region.dag.count > 0
 
 
 def test_checker_selftest():

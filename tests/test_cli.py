@@ -659,6 +659,14 @@ def test_report_encodes_high_ends_fixed_columns_and_infinity(tmp_path):
     assert best["point"][3] == 0.0
     assert best["value"] == math.inf
     assert '"value": null}' in solved
+    # The reduction of infinite_value.json fixes both columns and leaves no
+    # active row: a DAG of depth 0 whose one box has no witness column.
+    with open(os.path.join(os.path.dirname(DATA), "infinite_value.json"), encoding="utf-8") as fh:
+        problem = json.load(fh)
+    result, best, _ = _assert_reports_encode_like_json_dumps(tmp_path, problem)
+    assert result.dag.depth == 0
+    assert [box.columns for box in result.boxes] == [()]
+    assert best["value"] == math.inf
 
 
 @pytest.mark.parametrize(

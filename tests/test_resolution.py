@@ -217,6 +217,64 @@ def test_dag_counts_and_ranks_its_paths(example_analysis):
             stack.extend(c for _, _, c in node.edges)
 
 
+def _cap_message(cap):
+    return (
+        f"more than {cap} admissible assignments; {cap} boxes found, "
+        "so the system is feasible; raise the cap"
+    )
+
+
+def test_build_judges_the_cap_on_the_exact_count():
+    # The cap is judged while the DAG is built, and it fires exactly when
+    # the region has more boxes than the cap: on the benchmark's seed-1
+    # files, a cap one below the count raises and a cap equal to it does not.
+    capped = 0
+    for workload in ("catalog-small", "dense-square", "tall-reduction"):
+        for record in bench_workloads().build(workload, 1):
+            analysis = CellAnalysis(problem_from_dict(record["problem"])[0])
+            if not necessary_feasibility(analysis).ok:
+                continue
+            state = simplify_to_fixpoint(analysis)
+            count = search_dag(analysis, state).count
+            if not count:
+                continue
+            with pytest.raises(ResourceLimitError) as info:
+                search_dag(analysis, state, count - 1)
+            assert str(info.value) == _cap_message(count - 1), record["file"]
+            assert search_dag(analysis, state, count).count == count, record["file"]
+            capped += 1
+    assert capped > 100
+
+
+def test_capped_build_stops_early(monkeypatch):
+    # A planted 50x50 product system with 10 core rows has 3,796,228 boxes.
+    # Under the default cap the build stops part way: it makes fewer nodes
+    # than the whole DAG has.
+    import bfre.resolution as resolution
+
+    workloads = bench_workloads()
+    shape = workloads.Shape(50, 10, 20, 20, extra=0)
+    problem, _ = workloads.planted_system(random.Random("p/product/50/10"), "product", shape)
+    analysis = CellAnalysis(problem_from_dict(problem)[0])
+    state = simplify_to_fixpoint(analysis)
+    built = []
+    new = resolution._new
+
+    def counting(cls, fields):
+        built.append(cls)
+        return new(cls, fields)
+
+    monkeypatch.setattr(resolution, "_new", counting)
+    whole = search_dag(analysis, state)
+    nodes = built.count(resolution.DagNode)
+    assert whole.count == 3_796_228 and nodes == _nodes(whole) - 1  # the sink is not built
+    built.clear()
+    cap = resolution.DEFAULT_MAX_ASSIGNMENTS
+    with pytest.raises(ResourceLimitError, match=_cap_message(cap)):
+        search_dag(analysis, state, cap)
+    assert built.count(resolution.DagNode) < nodes * 2 // 3
+
+
 # -- count bound -------------------------------------------------------------------
 
 
@@ -396,9 +454,10 @@ def test_region_membership_equivalence():
     for trial in range(60):
         sys_ = random_system(rng, max_m=3, max_n=3)
         res = feasible_region(sys_)
+        boxes = res.boxes
         for x in _grid_points(res.analysis, rng, 400):
             direct = is_feasible_point(res.analysis, x)
-            in_union = any(in_box(box, x) for box in res.boxes)
+            in_union = any(in_box(box, x) for box in boxes)
             assert direct == in_union, (sys_, x)
 
 
@@ -408,9 +467,10 @@ def test_simplified_and_unsimplified_regions_agree():
         sys_ = random_system(rng, max_m=3, max_n=3)
         fast = feasible_region(sys_, simplify=True)
         slow = feasible_region(sys_, simplify=False)
+        fast_boxes, slow_boxes = fast.boxes, slow.boxes
         for x in _grid_points(fast.analysis, rng, 250):
-            assert any(in_box(b, x) for b in fast.boxes) == any(
-                in_box(b, x) for b in slow.boxes
+            assert any(in_box(b, x) for b in fast_boxes) == any(
+                in_box(b, x) for b in slow_boxes
             ), (sys_, x)
 
 
