@@ -6,8 +6,13 @@ closed-form corner point: the factor minimum on non-decreasing coordinates
 and the factor maximum on non-increasing ones.  The global optimum over the
 whole region is the best such corner over all boxes.  ``global_optimum``
 finds it by a depth-first branch-and-bound over the witness assignments
-(in the spirit of Fang & Li, Fuzzy Sets Syst. 103 (1999)): the corner of a
-partial box bounds every box below it, so most leaves are never scored.
+(in the spirit of Fang & Li, Fuzzy Sets Syst. 103 (1999)), so most leaves
+are never scored.  A separable objective (``linear``, ``sum_log``) gets an
+exact bound: dynamic programming over the search DAG gives every node the
+least sum its completions reach (Algorithm B on a decision diagram,
+Knuth, TAOCP 4A §7.1.4), and only leaves within a rounding slack of the
+optimum are scored.  Every other objective is bounded by the corner of the
+partial box, which bounds every box below it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from . import intervals
 from .intervals import IntervalUnion, _Frozen
 from .resolution import (
     DEFAULT_MAX_ASSIGNMENTS,
+    DagNode,
     ResourceLimitError,
     SearchDag,
     search_dag,
@@ -110,32 +116,46 @@ def global_optimum(
     The search walks ``dag``, the region's search DAG, which it builds with
     ``search_dag(analysis, state)`` when none is given.
     ``walk_admissible`` visits the assignments in lexicographic order and
-    scores each leaf it reaches by its box's corner, which is optimal on
-    that box.  The corner of a partial box bounds every box below it from
-    below: each later row only narrows the factors, and the objective is
-    monotone.  A child whose bound is at least the incumbent's value is
-    pruned.  Every leaf still to come is lexicographically larger than the
-    incumbent, so the result is the optimum of scoring every box with ties
-    broken toward the lexicographically smallest ``columns``, bit for bit.
+    scores each leaf it reaches by ``fn`` at its box's declared corner.  A
+    leaf whose value is below the incumbent's becomes the incumbent.  The
+    prune hook skips only children none of whose leaves can be strictly
+    below the best corner value, so the result is that of scoring every
+    box with ties broken toward the lexicographically smallest
+    ``columns``, bit for bit.  Only ``compared`` depends on the bound.
 
-    The bound is made sound for floats.  Canonicalization collapses a piece
-    of width in [-EPS, 0) to its midpoint, so each later intersection can
-    move a factor end outward by up to EPS/2.  A child is pruned only when
-    the corner widened outward by EPS per unassigned row, clamped to
-    [0, 1], is still at least the incumbent.  The declared partition is
-    trusted: under a false one the search may return another corner than
-    scoring every box would.
+    A separable objective (``linear``, ``sum_log``) is bounded exactly:
+    ``_exact_prune`` finds the least sum of terms over the declared corners
+    of all boxes by dynamic programming over the DAG and skips a child
+    whose least completion exceeds it by more than the rounding of the
+    sums.  It minimizes ``fn`` over the declared corners whether or not
+    the declared partition is true, so under a false one the result is
+    still the exhaustive corner scan's, though no longer the optimum over
+    the region.
+
+    Every other objective is bounded by the corner of the partial box:
+    each later row only narrows the factors, and the objective is
+    monotone, so that corner bounds every box below it from below.  A child
+    whose bound is at least the incumbent's value is pruned.  The bound is
+    made sound for floats.  Canonicalization collapses a piece of width in
+    [-EPS, 0) to its midpoint, so each later intersection can move a factor
+    end outward by up to EPS/2.  A child is pruned only when the corner
+    widened outward by EPS per unassigned row, clamped to [0, 1], is still
+    at least the incumbent.  This bound trusts the declared partition:
+    under a false one the search may return another corner than scoring
+    every box would.
 
     Comparing more than ``max_count`` leaves raises ``ResourceLimitError``,
     whose message gives the incumbent's value; a region without a leaf
     raises ``InfeasibleError``.
     """
+    if dag is None:
+        dag = search_dag(analysis, state)
     ends, fn, eps = _corner_ends(objective), objective.fn, intervals.EPS
     compared: list[Candidate] = []
     best: Candidate | None = None
 
-    def prune(remaining: int, factors: list[IntervalUnion]) -> bool:
-        if best is None:
+    def corner_prune(remaining: int, factors: list[IntervalUnion], child: DagNode) -> bool:
+        if best is None or not remaining:  # the last row's leaves are all scored
             return False
         w = eps * remaining
         top = 1.0 - w
@@ -160,10 +180,85 @@ def global_optimum(
                 f"{best.value!r}; raise the cap"
             )
 
-    walk_admissible(search_dag(analysis, state) if dag is None else dag, leaf, prune)
+    exact = _exact_prune(dag, fn, ends) if isinstance(fn, _Separable) else None
+    walk_admissible(dag, leaf, exact or corner_prune)
     if best is None:
         raise InfeasibleError("no admissible assignment: the region is empty")
     return best, compared
+
+
+def _exact_prune(
+    dag: SearchDag, fn: _Separable, ends: tuple[int, ...]
+) -> Callable[[int, list[IntervalUnion], DagNode], bool] | None:
+    """The prune hook of the exact bound for a separable ``fn``, or None
+    when a partial sum could overflow.
+
+    Column j's factor is final below depth ``last[j]`` and is on the
+    frontier of that depth, so the terms of the columns that close at depth
+    k (``last[j] == k``) are a function of the node and the edge taken, and
+    the columns with ``last[j] == -1`` add a constant from ``base``.  Hence
+    ``v(node) = min over edges (closed(edge) + v(child))``, with v(sink) =
+    0, is the least sum of terms over the node's completions (Algorithm B
+    on a decision diagram: Knuth, TAOCP 4A §7.1.4).  One pass fills it,
+    memoized on ``id(node)``: a node is reached first by some path, which
+    holds its frontier factors.
+
+    The walk then keeps the sum of closed terms along its path and skips a
+    child, or a last-row leaf, when that sum plus ``v(child)``, less
+    ``slack``, exceeds ``const + v(root)`` plus ``slack``.  The slack is a
+    bound on rounding.  Each value compared adds at most n of the float
+    terms that ``fn`` adds, by at most n + depth + 1 additions in some
+    order, so it lies within E = (n + depth + 2) u T of the exact sum of
+    its terms, with u = 2^-53 and T the sum over j of term j's largest
+    magnitude on [0, 1].  ``fn`` itself lies within E of its exact sum,
+    whether ``sum`` adds left to right (CPython 3.11 and before) or
+    compensates (3.12 on).  So the first leaf of least ``fn`` has an exact
+    sum within 2E of the least one, and a child on its path is compared
+    within 4E of the target.  ``slack`` = 4E, so the test allows 8E:
+    twice that, which also covers the rounding of the comparison itself.
+    """
+    term, depth = fn.term, dag.depth
+    total = sum(max(abs(term(cj, 0.0)), abs(term(cj, 1.0))) for cj in fn.c)
+    if not math.isfinite(2.0 * total):
+        return None
+    closing: list[list[tuple[int, float, int]]] = [[] for _ in range(depth)]
+    const = 0.0
+    for j, (k, f, cj, e) in enumerate(zip(dag.last, dag.base, fn.c, ends)):
+        if k < 0:
+            const += term(cj, f.pieces[e][e])
+        else:
+            closing[k].append((j, cj, e))
+
+    def closed(k: int, factors: list[IntervalUnion]) -> float:
+        s = 0.0
+        for j, cj, e in closing[k]:
+            s += term(cj, factors[j].pieces[e][e])
+        return s
+
+    factors = list(dag.base)
+    least: dict[int, float] = {}  # id(node) -> v(node)
+
+    def fill(node: DagNode, k: int) -> float:
+        v = math.inf if node.edges else 0.0
+        for j, joint, child in node.edges:
+            before, factors[j] = factors[j], joint
+            below = least.get(id(child))
+            if below is None:
+                below = least[id(child)] = fill(child, k + 1)
+            v = min(v, closed(k, factors) + below)
+            factors[j] = before
+        return v
+
+    slack = 4 * (len(fn.c) + depth + 2) * 2.0 ** -53 * total
+    limit = const + fill(dag.root, 0) + 2 * slack
+    sums = [const] * (depth + 1)  # sums[k]: the closed terms above depth k
+
+    def prune(remaining: int, factors: list[IntervalUnion], child: DagNode) -> bool:
+        k = depth - 1 - remaining
+        s = sums[k + 1] = sums[k] + closed(k, factors)
+        return s + least[id(child)] > limit
+
+    return prune
 
 
 # -- small symmetric eigenproblem -------------------------------------------
@@ -223,20 +318,27 @@ def _require(params: dict, key: str, objective: str, many: bool):
     return value
 
 
-class _Linear(NamedTuple):
-    """The evaluator x -> sum_j c_j x_j; ``check_monotone`` reads its c."""
+class _Separable(NamedTuple):
+    """The evaluator x -> sum_j term(c_j, x_j), added by ``sum``.
+
+    ``term`` is monotone in x_j on [0, 1], so a term's largest magnitude
+    there is at x_j = 0 or 1.  ``global_optimum`` reads the terms for its
+    exact bound, and ``check_monotone`` reads c when ``term`` is the
+    product.
+    """
 
     c: tuple[float, ...]
+    term: Callable[[float, float], float]
 
     def __call__(self, x: Sequence[float]) -> float:
-        return sum(map(operator.mul, self.c, x))
+        return sum(map(self.term, self.c, x))
 
 
 def _build_linear(n: int, c: list):
     c = tuple(float(v) for v in c)
     if len(c) != n:
         raise ValueError(f"coefficient vector must have {n} entries, got {len(c)}")
-    return _Linear(c), frozenset(j for j, cj in enumerate(c) if cj < 0.0)
+    return _Separable(c, operator.mul), frozenset(j for j, cj in enumerate(c) if cj < 0.0)
 
 
 def _build_simplex_support(n: int):
@@ -328,17 +430,17 @@ def _build_max_eigenvalue(n: int):
     return fn, frozenset()
 
 
+def _log_shift(a: float, x: float) -> float:
+    return math.log(a + x)
+
+
 def _build_sum_log(n: int, alpha: list):
-    alpha = [float(v) for v in alpha]
+    alpha = tuple(float(v) for v in alpha)
     if len(alpha) != n:
         raise ValueError(f"alpha must have {n} entries, got {len(alpha)}")
     if any(a <= 0.0 for a in alpha):
         raise ValueError("sum_log requires every alpha > 0")
-
-    def fn(x):
-        return sum(math.log(aj + xj) for aj, xj in zip(alpha, x))
-
-    return fn, frozenset()
+    return _Separable(alpha, _log_shift), frozenset()
 
 
 #: Each objective's builder and the parameters it reads, as (key, is_list).
@@ -434,7 +536,7 @@ def check_monotone(objective: MonotoneObjective, seed: int = 0) -> list[ProbeVio
     An inconsistent declaration is probed with the usual draws.
     """
     fn, n = objective.fn, objective.n
-    if isinstance(fn, _Linear) and all(
+    if isinstance(fn, _Separable) and fn.term is operator.mul and all(
         cj >= 0.0 if j in objective.j_plus else cj <= 0.0 for j, cj in enumerate(fn.c)
     ):
         return []

@@ -248,7 +248,7 @@ def search_dag(
 def walk_admissible(
     dag: SearchDag,
     leaf: Callable[[tuple[int, ...], list[IntervalUnion]], None],
-    prune: Callable[[int, list[IntervalUnion]], bool] | None = None,
+    prune: Callable[[int, list[IntervalUnion], DagNode], bool] | None = None,
 ) -> None:
     """Walk the paths of the DAG depth first, edges in order, so leaves come
     in lexicographic order of their assignments; enumeration, the optimum
@@ -261,9 +261,12 @@ def walk_admissible(
     stands, which is that assignment's box; ``factors`` is the walk's own
     list, so a leaf copies what it keeps.  With no active row the only leaf
     is ``leaf((), factors)``, and a DAG without a path has no leaf.
-    ``prune(remaining, factors)`` runs on every child that still has
-    ``remaining > 0`` rows to assign; when it returns True the child's
-    paths are skipped.  A child with no path is not in the DAG, so it is
+    ``prune(remaining, factors, child)`` runs on every edge as the walk
+    takes it, the last row's included: ``factors`` holds the edge's joint
+    factor, ``child`` is the node it leads to (the sink from the last row)
+    and ``remaining`` is the number of rows below ``child``.  When it
+    returns True the child's paths are skipped, and from the last row that
+    is the one leaf.  A child with no path is not in the DAG, so it is
     never offered.
     """
     factors = list(dag.base)
@@ -274,10 +277,11 @@ def walk_admissible(
             before = factors[j]
             factors[j] = joint
             chosen.append(j)
-            if not remaining:  # from the last row's edges: one call per leaf
-                leaf(tuple(chosen), factors)
-            elif prune is None or not prune(remaining, factors):
-                walk(child, remaining - 1)
+            if prune is None or not prune(remaining, factors, child):
+                if remaining:
+                    walk(child, remaining - 1)
+                else:  # from the last row's edges: one call per leaf
+                    leaf(tuple(chosen), factors)
             chosen.pop()
             factors[j] = before
 

@@ -18,6 +18,7 @@ from bfre.cli import main
 from bfre.resolution import DagNode, SearchDag
 from bfre.system import FeasibilityVerdict
 from bfre.tnorms import TNORM_KINDS
+from corner_scan import reference_optimum  # noqa: F401  the tests import it from here
 
 A_PLUS = [
     [0.54, 0.48, 0.80, 0.63, 0.70, 0.35, 0.56, 0.29, 0.69],
@@ -157,28 +158,6 @@ def check_tnorm_axioms(spec: TNormSpec, samples: int, seed: int, tol: float = 1e
         assert abs(left - right) <= tol, (spec, x, y, z)
 
 
-# -- optimization reference ----------------------------------------------------
-
-
-def reference_optimum(boxes, objective):
-    """The exhaustive scan the optimum search must reproduce bit for bit.
-
-    Every box's corner (factor minimum on non-decreasing coordinates,
-    factor maximum on non-increasing ones) and its value, in box order, and
-    the best of them with ties broken by the box's witness columns.
-    Returns (best, corners), each corner a ``(value, point, columns)``.
-    """
-    corners = []
-    for box in boxes:
-        point = tuple(
-            f.pieces[0][0] if j in objective.j_plus else f.pieces[-1][1]
-            for j, f in enumerate(box.factors)
-        )
-        corners.append((objective(point), point, box.columns))
-    best = min(corners, key=lambda c: (c[0], c[2]))
-    return best, corners
-
-
 @functools.cache
 def bench_module(name: str):
     """The benchmark's module ``bench/<name>.py``, loaded from its file."""
@@ -192,6 +171,19 @@ def bench_module(name: str):
 def bench_workloads():
     """``bench/workloads.py``, which builds the benchmark's planted systems."""
     return bench_module("workloads")
+
+
+def reference_cases():
+    """The benchmark's seed-1 files, and 30 natural 16x16 systems, six in
+    each of five families, as ``(name, problem)``."""
+    workloads = bench_workloads()
+    for workload in ("catalog-small", "dense-square", "tall-reduction"):
+        for record in workloads.build(workload, 1):
+            yield f"{workload}/{record['file']}", record["problem"]
+    for kind in ("product", "frank", "dubois_prade", "lukasiewicz", "minimum"):
+        for seed in range(6):
+            problem, _ = workloads.natural_system(random.Random(f"nat16/{kind}/{seed}"), kind, 16, 16)
+            yield f"natural-16x16/{kind}/{seed}", problem
 
 
 def dense_square_problem(kind: str, stream: str) -> dict:

@@ -1,8 +1,11 @@
 """Objectives, corner candidates and global selection."""
 
 import collections
+import glob
 import itertools
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -31,6 +34,7 @@ from conftest import (
     bench_workloads,
     dense_square_problem,
     random_system,
+    reference_cases,
     reference_optimum,
 )
 
@@ -131,6 +135,14 @@ def _search(region, objective, **kwargs):
     return global_optimum(region.analysis, region.reduction, objective, **kwargs)
 
 
+def _plain(objective):
+    """``objective`` with its evaluator behind a plain function, which the
+    search bounds by the corner of the partial box, not exactly, and
+    ``check_monotone`` always probes."""
+    fn = objective.fn
+    return MonotoneObjective(objective.name, objective.n, objective.j_plus, objective.j_minus, lambda x: fn(x))
+
+
 def _assert_search_is_the_scan(region, objective):
     """The search's best is the exhaustive scan's, bit for bit; returns both."""
     reference, corners = reference_optimum(region.boxes, objective)
@@ -177,13 +189,23 @@ def test_perspective_candidates(example_region):
 def test_corner_rule_is_exact(example_region):
     obj = objective_catalog("linear", 9, {"c": LINEAR_C})
     boxes = {box.columns: box for box in example_region.boxes}
-    _, compared = _search(example_region, obj)
+    _, compared = _search(example_region, _plain(obj))
     assert len(compared) >= 2
     for cand in compared:
         for j, factor in enumerate(boxes[cand.columns].factors):
             expected = factor.pieces[0][0] if j in obj.j_plus else factor.pieces[-1][1]
             assert cand.point[j] == expected
         assert cand.value == obj(cand.point)
+
+
+def test_exact_bound_scores_only_the_optimum(example_region):
+    # The exact bound reaches the same best as the partial corner, and
+    # skips the three other leaves, the corner search's first one included.
+    obj = objective_catalog("linear", 9, {"c": LINEAR_C})
+    best, compared = _search(example_region, obj)
+    assert compared == [best]
+    assert best == _search(example_region, _plain(obj))[0]
+    assert best.columns == (7, 8) and best.value == obj(best.point)
 
 
 def test_single_point_box():
@@ -337,7 +359,7 @@ def test_widening_keeps_a_leaf_the_collapse_lowered():
     )
     region = feasible_region(system, simplify=False)
     partial = region.analysis.restricted[0][1].pieces[0][0]
-    obj = objective_catalog("linear", 2, {"c": [3e-10, 1.0]})
+    obj = _plain(objective_catalog("linear", 2, {"c": [3e-10, 1.0]}))
     best, compared, corners = _assert_search_is_the_scan(region, obj)
     assert best.columns == (1, 1)
     assert best.point[1] < partial
@@ -345,11 +367,161 @@ def test_widening_keeps_a_leaf_the_collapse_lowered():
     assert len(compared) == 2
 
 
+def test_exact_bound_reads_the_final_factors():
+    # The widening's system: the exact bound is built from the DAG's final
+    # factors, so it needs no widening, skips the first leaf and keeps the
+    # one the collapse lowered.
+    system = BipolarSystem(
+        [[0.9, 0.9], [0.1, 0.9]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5 - 4e-10],
+        TNormSpec("minimum"),
+    )
+    region = feasible_region(system, simplify=False)
+    obj = objective_catalog("linear", 2, {"c": [3e-10, 1.0]})
+    best, compared, _ = _assert_search_is_the_scan(region, obj)
+    assert compared == [best]
+    assert best == _search(region, _plain(obj))[0]
+    assert best.columns == (1, 1)
+
+
 def test_search_cap_reports_the_incumbent(example_region):
-    obj = objective_catalog("linear", 9, {"c": LINEAR_C})
+    obj = _plain(objective_catalog("linear", 9, {"c": LINEAR_C}))
     with pytest.raises(ResourceLimitError, match=r"compared 2 leaves, more than 1, .* -3\.6;"):
         _search(example_region, obj, max_count=1)
     assert len(_search(example_region, obj, max_count=2)[1]) == 2
+
+
+def test_exact_bound_search_cap_reports_the_incumbent(example_region):
+    # The exact bound compares one leaf, so a cap of 1 is enough; a zero
+    # objective ties every box, nothing is skipped, and the cap's message
+    # gives the incumbent.
+    obj = objective_catalog("linear", 9, {"c": LINEAR_C})
+    best, compared = _search(example_region, obj, max_count=1)
+    assert compared == [best]
+    assert best == _search(example_region, _plain(obj))[0]
+    flat = objective_catalog("linear", 9, {"c": [0.0] * 9})
+    with pytest.raises(ResourceLimitError, match=r"compared 2 leaves, more than 1, .* 0\.0;"):
+        _search(example_region, flat, max_count=1)
+    assert len(_search(example_region, flat, max_count=4)[1]) == 4
+
+
+# -- the exact bound against the partial corner --------------------------------------
+
+
+def _equivalence_cases():
+    """``reference_cases``, the problems under ``tests/data`` and the planted
+    50x50 systems with 10 core rows (3.8e6 paths each)."""
+    yield from reference_cases()
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    for path in sorted(glob.glob(os.path.join(data, "**", "*.json"), recursive=True)):
+        with open(path) as fh:
+            yield os.path.relpath(path, data), json.load(fh)
+    workloads = bench_workloads()
+    shape = workloads.Shape(50, 10, 20, 20, extra=0)
+    for kind in ("product", "frank", "dubois_prade"):
+        problem, _ = workloads.planted_system(random.Random(f"p/{kind}/50/10"), kind, shape)
+        yield f"planted-50x50/{kind}", problem
+
+
+def test_exact_bound_matches_the_partial_corner():
+    # The exact bound returns the partial corner's (value, point, columns)
+    # bit for bit and never compares more leaves, on each problem's linear
+    # objective and on a sum_log, reduced and unreduced.
+    names = set()
+    regions = exact = corner = 0
+    for name, problem in _equivalence_cases():
+        names.add(name.split("/")[0])
+        system, linear = problem_from_dict(problem)
+        n = system.n
+        objectives = [objective_catalog("sum_log", n, {"alpha": [0.5 + j / n for j in range(n)]})]
+        if linear is not None:
+            objectives.append(linear)
+        for simplify in (True, False):
+            region = feasible_region(system, simplify=simplify, max_count=10 ** 7)
+            if not region.is_feasible:
+                continue
+            for obj in objectives:
+                best, leaves = _search(region, obj, dag=region.dag)
+                plain, plain_leaves = _search(region, _plain(obj), dag=region.dag)
+                assert (best.value, best.point, best.columns) == (
+                    plain.value, plain.point, plain.columns
+                ), (name, simplify, obj.name)
+                assert len(leaves) <= len(plain_leaves), (name, simplify, obj.name)
+                exact += len(leaves)
+                corner += len(plain_leaves)
+            regions += 1
+    assert names == {
+        "catalog-small", "dense-square", "tall-reduction", "natural-16x16",
+        "example_problem.json", "infinite_value.json", "golden", "planted-50x50",
+    }
+    assert regions > 300
+    assert exact < corner // 2, (exact, corner)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7])
+def test_exact_bound_slack_covers_cancelling_sums(eps):
+    # Coefficients near +-1e16 beside ones near 1: the exact bound adds the
+    # terms in another order than fn does, the two round apart by units of
+    # 2, and near-tied boxes trade places.  With no slack the search skips
+    # the scan's optimum, or every leaf, in 19 of these 80 regions.
+    kinds = ("product", "frank", "dubois_prade", "minimum", "lukasiewicz")
+    regions = 0
+    for k in range(40):
+        rng = random.Random(f"slack/{k}")
+        system = random_system(rng, kind=kinds[k % 5], force_feasible=True, shape=(5, 7))
+        c = [
+            rng.choice([1e16, -1e16]) * (1.0 + rng.random() * 1e-3)
+            if rng.random() < 0.4
+            else rng.uniform(-2.0, 2.0)
+            for _ in range(7)
+        ]
+        obj = objective_catalog("linear", 7, {"c": c})
+        with tolerance(eps):
+            for simplify in (True, False):
+                region = feasible_region(system, simplify=simplify)
+                if not region.is_feasible:
+                    continue
+                reference, _ = reference_optimum(region.boxes, obj)
+                best, _ = _search(region, obj)
+                assert (best.value, best.point, best.columns) == reference, (k, simplify)
+                regions += 1
+    assert regions > 60
+
+
+def test_exact_bound_follows_a_false_partition():
+    # Under a false declared partition the exact bound still minimizes fn
+    # over the declared corners, so it returns the exhaustive scan's
+    # corner.  The partial corner trusts the declaration and misses it in
+    # some of these regions.
+    rng = random.Random("false-partition")
+    checked = missed = 0
+    for trial in range(60):
+        system = random_system(rng, force_feasible=True, shape=(5, 7))
+        plus = [j for j in range(7) if rng.random() < 0.5]
+        minus = [j for j in range(7) if j not in plus]
+        c = [rng.uniform(-2.0, 2.0) for _ in range(7)]
+        alpha = [rng.uniform(0.1, 2.0) for _ in range(7)]
+        region = feasible_region(system)
+        if not region.is_feasible:
+            continue
+        for name, params in (("linear", {"c": c}), ("sum_log", {"alpha": alpha})):
+            obj = objective_catalog(name, 7, params, j_plus=plus, j_minus=minus)
+            reference, _ = reference_optimum(region.boxes, obj)
+            best, _ = _search(region, obj)
+            assert (best.value, best.point, best.columns) == reference, (trial, name)
+            plain, _ = _search(region, _plain(obj))
+            missed += (plain.value, plain.point, plain.columns) != reference
+            checked += 1
+    assert checked > 50 and missed > 0, (checked, missed)
+
+
+def test_exact_bound_falls_back_where_a_sum_could_overflow(example_region):
+    # Two terms near the largest float: fn stays finite, but a partial sum
+    # of the bound could overflow, so the search keeps the partial corner:
+    # the same leaves, in the same order, as behind a plain function.
+    c = [*LINEAR_C[:3], -1e308, *LINEAR_C[4:7], 1e308, LINEAR_C[8]]
+    obj = objective_catalog("linear", 9, {"c": c})
+    best, compared, _ = _assert_search_is_the_scan(example_region, obj)
+    assert (best, compared) == _search(example_region, _plain(obj))
 
 
 # -- catalog evaluators ---------------------------------------------------------------
@@ -456,9 +628,7 @@ def test_linear_probe_result_matches_probing():
             plus = [j for j in range(n) if c[j] > 0.0 or (c[j] == 0.0 and j in plus)]
         minus = [j for j in range(n) if j not in plus]
         obj = objective_catalog("linear", n, {"c": c}, j_plus=plus, j_minus=minus)
-        # the same evaluator behind a plain function, which is always probed
-        fn = obj.fn
-        probed = MonotoneObjective("probed", n, obj.j_plus, obj.j_minus, lambda x: fn(x))
+        probed = _plain(obj)  # always probed
         seed = rng.randrange(100)
         violations = check_monotone(obj, seed)
         assert violations == check_monotone(probed, seed), (c, plus)

@@ -23,7 +23,7 @@ from bfre.cli import problem_from_dict
 from bfre.resolution import ResourceLimitError, root_factors, search_dag
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import FeasibilityVerdict, necessary_feasibility
-from conftest import bench_workloads, in_box, make_example_system, random_system
+from conftest import bench_workloads, in_box, make_example_system, random_system, reference_cases
 from exact import RATIONAL_KINDS, exact_tnorm
 
 
@@ -151,25 +151,12 @@ def _reference_boxes(analysis, state):
     return out
 
 
-def _reference_cases():
-    """The benchmark's seed-1 files, and 30 natural 16x16 systems, six in
-    each of five families."""
-    workloads = bench_workloads()
-    for workload in ("catalog-small", "dense-square", "tall-reduction"):
-        for record in workloads.build(workload, 1):
-            yield f"{workload}/{record['file']}", record["problem"]
-    for kind in ("product", "frank", "dubois_prade", "lukasiewicz", "minimum"):
-        for seed in range(6):
-            problem, _ = workloads.natural_system(random.Random(f"nat16/{kind}/{seed}"), kind, 16, 16)
-            yield f"natural-16x16/{kind}/{seed}", problem
-
-
 def test_dag_expansion_matches_the_reference_product():
     # The DAG expands to the reference's boxes, with the same columns,
     # factor pieces and order, and its root counts them exactly; with the
     # reduction rules and without them.
     cases = boxes = merged = 0
-    for name, problem in _reference_cases():
+    for name, problem in reference_cases():
         analysis = CellAnalysis(problem_from_dict(problem)[0])
         if not necessary_feasibility(analysis).ok:
             continue
