@@ -7,6 +7,16 @@ closed intervals inside the unit interval.  Singletons are first-class
 
 Endpoints are stored exactly as given; floating error is absorbed by the
 comparisons, never by rounding the representation.
+
+The invariant: a union's pieces are sorted, more than EPS apart, and have
+ends in [0, 1], unless the union was built directly from its pieces
+(``IntervalUnion(pieces)``).  Nearly every set has one piece -- a cell's
+set under a continuous t-norm is one closed interval, and a set splits only
+where both literals of a bipolar cell reach b_i or a joint factor does --
+so ``from_pairs``, ``&``, ``contains``, ``issubset`` and ``approx_equals``
+take a direct path when each operand has one piece.  The path evaluates the
+general loop's own expressions and returns what the loop returns, bit for
+bit; it skips only the loop and the sort and merge of ``_canonical``.
 """
 
 from __future__ import annotations
@@ -141,7 +151,10 @@ class IntervalUnion(_Record):
 
     @staticmethod
     def from_pairs(pairs: Iterable[Sequence[float]]) -> "IntervalUnion":
-        return IntervalUnion(_canonical([(p[0], p[1]) for p in pairs]))
+        raw = [(p[0], p[1]) for p in pairs]
+        if len(raw) == 1:
+            return IntervalUnion.interval(*raw[0])
+        return IntervalUnion(_canonical(raw))
 
     # -- queries ---------------------------------------------------------
 
@@ -161,7 +174,11 @@ class IntervalUnion(_Record):
         return 0.5 * (lo + hi) if hi - lo <= EPS else None
 
     def contains(self, x: float) -> bool:
-        return any(lo - EPS <= x <= hi + EPS for lo, hi in self.pieces)
+        pieces = self.pieces
+        if len(pieces) == 1:
+            lo, hi = pieces[0]
+            return lo - EPS <= x <= hi + EPS
+        return any(lo - EPS <= x <= hi + EPS for lo, hi in pieces)
 
     def endpoints(self) -> list[float]:
         out: list[float] = []
@@ -172,6 +189,9 @@ class IntervalUnion(_Record):
 
     def issubset(self, other: "IntervalUnion") -> bool:
         """True when every piece of self sits inside one piece of other."""
+        if len(self.pieces) == 1 and len(other.pieces) == 1:
+            (lo, hi), (olo, ohi) = self.pieces[0], other.pieces[0]
+            return olo - EPS <= lo and hi <= ohi + EPS
         return all(
             any(olo - EPS <= lo and hi <= ohi + EPS for olo, ohi in other.pieces)
             for lo, hi in self.pieces
@@ -181,6 +201,9 @@ class IntervalUnion(_Record):
         """Piecewise endpoint equality within tolerance."""
         if len(self.pieces) != len(other.pieces):
             return False
+        if len(self.pieces) == 1:
+            (lo, hi), (olo, ohi) = self.pieces[0], other.pieces[0]
+            return abs(lo - olo) <= EPS and abs(hi - ohi) <= EPS
         return all(
             abs(lo - olo) <= EPS and abs(hi - ohi) <= EPS
             for (lo, hi), (olo, ohi) in zip(self.pieces, other.pieces)
@@ -189,6 +212,13 @@ class IntervalUnion(_Record):
     # -- algebra ----------------------------------------------------------
 
     def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
+        """The intersection, always a new object: the search DAG's memo keys
+        on ``id``, so an operand is never returned as the result."""
+        if len(self.pieces) == 1 and len(other.pieces) == 1:
+            (lo, hi), (olo, ohi) = self.pieces[0], other.pieces[0]
+            if olo > hi + EPS:
+                return IntervalUnion()
+            return IntervalUnion.interval(max(lo, olo), min(hi, ohi))
         raw = []
         for lo, hi in self.pieces:
             for olo, ohi in other.pieces:

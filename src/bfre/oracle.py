@@ -133,7 +133,9 @@ def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
     parts: list[range | tuple[float, ...]] = []
     kept: float | None = None
     k = 0
-    for v in sorted(explicit):
+    # each value once: every one is clipped, so no -0.0 stands beside 0.0,
+    # and a repeat of the kept value never passes the tolerance test
+    for v in sorted(set(explicit)):
         # the ticks below v come first in the merged order
         j = bisect.bisect_left(ticks, v, lo=k, key=step.__rmul__)
         if k < j and kept is not None and k * step - kept <= _MERGE_TOL:

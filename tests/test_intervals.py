@@ -1,13 +1,16 @@
 """Interval-union algebra: canonical form, set operations, membership."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfre import intervals
+from bfre import breakpoint_grid, feasible_region, global_optimum, grid_membership_check, intervals
+from bfre.cli import problem_from_dict
 from bfre.intervals import EPS, IntervalUnion, tolerance
+from conftest import bench_workloads
 
 
 def iu(*pairs):
@@ -186,3 +189,148 @@ def test_serialization_roundtrip():
     assert IntervalUnion.from_pairs(u.pieces) == u
     assert str(u) == "[0.1, 0.3] U {0.7}"
     assert str(IntervalUnion()) == "{}"
+
+
+# -- one-piece direct paths ----------------------------------------------------
+#
+# The general bodies of the five operations, which multi-piece operands still
+# take, kept here as the reference; EPS is read off the module at call time,
+# as the methods read it.  Each direct path must return what these return,
+# bit for bit.
+
+
+def _general_from_pairs(pairs):
+    return IntervalUnion(intervals._canonical([(p[0], p[1]) for p in pairs]))
+
+
+def _general_contains(self, x):
+    EPS = intervals.EPS
+    return any(lo - EPS <= x <= hi + EPS for lo, hi in self.pieces)
+
+
+def _general_issubset(self, other):
+    EPS = intervals.EPS
+    return all(
+        any(olo - EPS <= lo and hi <= ohi + EPS for olo, ohi in other.pieces)
+        for lo, hi in self.pieces
+    )
+
+
+def _general_approx_equals(self, other):
+    EPS = intervals.EPS
+    if len(self.pieces) != len(other.pieces):
+        return False
+    return all(
+        abs(lo - olo) <= EPS and abs(hi - ohi) <= EPS
+        for (lo, hi), (olo, ohi) in zip(self.pieces, other.pieces)
+    )
+
+
+def _general_and(self, other):
+    EPS = intervals.EPS
+    raw = []
+    for lo, hi in self.pieces:
+        for olo, ohi in other.pieces:
+            if olo > hi + EPS:
+                break
+            raw.append((max(lo, olo), min(hi, ohi)))
+    return IntervalUnion(intervals._canonical(raw))
+
+
+def _ulps(x, k):
+    """x moved k ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _end(rng, near):
+    """An end: a special value, a uniform draw, or a few ulps or a width in
+    [-EPS, 0) away from ``near``."""
+    eps = intervals.EPS
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0.0, -0.0, 0, 1, 1.0, -0.25, 1.5])
+    if kind == 1:
+        return rng.random()
+    if kind == 2:
+        return _ulps(near + eps, rng.randint(-3, 3))
+    if kind == 3:
+        return _ulps(near - eps, rng.randint(-3, 3))
+    if kind == 4:
+        return near - rng.random() * eps
+    return _ulps(near, rng.randint(-3, 3))
+
+
+def _pair(rng):
+    lo = _end(rng, rng.random())
+    return lo, _end(rng, lo)
+
+
+def _one_piece(rng):
+    """A one-piece set: through ``interval`` (canonical), or built directly
+    from a pair whose ends may lie outside [0, 1] or be reversed."""
+    while True:
+        lo, hi = _pair(rng)
+        u = IntervalUnion(((lo, hi),)) if rng.random() < 0.3 else IntervalUnion.interval(lo, hi)
+        if len(u.pieces) == 1:
+            return u
+
+
+def _near(rng, a):
+    """A one-piece set whose ends lie near a's, so that the tolerance tests
+    of ``&``, ``issubset`` and ``approx_equals`` go either way."""
+    (lo, hi), = a.pieces
+    olo = _end(rng, rng.choice([lo, hi]))
+    ohi = _end(rng, rng.choice([hi, olo]))
+    if rng.random() < 0.3:
+        return IntervalUnion(((olo, ohi),))
+    b = IntervalUnion.interval(olo, ohi)
+    return b if len(b.pieces) == 1 else a
+
+
+@pytest.mark.parametrize("eps", [None, 1e-7, 0.25], ids=["default", "1e-7", "0.25"])
+def test_one_piece_paths_match_the_general_bodies(eps):
+    rng = random.Random(f"one-piece/{eps}")
+    with tolerance(EPS if eps is None else eps):
+        for _ in range(4000):
+            pair = _pair(rng)
+            assert repr(IntervalUnion.from_pairs([pair])) == repr(_general_from_pairs([pair]))
+            a = _one_piece(rng)
+            b = _near(rng, a) if rng.random() < 0.8 else _one_piece(rng)
+            for x, y in ((a, b), (b, a), (a, a)):
+                got = x & y
+                assert got is not x and got is not y
+                assert repr(got) == repr(_general_and(x, y))
+                assert x.issubset(y) is _general_issubset(x, y)
+                assert x.approx_equals(y) is _general_approx_equals(x, y)
+            (lo, hi), = a.pieces
+            for v in (lo, hi, _end(rng, lo), _end(rng, hi), rng.random()):
+                assert a.contains(v) is _general_contains(a, v)
+
+
+def test_canonical_never_sees_one_canonical_pair(monkeypatch):
+    # Every stage runs on one-piece sets; none of them should pay for a
+    # sort and merge of one pair that is already in canonical form.
+    general = intervals._canonical
+    calls = []
+
+    def counting(pieces):
+        pieces = list(pieces)
+        calls.append(pieces)
+        return general(pieces)
+
+    monkeypatch.setattr(intervals, "_canonical", counting)
+    workloads = bench_workloads()
+    _, step, _, cap, _, seed = workloads.WORKLOADS["tall-reduction"]["verify_args"]
+    for record in workloads.build("tall-reduction", 1):
+        system, objective = problem_from_dict(record["problem"])
+        region = feasible_region(system)
+        if not region.is_feasible:
+            continue
+        global_optimum(region.analysis, region.reduction, objective, dag=region.dag)
+        grid = breakpoint_grid(region.analysis, float(step))
+        grid_membership_check(region, grid, cap=int(cap), seed=int(seed), objective=objective)
+    assert calls
+    canonical_pairs = [p for p in calls if len(p) == 1 and 0.0 <= p[0][0] <= p[0][1] <= 1.0]
+    assert canonical_pairs == []
