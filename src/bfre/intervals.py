@@ -13,10 +13,11 @@ ends in [0, 1], unless the union was built directly from its pieces
 (``IntervalUnion(pieces)``).  Nearly every set has one piece -- a cell's
 set under a continuous t-norm is one closed interval, and a set splits only
 where both literals of a bipolar cell reach b_i or a joint factor does --
-so ``from_pairs``, ``&``, ``contains``, ``issubset`` and ``approx_equals``
-take a direct path when each operand has one piece.  The path evaluates the
-general loop's own expressions and returns what the loop returns, bit for
-bit; it skips only the loop and the sort and merge of ``_canonical``.
+so ``contains``, ``issubset`` and ``approx_equals`` compare the one pair
+directly when each operand has one piece, and ``from_pairs`` and ``&`` hand
+a lone pair to ``interval``, which keeps a canonical pair as given.  Each
+path evaluates the general loop's own expressions and returns what the loop
+and ``_canonical`` return, bit for bit.
 """
 
 from __future__ import annotations
@@ -151,10 +152,7 @@ class IntervalUnion(_Record):
 
     @staticmethod
     def from_pairs(pairs: Iterable[Sequence[float]]) -> "IntervalUnion":
-        raw = [(p[0], p[1]) for p in pairs]
-        if len(raw) == 1:
-            return IntervalUnion.interval(*raw[0])
-        return IntervalUnion(_canonical(raw))
+        return _union([(p[0], p[1]) for p in pairs])
 
     # -- queries ---------------------------------------------------------
 
@@ -214,18 +212,13 @@ class IntervalUnion(_Record):
     def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
         """The intersection, always a new object: the search DAG's memo keys
         on ``id``, so an operand is never returned as the result."""
-        if len(self.pieces) == 1 and len(other.pieces) == 1:
-            (lo, hi), (olo, ohi) = self.pieces[0], other.pieces[0]
-            if olo > hi + EPS:
-                return IntervalUnion()
-            return IntervalUnion.interval(max(lo, olo), min(hi, ohi))
         raw = []
         for lo, hi in self.pieces:
             for olo, ohi in other.pieces:
                 if olo > hi + EPS:
                     break
                 raw.append((max(lo, olo), min(hi, ohi)))
-        return IntervalUnion(_canonical(raw))
+        return _union(raw)
 
     # -- serialization ----------------------------------------------------
 
@@ -237,3 +230,11 @@ class IntervalUnion(_Record):
         ]
         return " U ".join(parts)
 
+
+def _union(raw: list[tuple[float, float]]) -> IntervalUnion:
+    """The union of raw (lo, hi) pairs.  One pair goes through ``interval``,
+    which keeps a canonical pair as given and skips ``_canonical``'s sort
+    and merge; any other count goes through ``_canonical``."""
+    if len(raw) == 1:
+        return IntervalUnion.interval(*raw[0])
+    return IntervalUnion(_canonical(raw))

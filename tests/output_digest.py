@@ -1,6 +1,6 @@
 """One digest of everything ``bfre`` prints over a fixed corpus of runs.
 
-    PYTHONPATH=src python3 tests/output_digest.py [--each]
+    PYTHONPATH=src python3 tests/output_digest.py
 
 It writes the benchmark's seed-1 workload files with ``bench/workloads.py``
 into a temporary directory and runs these commands in-process on them, on
@@ -18,8 +18,7 @@ It prints the number of runs and one blake2b digest of every run's argv,
 exit code, stdout and stderr, in order.  Two checkouts that print the same
 line printed the same bytes on every run.  Files are named by a relative
 path, so the digest does not depend on where the checkout or the temporary
-directory lies.  ``--each`` also prints one line per run: its own digest,
-then its argv.
+directory lies.
 
 It exits 0 when every run ended in ``SystemExit``, and 1 when one raised
 anything else, which it reports on stderr.  It needs only the standard
@@ -109,7 +108,7 @@ def corpus(tmp: str):
                 yield ROOT, os.path.join(rel, name), DATA_VERIFY_ARGS
 
 
-def main_digest(each: bool) -> int:
+def main_digest() -> int:
     digest = hashlib.blake2b()
     runs = crashes = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,8 +122,6 @@ def main_digest(each: bool) -> int:
                     digest.update(record)
                     runs += 1
                     crashes += crashed
-                    if each:
-                        print(hashlib.blake2b(record).hexdigest()[:16], *argv)
     print(f"{runs} runs {digest.hexdigest()}")
     if crashes:
         print(f"{crashes} runs raised an exception", file=sys.stderr)
@@ -133,4 +130,4 @@ def main_digest(each: bool) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_digest("--each" in sys.argv[1:]))
+    sys.exit(main_digest())

@@ -193,10 +193,11 @@ def test_serialization_roundtrip():
 
 # -- one-piece direct paths ----------------------------------------------------
 #
-# The general bodies of the five operations, which multi-piece operands still
-# take, kept here as the reference; EPS is read off the module at call time,
-# as the methods read it.  Each direct path must return what these return,
-# bit for bit.
+# The general bodies of the five operations, kept here as the reference; EPS
+# is read off the module at call time, as the methods read it.  Multi-piece
+# operands still take these loops, and ``&`` and ``from_pairs`` send a lone
+# raw pair through ``interval`` instead of ``_canonical``.  Each path must
+# return what these return, bit for bit.
 
 
 def _general_from_pairs(pairs):
@@ -304,6 +305,11 @@ def test_one_piece_paths_match_the_general_bodies(eps):
                 assert repr(got) == repr(_general_and(x, y))
                 assert x.issubset(y) is _general_issubset(x, y)
                 assert x.approx_equals(y) is _general_approx_equals(x, y)
+            m = IntervalUnion.from_pairs([_pair(rng) for _ in range(rng.randint(2, 3))])
+            for x, y in ((m, a), (a, m), (m, m)):
+                got = x & y
+                assert got is not x and got is not y
+                assert repr(got) == repr(_general_and(x, y))
             (lo, hi), = a.pieces
             for v in (lo, hi, _end(rng, lo), _end(rng, hi), rng.random()):
                 assert a.contains(v) is _general_contains(a, v)
