@@ -20,24 +20,17 @@ per column from a seeded stream, and its values are read only when the
 point is reported or handed to the objective.  No column is copied.
 
 Per-column tables make the cost of a walk follow the distinct values of
-each column rather than points x columns.  For each index of a list
-column the walk keeps two answers, each computed the first time the index
-is drawn: the value's ``witness_mask`` (-1 outside the column bound, else
-the rows it witnesses) and the bitmask of the boxes whose factor contains
-it, bit k standing for the box of rank k in the region's search DAG.  A
-point is feasible when no witness mask is -1 and their OR covers every
-row, which is how ``is_feasible_point`` is defined, and it lies in the box
-union when the AND of its box masks is non-zero.  The box masks come from a
-per-column index of the distinct box factors, which is computed on the DAG
-by path rank, so ``verify`` never lists the boxes: below the last row that
-may take column j, that column's factor is final, and the boxes through a
-node there are one contiguous range of ranks.  A column's index is built
-the first time the union test reaches the column; that test stops at the
-first column where no box is left, so a walk whose points leave the region
-early indexes a few columns, not all n.  A value's box mask then costs the
-distinct factors of its column, not the boxes.  A lazy column gets no
-table and is tested on every draw, so no table holds more than _LIST_MAX
-ticks plus a column's endpoints, whatever ``cap`` and the step.
+each column rather than points x columns.  For each index of a list column
+the walk keeps the value's ``witness_mask`` (-1 outside the column bound,
+else the rows it witnesses), and on a column no row takes, whether the
+value lies in the factor every box keeps there.  A point is feasible when
+no witness mask is -1 and their OR covers every row, which is how
+``is_feasible_point`` is defined.  It lies in the box union when some path
+of the region's search DAG reaches the sink with each coordinate in its
+column's final factor, so ``verify`` never lists the boxes, and a node
+from which no path gets there is searched once per point.  A lazy column
+gets no table and is tested on every draw, so no table holds more than
+_LIST_MAX ticks plus a column's endpoints, whatever ``cap`` and the step.
 
 ``bfre verify`` walks its grid once: ``grid_membership_check`` draws each
 point once, tests it through the tables and, given an objective, takes the
@@ -57,7 +50,7 @@ from typing import NamedTuple
 
 from .intervals import IntervalUnion
 from .optimize import MonotoneObjective
-from .resolution import RegionResult, ResourceLimitError, SearchDag
+from .resolution import DagNode, RegionResult, ResourceLimitError, SearchDag
 from .system import CellAnalysis, is_feasible_point, witness_mask
 
 __all__ = [
@@ -235,74 +228,6 @@ def _table(column: Sequence[float]) -> list | _NoTable:
     return [None] * len(column) if isinstance(column, list) else _NO_TABLE
 
 
-def _ranks(dag: SearchDag) -> list[list[list]]:
-    """The DAG's nodes by depth, each as ``[node, held, starts]``.
-
-    A node's boxes are, for each path from the root to it, a contiguous
-    range of ``node.count`` ranks, and each edge's child takes the next
-    ``child.count`` ranks of every such range.  Bit r of ``starts`` is set
-    when one of the ranges begins at rank r; the ranges do not overlap.
-    ``held[j]`` is the factor the node holds on column j, which every path
-    to it agrees on while j is on its frontier, since the factors there are
-    its key.
-    """
-    levels = []
-    level = [[dag.root, list(dag.base), 1]]
-    for k in range(dag.depth):
-        levels.append(level)
-        if k + 1 == dag.depth:
-            break
-        below: dict[int, list] = {}
-        for node, held, starts in level:
-            offset = 0
-            for c, joint, child in node.edges:
-                entry = below.get(id(child))
-                if entry is None:
-                    held_below = held.copy()
-                    held_below[c] = joint
-                    below[id(child)] = [child, held_below, starts << offset]
-                else:
-                    entry[2] |= starts << offset
-                offset += child.count
-        level = list(below.values())
-    return levels
-
-
-def _factor_index(dag: SearchDag, levels: list[list[list]], j: int) -> dict[tuple, list]:
-    """Column j's factor index: each distinct factor of the boxes there,
-    keyed by its pieces (a tuple, hashed in C), mapped to
-    ``[factor, bitmask of the boxes that have it]``, bit k standing for the
-    box of rank k.
-
-    It is read off the nodes of depth ``dag.last[j]``, the last row that
-    may take column j (``levels`` is ``_ranks(dag)``), so no box is
-    listed.  Each edge there fixes the column's factor for the ranks it
-    covers: the edge's joint factor when the edge takes j, else the factor
-    its node holds on j.  An edge covers ``child.count`` ranks from its
-    offset in each of its node's ranges, and with ``span`` the first of
-    them, ``(span << child.count) - span`` sets exactly those bits, since
-    the ranges do not overlap.
-    """
-    top = dag.last[j]
-    if top < 0:  # no row takes column j: every box keeps its root factor
-        f = dag.base[j]
-        return {f.pieces: [f, (1 << dag.count) - 1]}
-    index: dict[tuple, list] = {}
-    for node, held, starts in levels[top]:
-        offset = 0
-        for c, joint, child in node.edges:
-            f = joint if c == j else held[j]
-            span = starts << offset
-            bits = (span << child.count) - span
-            entry = index.get(f.pieces)
-            if entry is None:
-                index[f.pieces] = [f, bits]
-            else:
-                entry[1] |= bits
-            offset += child.count
-    return index
-
-
 class GridReport(NamedTuple):
     """Outcome of a grid sweep comparing two membership definitions.
 
@@ -347,29 +272,22 @@ def grid_membership_check(
     feasible points, by ``brute_force_min``'s rule: the first strictly
     smaller value wins.  No feasible point is kept besides the best one.
     For ``snapped_value`` each point moves to the nearest point of the first
-    box left to it, the one of lowest rank, whose factors come from
-    descending the DAG's counts: one within the tolerance outside a box
-    beats no corner.
+    box that holds it, the one of lowest rank: one within the tolerance
+    outside a box beats no corner.
 
     Feasibility is ``is_feasible_point`` taken apart by column: the
     ``witness_mask`` of each coordinate, remembered per (column, index) in
-    a list column's table.  The union test runs through a per-column factor
-    index: ``index[j]`` maps each distinct factor value of column j to the
-    bitmask of the ranks of the boxes that have it there, and it is built
-    by ``_factor_index`` the first time a point's union test reaches column
-    j.  A point's surviving boxes are the AND over columns of the OR of the
-    masks of the factors containing ``x[j]``, also remembered per (column,
-    index).  Both loops stop early, at the first coordinate outside its
-    column bound and once no box is left, so a column no point reaches
-    with a box left is never indexed.
+    a list column's table.  Union membership is reachability on the search
+    DAG: the point must lie in the base factor of each column no row takes,
+    remembered the same way, and ``_first_box`` must find a path to the
+    sink that keeps every other coordinate in its column's final factor.
     """
     analysis, dag = region.analysis, region.dag
-    index: list[dict[tuple, list] | None] = [None] * len(grid)
-    everyone = (1 << dag.count) - 1
     rows = (1 << analysis.m) - 1
     witness = [_table(col) for col in grid]
-    in_boxes = [_table(col) for col in grid]
-    levels = _ranks(dag)
+    # every box keeps the base factor of a column no row takes
+    kept = [(j, dag.base[j], _table(grid[j])) for j, k in enumerate(dag.last) if k < 0]
+    closing = [[j for j, k in enumerate(dag.last) if k == row] for row in range(dag.depth)]
     total, sampled, points = _walk(grid, cap, seed)
     mismatches, mismatch_count = [], 0
     best_point: tuple[float, ...] | None = None
@@ -386,30 +304,23 @@ def grid_membership_check(
                 break
             covered |= mask
         feasible = covered == rows
-        alive = everyone
-        for j, r in enumerate(point):
-            if not alive:
-                break
-            hit = in_boxes[j][r]
+        box = None
+        for j, f, table in kept:
+            r = point[j]
+            hit = table[r]
             if hit is None:
-                factors = index[j]
-                if factors is None:
-                    factors = index[j] = _factor_index(dag, levels, j)
-                v = grid[j][r]
-                hit = 0
-                for f, bits in factors.values():
-                    if f.contains(v):
-                        hit |= bits
-                in_boxes[j][r] = hit
-            alive &= hit
-        in_union = bool(alive)
+                hit = table[r] = f.contains(grid[j][r])
+            if not hit:
+                break
+        else:
+            box = _first_box(dag, closing, grid, point)
+        in_union = box is not None
         if feasible and objective is not None:
             x = tuple(map(getitem, grid, point))
             value = objective(x)
             if best_value is None or value < best_value:
                 best_point, best_value = x, value
             if in_union:
-                box = dag.factors_at((alive & -alive).bit_length() - 1)
                 value = objective(tuple(map(_nearest, box, x)))
             if snapped_value is None or value < snapped_value:
                 snapped_value = value
@@ -421,6 +332,50 @@ def grid_membership_check(
     return GridReport(
         total, checked, sampled, mismatch_count, mismatches, best_point, best_value, snapped_value
     )
+
+
+def _first_box(
+    dag: SearchDag,
+    closing: list[list[int]],
+    grid: Sequence[Sequence[float]],
+    point: tuple[int, ...],
+) -> list[IntervalUnion] | None:
+    """The factors of the first box in edge order, the one of lowest rank,
+    that holds the point on the columns some row takes; None when no box
+    does.
+
+    The search goes depth first, edges in order, and keeps the partial box
+    of its path.  ``closing[k]`` lists the columns whose last row is row k:
+    an edge from depth k fixes their final factors, its joint on the column
+    it takes and the factor its node holds on the others, and is followed
+    only when each holds the point's value there.  Whether a node reaches
+    the sink depends on the node alone, since the factors it holds on the
+    columns that close below it are its key, so a node that does not is
+    dead for the rest of the point and each node is searched at most once.
+    """
+    factors = list(dag.base)
+    dead: set[int] = set()
+
+    def reach(node: DagNode, k: int) -> bool:
+        if not node.edges:  # the sink, or the root of a DAG without a path
+            return node.count > 0
+        here = closing[k]
+        for c, joint, child in node.edges:
+            if id(child) in dead:
+                continue
+            before = factors[c]
+            factors[c] = joint
+            for j in here:
+                if not factors[j].contains(grid[j][point[j]]):
+                    break
+            else:
+                if reach(child, k + 1):
+                    return True
+                dead.add(id(child))
+            factors[c] = before
+        return False
+
+    return factors if reach(dag.root, 0) else None
 
 
 def _nearest(factor: IntervalUnion, v: float) -> float:

@@ -121,20 +121,6 @@ class SearchDag(NamedTuple):
         """The exact number of boxes: the paths from the root."""
         return self.root.count
 
-    def factors_at(self, rank: int) -> list[IntervalUnion]:
-        """The factors of the box of ``rank`` (0 <= rank < count), found by
-        descending the counts, without listing the boxes before it."""
-        factors = list(self.base)
-        node = self.root
-        while node.edges:
-            for j, joint, child in node.edges:
-                if rank < child.count:
-                    break
-                rank -= child.count
-            factors[j] = joint
-            node = child
-        return factors
-
 
 #: The DAG of a region whose necessary checks fail: no path.
 _EMPTY = SearchDag(DagNode((), 0), (), (), 0)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from operator import getitem
 from types import SimpleNamespace
 
@@ -25,7 +26,14 @@ from bfre import oracle
 from bfre.cli import problem_from_dict
 from bfre.oracle import DEFAULT_GRID_CAP, GridReport
 from bfre.tnorms import TNORM_KINDS
-from conftest import LINEAR_C, dense_square_problem, in_box, random_system, region_of
+from conftest import (
+    LINEAR_C,
+    bench_workloads,
+    dense_square_problem,
+    in_box,
+    random_system,
+    region_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +423,8 @@ def test_memoized_walk_matches_point_by_point_reference(column_kind):
 
 @pytest.fixture(scope="module")
 def large_regions():
-    """Planted regions of 610 boxes, one per family of ``dense-square``, so
-    that box masks span many 30-bit digits."""
+    """Planted regions of 610 boxes, one per family of ``dense-square``,
+    whose search DAGs share nodes between many paths."""
     return [
         feasible_region(problem_from_dict(dense_square_problem(kind, f"oracle/{kind}"))[0])
         for kind in ("product", "frank", "dubois_prade")
@@ -460,9 +468,9 @@ def test_lazy_index_matches_reference_on_large_regions(large_regions):
 
 
 def test_region_and_its_listed_boxes_give_one_report(large_regions):
-    # The union test on the region's merged DAG, ranked by path counts, and
-    # on a chain per listed box must agree on every field of the report,
-    # the snapped minimum too, which reads the first box left by rank.
+    # The union test on the region's merged DAG and on a chain per listed
+    # box must agree on every field of the report, the snapped minimum too,
+    # which reads the first path in edge order that holds the point.
     rng = random.Random(47)
     snapped = 0
     for res in large_regions:
@@ -481,33 +489,83 @@ def test_region_and_its_listed_boxes_give_one_report(large_regions):
     assert snapped >= 3
 
 
-def test_union_test_indexes_only_the_columns_it_reaches(large_regions, monkeypatch):
-    # A column's factor index is built the first time the union test
-    # reaches the column, once, and a sampled grid whose points leave the
-    # region early never reaches most columns.
-    built = []
-    build = oracle._factor_index
-    monkeypatch.setattr(
-        oracle,
-        "_factor_index",
-        lambda dag, levels, j: built.append(j) or build(dag, levels, j),
-    )
-    for res in large_regions:
-        built.clear()
-        grid = breakpoint_grid(res.analysis, 0.25)
-        report = grid_membership_check(res, grid, cap=40, seed=0)
-        assert report.sampled
-        boxes = res.boxes
-        reached = set()
-        for x in _choice_points(grid, 40, 0):
-            alive = boxes
-            for j, v in enumerate(x):
-                if not alive:
-                    break
-                reached.add(j)
-                alive = [box for box in alive if box.factors[j].contains(v)]
-        assert sorted(built) == sorted(reached)
-        assert len(built) < res.analysis.n
+@pytest.fixture(scope="module", params=["product", "frank", "dubois_prade"])
+def wide_region(request):
+    """A planted 50x50 system with 10 core rows: 3,796,228 boxes, far too
+    many to list, over a DAG of a few thousand nodes."""
+    workloads = bench_workloads()
+    kind = request.param
+    shape = workloads.Shape(50, 10, 20, 20, extra=0)
+    problem, _ = workloads.planted_system(random.Random(f"p/{kind}/50/10"), kind, shape)
+    return feasible_region(problem_from_dict(problem)[0], max_count=10**7)
+
+
+def test_union_test_memory_follows_the_dag_not_its_boxes(wide_region):
+    # A bitmask of one bit per box for each column value peaked at 1.1 GB
+    # on the product system.
+    assert wide_region.dag.count == 3_796_228
+    grid = breakpoint_grid(wide_region.analysis, 0.25)
+    tracemalloc.start()
+    try:
+        report = grid_membership_check(wide_region, grid, cap=40, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 40
+    assert peak < 10_000_000
+
+
+def _edge_depths(dag):
+    """The depth of each edge of the DAG, every edge once."""
+    seen, stack, depths = set(), [(dag.root, 0)], []
+    while stack:
+        node, k = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            depths += [k] * len(node.edges)
+            stack += [(child, k + 1) for _, _, child in node.edges]
+    return depths
+
+
+def test_union_test_searches_each_node_once(wide_region, monkeypatch):
+    # A box corner with one coordinate outside its column bound, on a
+    # column whose factor closes at the last row: the paths that hold the
+    # corner all fail at the last row.  A node none of whose paths reach
+    # the sink is not searched again, so the union test costs at most one
+    # containment test per (edge, closing column), plus one per column no
+    # row takes, not one per path.
+    dag = wide_region.dag
+    factors, node = list(dag.base), dag.root
+    while node.edges:  # the box of rank 0
+        j, factors[j], node = node.edges[0]
+    corner = [f.pieces[0][0] for f in factors]
+    j = max(j for j, k in enumerate(dag.last) if k == dag.depth - 1)
+    corner[j] = -1.0  # below every factor of column j
+    closing = Counter(dag.last)
+    bound = sum(closing[k] for k in _edge_depths(dag)) + closing[-1]
+    calls, at_last_row, witnessing = [0], [0], [False]
+    contains, mask = IntervalUnion.contains, oracle.witness_mask
+
+    def counted(self, v):
+        if not witnessing[0]:
+            calls[0] += 1
+            at_last_row[0] += v == -1.0
+            if calls[0] > bound:
+                pytest.fail(f"more than {bound} containment tests")
+        return contains(self, v)
+
+    def uncounted(*args):
+        witnessing[0] = True
+        try:
+            return mask(*args)
+        finally:
+            witnessing[0] = False
+
+    monkeypatch.setattr(IntervalUnion, "contains", counted)
+    monkeypatch.setattr(oracle, "witness_mask", uncounted)
+    report = grid_membership_check(wide_region, [[v] for v in corner])
+    assert report.ok and report.checked == 1
+    assert at_last_row[0] > 1
 
 
 def test_lazy_columns_get_no_table(example_region):
