@@ -4,7 +4,10 @@ Systems of the form  A+ phi x  OR  A- phi (1 - x)  =  b  under an arbitrary
 continuous t-norm phi: the feasible region is resolved exactly as a finite
 union of boxes, and coordinate-monotone objectives are minimized globally
 over it by a branch-and-bound search over the witness assignments, which
-compares closed-form box corners and prunes by the corner of a partial box.
+compares closed-form box corners.  A separable objective (``linear``,
+``sum_log``) is pruned by an exact bound, the least sum each node's
+completions reach by dynamic programming over the search DAG; every other
+objective by the corner of the partial box.
 """
 
 from .intervals import IntervalUnion, tolerance

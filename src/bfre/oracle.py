@@ -9,10 +9,14 @@ lost their float witness (ROADMAP item 2 moves the oracle onto ``residual``).
 The grid contains every interval endpoint appearing in the analysis, so every
 corner candidate the optimizer can produce is itself a grid point.
 
-Long grid columns are lazy: such a column keeps runs of tick indices and
-its few explicit values, and answers ``len`` and indexing by bisection, so
-a fine step costs no memory until the grid is walked.  Columns with at
-most _LIST_MAX ticks are plain lists.
+A grid column costs one set, one sort and one sweep: its endpoints are
+gathered into one set from the pieces of its sets and clipped to [0, 1]
+once.  Columns with at most _LIST_MAX ticks are plain lists, the sorted
+endpoints and ticks with a value dropped when it lies within _MERGE_TOL
+of the last one kept.  Longer columns are lazy: such a column keeps runs
+of tick indices and its few explicit values, and answers ``len`` and
+indexing by bisection, so a fine step costs no memory until the grid is
+walked.
 
 The walk moves over column indices, not values.  A point is a tuple of
 indices, taken from ``itertools.product`` of the index ranges or drawn one
@@ -108,27 +112,23 @@ class _GridColumn(Sequence[float]):
         return value * self._step if isinstance(part, range) else value
 
 
-def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
-    """The sorted ticks ``k * step`` (k = 0 .. last) and 1.0 merged with the
-    endpoints, all clipped to [0, 1]; a value within _MERGE_TOL above the
-    previous kept one is dropped.
+def _column(explicit: set[float], step: float, last: int) -> _GridColumn:
+    """The lazy column of the ticks ``k * step`` (k = 0 .. last) and 1.0
+    merged with ``explicit``, the column's endpoints already clipped to
+    [0, 1]; a value within _MERGE_TOL above the previous kept one is
+    dropped, as in a list column.
 
     The merge builds the column's parts.  Ticks below ``last`` lie in
     [0, 1) and more than _MERGE_TOL apart, so between two explicit values
     they form one run, of which only the first can fall within the
     tolerance.  Tick ``last`` and 1.0 are clipped and may coincide, so they
-    join the explicit values.  With more than _LIST_MAX ticks the column is
-    a lazy ``_GridColumn`` over the parts, else the list of their values.
+    join the explicit values.
     """
-    explicit = [min(1.0, max(0.0, v)) for v in endpoints]
-    explicit += [min(1.0, max(0.0, last * step)), 1.0]
     ticks = range(last)
     parts: list[range | tuple[float, ...]] = []
     kept: float | None = None
     k = 0
-    # each value once: every one is clipped, so no -0.0 stands beside 0.0,
-    # and a repeat of the kept value never passes the tolerance test
-    for v in sorted(set(explicit)):
+    for v in sorted(explicit | {min(1.0, last * step), 1.0}):
         # the ticks below v come first in the merged order
         j = bisect.bisect_left(ticks, v, lo=k, key=step.__rmul__)
         if k < j and kept is not None and k * step - kept <= _MERGE_TOL:
@@ -140,9 +140,7 @@ def _column(endpoints: list[float], step: float, last: int) -> Sequence[float]:
         if kept is None or v - kept > _MERGE_TOL:
             parts.append((v,))
             kept = v
-    if last > _LIST_MAX:
-        return _GridColumn(step, parts)
-    return [v * step if isinstance(part, range) else v for part in parts for v in part]
+    return _GridColumn(step, parts)
 
 
 def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]]:
@@ -151,6 +149,13 @@ def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]
     column with more than _LIST_MAX ticks is a lazy ``_GridColumn``, any
     other a list.  A step below 1 / DEFAULT_GRID_CAP raises
     ``ResourceLimitError``.
+
+    A column costs one set, one sort and one sweep.  Its endpoints are
+    gathered into one set straight from the pieces of its bound and of the
+    reached cells' sets, and each distinct one is clipped to [0, 1] once,
+    which also turns -0.0 into 0.0.  A list column adds its ticks and 1.0,
+    sorts, and keeps a value when it lies more than _MERGE_TOL above the
+    last kept one; a lazy column hands the set to ``_column``.
 
     Endpoints are read from the column bounds and the reached cells only.
     A cell no literal reaches has relaxed set [0, 1] and empty exact and
@@ -163,14 +168,28 @@ def breakpoint_grid(analysis: CellAnalysis, step: float) -> list[Sequence[float]
     if 1.0 / step > DEFAULT_GRID_CAP:
         raise ResourceLimitError(f"grid step {step!r} is finer than 1/{DEFAULT_GRID_CAP}")
     last = int(1.0 / step)
-    values = [bound.endpoints() for bound in analysis.col_bounds]
+    pieces = [list(bound.pieces) for bound in analysis.col_bounds]
     for i, reached in enumerate(analysis.reached):
         relaxed, exact, restricted = analysis.relaxed[i], analysis.exact[i], analysis.restricted[i]
         for j in reached:
-            values[j] += relaxed[j].endpoints()
-            values[j] += exact[j].endpoints()
-            values[j] += restricted[j].endpoints()
-    return [_column(column, step, last) for column in values]
+            pieces[j] += relaxed[j].pieces
+            pieces[j] += exact[j].pieces
+            pieces[j] += restricted[j].pieces
+    ends = [{min(1.0, max(0.0, v)) for v in set().union(*column)} for column in pieces]
+    if last > _LIST_MAX:
+        return [_column(explicit, step, last) for explicit in ends]
+    ticks = [k * step for k in range(last)] + [min(1.0, last * step), 1.0]
+    grid = []
+    for explicit in ends:
+        explicit.update(ticks)
+        column = []
+        kept = -1.0  # below every clipped value, so the first is kept
+        for v in sorted(explicit):
+            if v - kept > _MERGE_TOL:
+                column.append(v)
+                kept = v
+        grid.append(column)
+    return grid
 
 
 def _walk(grid: Sequence[Sequence[float]], cap: int, seed: int):

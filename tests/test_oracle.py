@@ -111,8 +111,9 @@ def test_lazy_grid_matches_eager_grid(step, column_kind):
 
 def test_lazy_grid_merges_near_ticks_like_eager_grid(column_kind):
     # Endpoints on, just above and just below ticks, chains closer than the
-    # 1e-12 merge distance, and values outside [0, 1]; steps whose last
-    # tick falls below, on or above 1.
+    # 1e-12 merge distance, values outside [0, 1], and -0.0 with values
+    # within 1e-12 of it, which must give the tick 0.0 and not -0.0; steps
+    # whose last tick falls below, on or above 1.
     rng = random.Random(5)
     steps = [1.0, 2.0, 0.5, 0.3, 1 / 3, 0.1, 0.07, 0.01, 0.7]
     steps += [rng.uniform(0.001, 0.2) for _ in range(30)]
@@ -120,6 +121,7 @@ def test_lazy_grid_merges_near_ticks_like_eager_grid(column_kind):
         last = int(1.0 / step)
         for _ in range(6):
             values = [-0.1, 1.2, 0.0, 1.0, 1.0 - 5e-13, 5e-13, last * step]
+            values += [-0.0, -0.0, -5e-13, 9e-13]
             for _ in range(12):
                 v = rng.randint(0, last) * step + rng.choice(
                     [0.0, 0.0, 4e-13, -4e-13, 1.5e-12, -1.5e-12, rng.random() * step]

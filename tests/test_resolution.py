@@ -261,6 +261,22 @@ def test_capped_build_stops_early(monkeypatch):
     assert built.count(resolution.DagNode) < nodes * 2 // 3
 
 
+@pytest.mark.xfail(raises=RecursionError, strict=True, reason="ROADMAP item 19")
+def test_deep_dag_builds_without_the_python_stack():
+    # A natural 1200x40 product system without the reduction rules: its
+    # DAG is 1200 rows deep, and the build recurses once per row.  The rules
+    # leave one active row and a feasible region of 4 boxes, so the
+    # unreduced run must give a feasible region too, or fail on the cap.
+    workloads = bench_workloads()
+    problem, _ = workloads.natural_system(random.Random("deep/1200"), "product", 1200, 40)
+    system, _ = problem_from_dict(problem)
+    try:
+        region = feasible_region(system, simplify=False)
+    except ResourceLimitError:
+        return
+    assert region.is_feasible and region.dag.count > 0
+
+
 # -- count bound -------------------------------------------------------------------
 
 

@@ -354,11 +354,10 @@ def test_membership_consistency_with_residual():
 @pytest.mark.parametrize(
     "kind",
     [
-        "product",
-        "frank",
-        pytest.param(
-            "dubois_prade", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-        ),
+        pytest.param(kind, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+        if kind == "dubois_prade"
+        else kind
+        for kind in TNORM_KINDS
     ],
 )
 def test_natural_witness_is_feasible(kind):
