@@ -65,7 +65,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, Generator, NoReturn, Sequence
 
 from . import intervals
 from .optimize import (
@@ -83,6 +83,7 @@ from .resolution import (
     RegionResult,
     ResourceLimitError,
     SearchDag,
+    _drive,
     count_bound,
     feasible_region,
     reduce_system,
@@ -218,8 +219,10 @@ def _region_report(result: RegionResult, best: Candidate | None = None) -> list[
 def _text_dag(dag: SearchDag) -> SearchDag:
     """The DAG with every factor replaced by its JSON text: the same
     columns, children and counts.  The DAG shares its factor objects, and
-    each distinct one is encoded once; each node is mapped once.  The DAG
-    holds both while this runs, so ``id`` tells them apart."""
+    each distinct one is encoded once; each node is mapped once, by a pass
+    on ``resolution._drive``, since the DAG is as deep as the number of
+    active rows.  The DAG holds both while this runs, so ``id`` tells them
+    apart."""
     texts: dict[int, str] = {}
     nodes: dict[int, DagNode] = {}
 
@@ -229,14 +232,16 @@ def _text_dag(dag: SearchDag) -> SearchDag:
             t = texts[id(factor)] = _pieces_text(factor.pieces)
         return t
 
-    def node_text(node: DagNode) -> DagNode:
-        mapped = nodes.get(id(node))
-        if mapped is None:
-            edges = tuple([(j, text(joint), node_text(child)) for j, joint, child in node.edges])
-            mapped = nodes[id(node)] = DagNode(edges, node.count)
-        return mapped
+    def node_text(node: DagNode) -> Generator:
+        edges = []
+        for j, joint, child in node.edges:
+            mapped = nodes.get(id(child))
+            if mapped is None:
+                mapped = nodes[id(child)] = yield node_text(child)
+            edges.append((j, text(joint), mapped))
+        return DagNode(tuple(edges), node.count)
 
-    return dag._replace(root=node_text(dag.root), base=tuple(map(text, dag.base)))
+    return dag._replace(root=_drive(node_text(dag.root)), base=tuple(map(text, dag.base)))
 
 
 def _pieces_text(pieces: tuple[tuple[float, float], ...]) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 from . import intervals
 from .intervals import IntervalUnion, _Frozen
@@ -29,6 +29,7 @@ from .resolution import (
     DagNode,
     ResourceLimitError,
     SearchDag,
+    _drive,
     search_dag,
     walk_admissible,
 )
@@ -201,7 +202,8 @@ def _exact_prune(
     0, is the least sum of terms over the node's completions (Algorithm B
     on a decision diagram: Knuth, TAOCP 4A §7.1.4).  One pass fills it,
     memoized on ``id(node)``: a node is reached first by some path, which
-    holds its frontier factors.
+    holds its frontier factors.  The pass runs on ``resolution._drive``,
+    since the DAG is as deep as the number of active rows.
 
     The walk then keeps the sum of closed terms along its path and skips a
     child, or a last-row leaf, when that sum plus ``v(child)``, less
@@ -238,19 +240,19 @@ def _exact_prune(
     factors = list(dag.base)
     least: dict[int, float] = {}  # id(node) -> v(node)
 
-    def fill(node: DagNode, k: int) -> float:
+    def fill(node: DagNode, k: int) -> Generator:
         v = math.inf if node.edges else 0.0
         for j, joint, child in node.edges:
             before, factors[j] = factors[j], joint
             below = least.get(id(child))
             if below is None:
-                below = least[id(child)] = fill(child, k + 1)
+                below = least[id(child)] = yield fill(child, k + 1)
             v = min(v, closed(k, factors) + below)
             factors[j] = before
         return v
 
     slack = 4 * (len(fn.c) + depth + 2) * 2.0 ** -53 * total
-    limit = const + fill(dag.root, 0) + 2 * slack
+    limit = const + _drive(fill(dag.root, 0)) + 2 * slack
     sums = [const] * (depth + 1)  # sums[k]: the closed terms above depth k
 
     def prune(remaining: int, factors: list[IntervalUnion], child: DagNode) -> bool:

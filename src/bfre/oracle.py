@@ -50,11 +50,11 @@ import itertools
 import random
 from collections.abc import Sequence
 from operator import getitem
-from typing import NamedTuple
+from typing import Generator, NamedTuple
 
 from .intervals import IntervalUnion
 from .optimize import MonotoneObjective
-from .resolution import DagNode, RegionResult, ResourceLimitError, SearchDag
+from .resolution import DagNode, RegionResult, ResourceLimitError, SearchDag, _drive
 from .system import CellAnalysis, is_feasible_point, witness_mask
 
 __all__ = [
@@ -371,11 +371,13 @@ def _first_box(
     the sink depends on the node alone, since the factors it holds on the
     columns that close below it are its key, so a node that does not is
     dead for the rest of the point and each node is searched at most once.
+    The search runs on ``resolution._drive``, so a path as long as the
+    number of active rows needs no Python stack.
     """
     factors = list(dag.base)
     dead: set[int] = set()
 
-    def reach(node: DagNode, k: int) -> bool:
+    def reach(node: DagNode, k: int) -> Generator:
         if not node.edges:  # the sink, or the root of a DAG without a path
             return node.count > 0
         here = closing[k]
@@ -388,13 +390,13 @@ def _first_box(
                 if not factors[j].contains(grid[j][point[j]]):
                     break
             else:
-                if reach(child, k + 1):
+                if (yield reach(child, k + 1)):
                     return True
                 dead.add(id(child))
             factors[c] = before
         return False
 
-    return factors if reach(dag.root, 0) else None
+    return factors if _drive(reach(dag.root, 0)) else None
 
 
 def _nearest(factor: IntervalUnion, v: float) -> float:

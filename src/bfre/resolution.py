@@ -22,12 +22,20 @@ in candidate order, a child with no path below it is dropped, and every
 node carries the exact number of paths below it.  A box is a root-to-sink
 path, its rank is its place in lexicographic order of the witness columns,
 and the root's count is the exact number of admissible functions.
+
+No pass over the DAG recurses: the DAG is as deep as the number of active
+rows, and a system with a thousand of them (an unreduced one, say) would
+pass the interpreter's frame limit.  The walk is a loop over a stack of
+edge iterators.  The other passes (the build here, the optimum's exact
+bound, ``verify``'s union test and the CLI's text DAG) are written as
+recursive generators that yield each call's frame, and ``_drive`` keeps
+the frames on a list.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, Generator, NamedTuple, NoReturn, Sequence
 
 from .intervals import IntervalUnion
 from .simplify import ReductionState, simplify_to_fixpoint
@@ -66,6 +74,23 @@ DEFAULT_MAX_ASSIGNMENTS = 10 ** 6
 #: A record built by position, without the Python-level ``__new__`` of
 #: ``NamedTuple``: the search makes one per node and one per box.
 _new = tuple.__new__
+
+
+def _drive(frame: Generator) -> Any:
+    """The result of ``frame``, run with its calls on a list instead of the
+    Python stack.  A pass written as a recursive function, with each call
+    ``f(x)`` to itself written ``(yield f(x))``, runs here to any depth: a
+    yielded frame is run next, and its result is sent to the frame that
+    yielded it."""
+    stack, value = [frame], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 class ResourceLimitError(RuntimeError):
@@ -190,11 +215,7 @@ def search_dag(
     joints: dict[tuple[int, int], IntervalUnion] = {}
     nodes: list[dict] = [{} for _ in range(depth)]
 
-    def build(k: int) -> DagNode:
-        key = keys[k](ids)
-        node = nodes[k].get(key)
-        if node is not None:
-            return node
+    def build(k: int, key: Any) -> Generator:
         restricted = cells[k]
         final = k + 1 == depth
         edges = []
@@ -214,7 +235,10 @@ def search_dag(
                 child = _SINK
             else:
                 factors[j], ids[j] = joint, id(joint)
-                child = build(k + 1)
+                below = keys[k + 1](ids)
+                child = nodes[k + 1].get(below)
+                if child is None:
+                    child = yield build(k + 1, below)
                 factors[j], ids[j] = before, id(before)
                 if not child.count:
                     continue
@@ -225,7 +249,7 @@ def search_dag(
         node = nodes[k][key] = _new(DagNode, (tuple(edges), count))
         return node
 
-    root = build(0) if depth else _SINK
+    root = _drive(build(0, keys[0](ids))) if depth else _SINK
     if max_count is not None and root.count > max_count:  # no row: one path
         _raise_cap(max_count)
     return _new(SearchDag, (root, tuple(base), tuple(last), depth))
@@ -254,27 +278,37 @@ def walk_admissible(
     returns True the child's paths are skipped, and from the last row that
     is the one leaf.  A child with no path is not in the DAG, so it is
     never offered.
+
+    The walk keeps its path in lists indexed by depth, with an iterator
+    over the edges left at each of its nodes, rather than on ``_drive``: it
+    runs on every command, once per path prefix, and a loop makes no frame
+    per node.
     """
     factors = list(dag.base)
-    chosen: list[int] = []
-
-    def walk(node: DagNode, remaining: int) -> None:
-        for j, joint, child in node.edges:
-            before = factors[j]
-            factors[j] = joint
-            chosen.append(j)
+    depth = dag.depth
+    if not depth and dag.count:  # no active row: one box, no edge
+        leaf((), factors)
+    chosen = [0] * depth  # the column of the path's edge from each depth
+    kept: list = [None] * depth  # the factor that edge replaced
+    edges = [iter(dag.root.edges)] + [None] * depth  # the edges left at each depth
+    d = 0
+    while True:
+        remaining = depth - 1 - d
+        for j, joint, child in edges[d]:
+            kept[d], factors[j] = factors[j], joint
+            chosen[d] = j
             if prune is None or not prune(remaining, factors, child):
                 if remaining:
-                    walk(child, remaining - 1)
-                else:  # from the last row's edges: one call per leaf
-                    leaf(tuple(chosen), factors)
-            chosen.pop()
-            factors[j] = before
-
-    if dag.depth:
-        walk(dag.root, dag.depth - 1)
-    elif dag.count:
-        leaf((), factors)
+                    d += 1
+                    edges[d] = iter(child.edges)
+                    break
+                leaf(tuple(chosen), factors)  # from the last row's edges
+            factors[j] = kept[d]
+        else:
+            if not d:
+                return
+            d -= 1
+            factors[chosen[d]] = kept[d]
 
 
 def _raise_cap(max_count: int) -> NoReturn:

@@ -268,6 +268,35 @@ def test_no_admissible_assignment(tmp_path):
     assert json.loads(result.output)["status"] == "verified"
 
 
+def test_a_deep_dag_gives_every_report(tmp_path):
+    # 1200 rows that each need x = 0.5 on the one column: without the
+    # rules the DAG is one path 1200 edges deep, past the interpreter's
+    # frame limit, and the build, the walk, the exact bound of a linear
+    # objective, the text DAG and verify's union test all run down it.
+    m = 1200
+    problem = {
+        "m": m,
+        "n": 1,
+        "a_plus": [[1.0]] * m,
+        "a_minus": [[0.0]] * m,
+        "b": [0.5] * m,
+        "tnorm": {"name": "product"},
+        "objective": {"name": "linear", "params": {"c": [1.0]}},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(problem))
+    box = {"rows": list(range(m)), "columns": [0] * m, "factors": [[[0.5, 0.5]]]}
+    for command in ("feasible", "solve"):
+        result = invoke(command, str(path), "--no-simplify")
+        assert (result.exit_code, result.stderr) == (0, ""), result.stderr[-300:]
+        report = json.loads(result.stdout)
+        assert report["status"] == "feasible" and report["boxes"] == [box]
+    assert report["best"] == {"columns": [0] * m, "point": [0.5], "value": 0.5}
+    result = invoke("verify", str(path), "--no-simplify", "--step", "0.25")
+    assert (result.exit_code, result.stderr) == (0, ""), result.stderr[-300:]
+    assert json.loads(result.stdout)["status"] == "verified"
+
+
 @pytest.mark.parametrize(
     "args,fragment",
     [

@@ -20,7 +20,7 @@ from bfre import (
     is_feasible_point,
 )
 from bfre.cli import problem_from_dict
-from bfre.resolution import ResourceLimitError, root_factors, search_dag
+from bfre.resolution import ResourceLimitError, root_factors, search_dag, walk_admissible
 from bfre.simplify import ReductionState, simplify_to_fixpoint
 from bfre.system import FeasibilityVerdict, necessary_feasibility
 from conftest import bench_workloads, in_box, make_example_system, random_system, reference_cases
@@ -261,20 +261,55 @@ def test_capped_build_stops_early(monkeypatch):
     assert built.count(resolution.DagNode) < nodes * 2 // 3
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True, reason="ROADMAP item 19")
 def test_deep_dag_builds_without_the_python_stack():
     # A natural 1200x40 product system without the reduction rules: its
-    # DAG is 1200 rows deep, and the build recurses once per row.  The rules
-    # leave one active row and a feasible region of 4 boxes, so the
-    # unreduced run must give a feasible region too, or fail on the cap.
+    # DAG is 1200 rows deep, past the interpreter's frame limit, so the
+    # build must keep its frames off the Python stack.  The rules leave one
+    # active row and a feasible region of 4 boxes, so the unreduced run must
+    # give a feasible region too, or fail on the cap.  A small cap keeps it
+    # short: the default one fires only after some 40 s.
     workloads = bench_workloads()
     problem, _ = workloads.natural_system(random.Random("deep/1200"), "product", 1200, 40)
     system, _ = problem_from_dict(problem)
     try:
-        region = feasible_region(system, simplify=False)
+        region = feasible_region(system, simplify=False, max_count=10)
     except ResourceLimitError:
         return
     assert region.is_feasible and region.dag.count > 0
+
+
+def test_the_build_memo_is_exact():
+    # search_dag builds one node per (depth, ids of the factors on the
+    # frontier): over every edge of each seed-1 region, with the rules and
+    # without, a key leads to one child and a child is reached under one
+    # key.  A node stored under another key is built again, or shared
+    # where it should not be, and breaks the map.  A child already mapped
+    # is not walked again.
+    regions = 0
+    for workload in ("catalog-small", "dense-square", "tall-reduction"):
+        for record in bench_workloads().build(workload, 1):
+            analysis = CellAnalysis(problem_from_dict(record["problem"])[0])
+            if not necessary_feasibility(analysis).ok:
+                continue
+            for state in (simplify_to_fixpoint(analysis), ReductionState.initial(analysis)):
+                dag = search_dag(analysis, state)
+                frontier = [
+                    [j for j, k in enumerate(dag.last) if k >= d] for d in range(dag.depth + 1)
+                ]
+                child_of, key_of = {}, {}
+
+                def prune(remaining, factors, child):
+                    d = dag.depth - remaining
+                    key = (d, tuple(id(factors[j]) for j in frontier[d]))
+                    seen = key in child_of
+                    assert child_of.setdefault(key, child) is child, record["file"]
+                    assert key_of.setdefault(id(child), key) == key, record["file"]
+                    return seen
+
+                walk_admissible(dag, lambda columns, factors: None, prune)
+                assert len(child_of) == len(key_of) == _nodes(dag) - 1  # all but the root
+                regions += 1
+    assert regions > 2 * 140, regions
 
 
 # -- count bound -------------------------------------------------------------------
